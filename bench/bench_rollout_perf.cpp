@@ -1,19 +1,22 @@
-// Perf — steady-state rollout throughput under the zero-allocation
-// optimizations: tensor arena (GNS_ARENA), fused linear kernels
-// (GNS_FUSED), Verlet-skin neighbor reuse (GNS_SKIN), and SIMD graph/MPM
+// Perf — steady-state rollout throughput. The tensor arena and the fused
+// linear kernels are always on; this sweeps the two remaining runtime
+// toggles, Verlet-skin neighbor reuse (GNS_SKIN) and SIMD graph/MPM
 // kernels (GNS_SIMD).
 //
-// Sweeps all 16 on/off combinations on the Fig-3 columns configuration
+// Runs all 4 on/off combinations on the Fig-3 columns configuration
 // (held-out friction angle), reports steps/sec for each, and verifies that
 // every combination produces bitwise-identical rollout frames — the
 // optimizations trade allocations and passes for speed, never results.
+// The timed rollouts run inside one ad::ArenaLifetime, so the pool
+// persists between them and arena_hit_rate (from the ad.arena.hit and
+// ad.arena.miss counters) measures steady-state pooling.
 //
 // `--small` runs a scaled-down fixture (tiny model trained in seconds,
 // cached) for CI perf-smoke; the JSON then carries small=1.
 //
 // Output: BENCH_rollout.json in the bench cache with one
-// a{0,1}_f{0,1}_s{0,1}_v{0,1}_steps_per_sec field per combination plus
-// speedup_all_on, speedup_simd, and identical_outputs.
+// s{0,1}_v{0,1}_steps_per_sec field per combination plus speedup_all_on,
+// speedup_simd, arena_hit_rate, and identical_outputs.
 
 #include <array>
 #include <cstring>
@@ -82,35 +85,23 @@ LearnedSimulator small_simulator(const io::Dataset& ds) {
 }
 
 struct Combo {
-  bool arena;
-  bool fused;
   bool skin;
   bool simd;
-  explicit Combo(int mask)
-      : arena((mask & 8) != 0),
-        fused((mask & 4) != 0),
-        skin((mask & 2) != 0),
-        simd((mask & 1) != 0) {}
+  explicit Combo(int mask) : skin((mask & 2) != 0), simd((mask & 1) != 0) {}
   [[nodiscard]] std::string key() const {
-    std::string k = "a";
-    k += arena ? '1' : '0';
-    k += "_f";
-    k += fused ? '1' : '0';
-    k += "_s";
+    std::string k = "s";
     k += skin ? '1' : '0';
     k += "_v";
     k += simd ? '1' : '0';
     return k;
   }
   void apply() const {
-    ad::set_arena_enabled(arena);
-    ad::set_fused_linear_enabled(fused);
     graph::set_default_skin_fraction(skin ? kSkinFraction : 0.0);
     simd::set_enabled(simd);
   }
 };
 
-constexpr int kCombos = 16;
+constexpr int kCombos = 4;
 
 }  // namespace
 
@@ -118,7 +109,7 @@ int main(int argc, char** argv) {
   const bool small =
       argc > 1 && std::strcmp(argv[1], "--small") == 0;
   print_header(
-      "Rollout perf: arena / fused kernels / Verlet-skin neighbor reuse",
+      "Rollout perf: Verlet-skin neighbor reuse / SIMD kernels",
       "optimizations change cost, not results (bitwise-identical frames)");
   configured_threads();
 
@@ -150,8 +141,11 @@ int main(int argc, char** argv) {
       obs::MetricsRegistry::global().counter("graph.neighbor.rebuild");
   auto& reuses =
       obs::MetricsRegistry::global().counter("graph.neighbor.reuse");
+  auto& arena_hits = obs::MetricsRegistry::global().counter("ad.arena.hit");
+  auto& arena_misses =
+      obs::MetricsRegistry::global().counter("ad.arena.miss");
 
-  // Reps are interleaved round-robin across the 16 combos (rather than
+  // Reps are interleaved round-robin across the 4 combos (rather than
   // timing each combo's reps back to back) so slow phases of a shared
   // machine penalize every combo equally; best-of-reps then discards the
   // noise floor.
@@ -160,11 +154,14 @@ int main(int argc, char** argv) {
   std::array<double, kCombos> reuse_frac{};
   std::array<bool, kCombos> same{};
   bool identical = true;
+  const ad::ArenaLifetime pool_lifetime;
   {
     const Combo warmup(0);
     warmup.apply();
     (void)sim.rollout(win, steps, ctx);  // page in weights before timing
   }
+  const std::uint64_t hits0 = arena_hits.value();
+  const std::uint64_t misses0 = arena_misses.value();
   for (int rep = 0; rep < reps; ++rep) {
     for (int mask = 0; mask < kCombos; ++mask) {
       const Combo combo(mask);
@@ -185,6 +182,9 @@ int main(int argc, char** argv) {
       identical = identical && same[mask];
     }
   }
+  const double hits = static_cast<double>(arena_hits.value() - hits0);
+  const double misses = static_cast<double>(arena_misses.value() - misses0);
+  const double hit_rate = hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
   std::vector<std::pair<std::string, double>> fields;
   for (int mask = 0; mask < kCombos; ++mask) {
     const Combo combo(mask);
@@ -195,10 +195,8 @@ int main(int argc, char** argv) {
   }
   const double baseline_sps = best[0];
   const double all_on_sps = best[kCombos - 1];
-  // speedup_simd isolates GNS_SIMD: everything else on, simd on vs off.
+  // speedup_simd isolates GNS_SIMD: skin on, simd on vs off.
   const double simd_off_sps = best[kCombos - 2];
-  ad::set_arena_enabled(false);
-  ad::set_fused_linear_enabled(false);
   graph::set_default_skin_fraction(0.0);
   simd::set_enabled(true);
 
@@ -207,13 +205,15 @@ int main(int argc, char** argv) {
       simd_off_sps > 0.0 ? all_on_sps / simd_off_sps : 0.0;
   print_rule();
   std::printf(
-      "all-on speedup over all-off: %.2fx   simd on/off (rest on): %.2fx\n"
+      "all-on speedup over all-off: %.2fx   simd on/off (skin on): %.2fx\n"
+      "arena hit rate: %.4f\n"
       "outputs %s\n",
-      speedup, speedup_simd,
-      identical ? "bitwise identical across all 16 combos"
+      speedup, speedup_simd, hit_rate,
+      identical ? "bitwise identical across all 4 combos"
                 : "DIVERGED — optimization bug");
   fields.emplace_back("speedup_all_on", speedup);
   fields.emplace_back("speedup_simd", speedup_simd);
+  fields.emplace_back("arena_hit_rate", hit_rate);
   fields.emplace_back("identical_outputs", identical ? 1.0 : 0.0);
   fields.emplace_back("particles", static_cast<double>(traj.num_particles));
   fields.emplace_back("rollout_steps", static_cast<double>(steps));

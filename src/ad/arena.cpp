@@ -1,9 +1,6 @@
 #include "ad/arena.hpp"
 
 #include <array>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/metrics.hpp"
 
@@ -26,7 +23,8 @@ thread_local bool t_pool_alive = false;
 
 struct ThreadPool {
   std::array<std::vector<std::vector<double>>, kNumClasses> classes;
-  int depth = 0;  ///< ArenaScope nesting on this thread
+  int depth = 0;      ///< ArenaScope nesting on this thread
+  int lifetimes = 0;  ///< ArenaLifetime nesting on this thread
   ArenaStats stats;
   // Deltas since the last metrics flush (frame end).
   std::uint64_t flushed_hits = 0;
@@ -37,14 +35,11 @@ struct ThreadPool {
 };
 
 /// The calling thread's pool; constructed on first use (the first
-/// ArenaScope on the thread).
+/// ArenaScope or ArenaLifetime on the thread).
 ThreadPool& pool() {
   thread_local ThreadPool t_pool;
   return t_pool;
 }
-
-// -1 = unset (read GNS_ARENA on first query), else 0/1.
-std::atomic<int> g_arena_state{-1};
 
 int floor_class(std::size_t n) {
   int c = 0;
@@ -57,11 +52,8 @@ int ceil_class(std::size_t n) {
   return ((std::size_t(1) << c) == n) ? c : c + 1;
 }
 
-bool active(const ThreadPool& p) { return p.depth > 0 && arena_enabled(); }
-
-/// Pops a pooled vector with capacity >= n, or returns false.
-bool pop(ThreadPool& p, std::size_t n, std::vector<double>& out) {
-  const int c = ceil_class(n);
+/// Pops a pooled vector from class c (capacity >= 2^c), or returns false.
+bool pop(ThreadPool& p, int c, std::vector<double>& out) {
   if (c >= kNumClasses) return false;
   auto& entries = p.classes[c];
   if (entries.empty()) return false;
@@ -87,27 +79,17 @@ void flush_metrics(ThreadPool& p) {
 
 }  // namespace
 
-bool arena_enabled() {
-  int s = g_arena_state.load(std::memory_order_relaxed);
-  if (s < 0) {
-    const char* env = std::getenv("GNS_ARENA");
-    s = (env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0)
-            ? 1
-            : 0;
-    g_arena_state.store(s, std::memory_order_relaxed);
-  }
-  return s != 0;
-}
-
-void set_arena_enabled(bool enabled) {
-  g_arena_state.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
 ArenaScope::ArenaScope() { ++pool().depth; }
 
 ArenaScope::~ArenaScope() {
   ThreadPool& p = pool();
-  if (--p.depth == 0 && arena_enabled()) flush_metrics(p);
+  if (--p.depth == 0) flush_metrics(p);
+}
+
+ArenaLifetime::ArenaLifetime() { ++pool().lifetimes; }
+
+ArenaLifetime::~ArenaLifetime() {
+  if (--pool().lifetimes == 0) arena_clear();
 }
 
 ArenaStats arena_thread_stats() { return pool().stats; }
@@ -119,6 +101,7 @@ void arena_clear() {
     entries.shrink_to_fit();
   }
   p.stats.bytes_pooled = 0;
+  flush_metrics(p);
 }
 
 namespace arena {
@@ -130,11 +113,15 @@ void acquire(std::vector<double>& out, std::size_t n) {
 void acquire_fill(std::vector<double>& out, std::size_t n, double value) {
   if (t_pool_alive) {
     ThreadPool& p = pool();
-    if (active(p)) {
-      if (pop(p, n, out)) {
+    if (p.depth > 0) {
+      const int c = ceil_class(n);
+      if (pop(p, c, out)) {
         ++p.stats.hits;
       } else {
         ++p.stats.misses;
+        // Allocate the class capacity, not n: recycled, the buffer then
+        // files under class c, where the next same-size acquire pops.
+        if (c < kNumClasses) out.reserve(std::size_t(1) << c);
       }
     }
   }
@@ -144,7 +131,7 @@ void acquire_fill(std::vector<double>& out, std::size_t n, double value) {
 void recycle(std::vector<double>& v) noexcept {
   if (v.capacity() == 0 || !t_pool_alive) return;
   ThreadPool& p = pool();
-  if (!active(p)) return;
+  if (p.depth == 0) return;
   const std::size_t bytes = v.capacity() * sizeof(double);
   const int c = floor_class(v.capacity());
   auto& entries = p.classes[c];

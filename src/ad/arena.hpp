@@ -4,27 +4,33 @@
 /// Per-thread buffer pool ("tensor arena") for TensorImpl storage.
 ///
 /// Steady-state rollouts create and destroy the same tensor shapes every
-/// step; under glibc malloc the multi-megabyte edge-latent buffers are
-/// mmap-backed, so each step pays munmap + fresh page faults. The arena
-/// breaks that cycle: while a frame is marked by an ArenaScope, destroyed
-/// tensors donate their storage vectors to a thread-local free list keyed
-/// by power-of-two size class, and new op results draw from that list in
-/// O(1) instead of allocating.
+/// step. Without a pool, glibc serves the multi-megabyte edge-latent
+/// buffers with mmap, so every step pays munmap plus fresh page faults.
+/// Measured with getrusage on a 4-vCPU x86-64 VM, an unpooled Fig-3 step
+/// (190 particles) takes ~1,950 minor page faults. With the pool, every
+/// step after a rollout's first takes about 1. While a frame is marked by
+/// an ArenaScope, destroyed tensors donate their storage vectors to a
+/// thread-local free list keyed by power-of-two size class, and new op
+/// results draw from that list in O(1) instead of allocating.
 ///
-/// Lifetime rules (see DESIGN.md "Steady-state rollout memory model"):
-///  * Pooling engages only while (a) the global switch is on
-///    (set_arena_enabled / GNS_ARENA env) and (b) the current thread is
-///    inside at least one ArenaScope. Outside a scope, acquire/recycle
-///    degrade to plain allocation/deallocation, so code that never opens a
-///    scope is byte-for-byte unaffected.
+/// Contract (see DESIGN.md "Steady-state rollout memory model"):
+///  * Pooling engages only while the current thread is inside at least one
+///    ArenaScope. Outside a scope, acquire/recycle are plain
+///    allocation/deallocation; that unpooled storage is the reference the
+///    tests compare pooled runs against.
+///  * Size classes: class c holds buffers of capacity [2^c, 2^(c+1)). An
+///    acquire of n elements pops from class ceil(log2 n); a miss allocates
+///    that class's full capacity 2^c, so once recycled the buffer files
+///    into the same class the next same-size acquire pops from.
 ///  * A recycled buffer is only ever taken from a *destroyed* TensorImpl,
 ///    so pooled storage can never alias a live tensor.
 ///  * Buffers are zero-filled on acquire, exactly like a freshly resized
-///    std::vector — results are bitwise identical with the arena on or off.
-///  * The pool persists across frames (that is the point: step N+1 reuses
-///    step N's buffers); ArenaScope exit at depth 0 just flushes the
-///    ad.arena.{hit,miss} counters and the ad.arena.bytes_live gauge.
-///    arena_clear() frees a thread's pool outright.
+///    std::vector, so pooled results are bitwise identical to unpooled ones.
+///  * The pool persists across frames (step N+1 reuses step N's buffers)
+///    and is freed when the outermost ArenaLifetime on the thread exits.
+///    One wraps each LearnedSimulator::rollout, BatchedSimulator::rollout
+///    and train_gns call, so no thread keeps pooled storage after the call
+///    that filled it. arena_clear() frees a thread's pool outright.
 ///
 /// The pool is bounded (per-class entry cap + total byte cap) so a shape
 /// change cannot grow it without limit; over-cap buffers are simply freed.
@@ -35,21 +41,30 @@
 
 namespace gns::ad {
 
-/// Global arena switch. Defaults to the GNS_ARENA environment variable
-/// (unset/"0" = off). Runtime-togglable; takes effect at the next
-/// acquire/recycle.
-[[nodiscard]] bool arena_enabled();
-void set_arena_enabled(bool enabled);
+/// Always true: pooling inside an ArenaScope is the only production path.
+/// Kept as a query so configuration stamps can report it.
+[[nodiscard]] inline bool arena_enabled() { return true; }
 
 /// RAII frame marker: pooling is active on this thread while at least one
-/// ArenaScope is alive (and the global switch is on). Nestable; typically
-/// one scope wraps one simulator step or one training step.
+/// ArenaScope is alive. Nestable; typically one scope wraps one simulator
+/// step or one training step.
 class ArenaScope {
  public:
   ArenaScope();
   ~ArenaScope();
   ArenaScope(const ArenaScope&) = delete;
   ArenaScope& operator=(const ArenaScope&) = delete;
+};
+
+/// RAII bound on the calling thread's pool: when the outermost
+/// ArenaLifetime on the thread exits, the pool is freed. Nestable, so a
+/// rollout called inside a longer pooled call keeps the outer pool.
+class ArenaLifetime {
+ public:
+  ArenaLifetime();
+  ~ArenaLifetime();
+  ArenaLifetime(const ArenaLifetime&) = delete;
+  ArenaLifetime& operator=(const ArenaLifetime&) = delete;
 };
 
 /// Counters of the calling thread's pool (cumulative since thread start).

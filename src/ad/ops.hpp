@@ -80,16 +80,15 @@ enum class FusedAct { Identity, ReLU, Tanh };
 /// tensors (matmul, +bias, activation). `b` is [1,M] or undefined (no
 /// bias). Forward values and backward gradients are bitwise identical to
 /// the unfused op chain — the kernels replicate matmul's accumulation
-/// order exactly — so the fused path can be toggled freely without
-/// perturbing rollouts or training (tests/test_nn.cpp asserts equality).
+/// order exactly — so Mlp::forward uses it for every layer and the chain
+/// (Linear::forward, then relu/tanh_op) stays as the test oracle
+/// (tests/test_nn.cpp asserts equality).
 Tensor linear_act(const Tensor& x, const Tensor& w, const Tensor& b,
                   FusedAct act);
 
-/// Global switch for Mlp's fused forward path. Defaults to the GNS_FUSED
-/// environment variable (unset/"0" = off, i.e. the reference unfused
-/// op-chain path used by gradcheck cross-validation).
-[[nodiscard]] bool fused_linear_enabled();
-void set_fused_linear_enabled(bool enabled);
+/// Always true: linear_act is Mlp's only forward path. Kept as a query so
+/// configuration stamps can report it.
+[[nodiscard]] inline bool fused_linear_enabled() { return true; }
 
 // ---- Reductions -------------------------------------------------------------
 

@@ -95,8 +95,13 @@ std::vector<std::vector<std::vector<double>>> BatchedSimulator::rollout(
     const std::vector<Window>& initial_windows, const std::vector<int>& steps,
     const std::vector<SceneContext>& contexts, const StepGate& gate) const {
   GNS_TRACE_SCOPE("core.batched.rollout");
+  const ad::ArenaLifetime pool_lifetime;
   BatchedRollout rollout(sim_, initial_windows, steps, contexts);
-  while (rollout.step_once(gate)) {
+  for (;;) {
+    // Per-step arena frame: tensors from this step are recycled once the
+    // sliding windows release them.
+    const ad::ArenaScope arena_frame;
+    if (!rollout.step_once(gate)) break;
   }
   return rollout.take_frames();
 }
@@ -157,9 +162,6 @@ bool BatchedRollout::step_once(const BatchedSimulator::StepGate& gate) {
     step_contexts_.push_back(contexts_[g]);
     step_caches_.push_back(caches_[g].get());
   }
-  // Per-step arena frame: tensors from this step are recycled once the
-  // sliding windows release them.
-  ad::ArenaScope arena_frame;
   std::vector<ad::Tensor> next =
       batched_.step(step_windows_, step_contexts_, nullptr, step_caches_);
 

@@ -82,7 +82,9 @@ class BatchedRollout {
 
   /// Gate-compacts the still-active members, then advances them by one
   /// block-diagonal step. Returns true while members remain active
-  /// afterwards (i.e. another step_once call would do work).
+  /// afterwards (i.e. another step_once call would do work). Opens no
+  /// ad::ArenaScope: BatchedSimulator::rollout wraps each step in one,
+  /// while serving chains step unpooled so no executor worker keeps a pool.
   bool step_once(const BatchedSimulator::StepGate& gate = nullptr);
 
   [[nodiscard]] bool done() const { return active_.empty(); }

@@ -95,6 +95,9 @@ std::vector<std::vector<double>> LearnedSimulator::rollout(
     graph::CellList* neighbor_cache) const {
   GNS_CHECK(steps > 0);
   GNS_TRACE_SCOPE("core.simulator.rollout");
+  // Declared first, destroyed last: the pool this rollout fills is freed
+  // after its window tensors are.
+  const ad::ArenaLifetime pool_lifetime;
   ad::NoGradGuard no_grad;
   Window window;
   window.reserve(initial_window.size());

@@ -35,6 +35,8 @@ TrainReport train_gns(LearnedSimulator& sim, const io::Dataset& dataset,
                       const TrainConfig& config,
                       const std::function<void(int, double)>& progress) {
   GNS_CHECK_MSG(dataset.size() > 0, "train_gns on empty dataset");
+  // The per-step arena frames below share one pool, freed on return.
+  const ad::ArenaLifetime pool_lifetime;
   const FeatureConfig& feats = sim.features();
   const int window = feats.window_size();
   for (const auto& traj : dataset.trajectories) {

@@ -13,9 +13,9 @@
 ///  * the AVX2 twin is compiled with `__attribute__((target("avx2")))`
 ///    inside a baseline-ISA translation unit and selected at runtime via
 ///    `__builtin_cpu_supports`, so one binary runs everywhere;
-///  * a process-wide toggle (`GNS_SIMD`, **default on**; unlike GNS_FUSED
-///    it is opt-out — set GNS_SIMD=0 to force the scalar reference paths)
-///    lets CI and benches pin either path.
+///  * a process-wide toggle (`GNS_SIMD`, **default on**; set GNS_SIMD=0 to
+///    force the scalar reference paths) lets CI and benches pin either
+///    path.
 ///
 /// These kernels only vectorize across *independent* elements (row copies,
 /// elementwise accumulate, the per-element normalize pass of layer_norm).

@@ -156,13 +156,6 @@ TEST(Mlp, LearnsLinearMap) {
 
 // ---- Fused linear kernels ---------------------------------------------------
 
-/// Restores the fused-path switch on scope exit.
-struct FusedSwitchGuard {
-  FusedSwitchGuard() : previous(fused_linear_enabled()) {}
-  ~FusedSwitchGuard() { set_fused_linear_enabled(previous); }
-  bool previous;
-};
-
 Tensor random_input(int rows, int cols, unsigned seed) {
   Rng rng(seed);
   std::vector<Real> data(static_cast<std::size_t>(rows) * cols);
@@ -246,34 +239,60 @@ TEST(FusedLinear, GradientsMatchUnfusedBitwise) {
   EXPECT_EQ(grads(true), grads(false));
 }
 
-TEST(FusedLinear, MlpForwardIdenticalUnderSwitch) {
-  // Mlp::forward picks the fused path from the global switch; both paths
-  // must produce identical outputs and gradients (ReLU and Tanh nets,
-  // with and without the output LayerNorm).
-  FusedSwitchGuard guard;
+TEST(FusedLinear, MlpForwardMatchesUnfusedOracle) {
+  // Mlp::forward runs every layer through linear_act; its outputs and
+  // gradients must equal the hand-composed oracle chain Linear::forward ->
+  // relu/tanh_op -> layer_norm exactly (ReLU and Tanh nets, with the
+  // output LayerNorm).
   for (Activation act : {Activation::ReLU, Activation::Tanh}) {
     Rng rng(49);
     Mlp mlp(5, 12, 2, 3, rng, /*output_layer_norm=*/true, act);
-    const Tensor x = random_input(7, 5, 50);
-    auto run = [&]() {
-      mlp.zero_grad();
-      Tensor y = mlp.forward(x);
+    // Oracle modules of the same shapes, holding copies of mlp's weights.
+    Rng oracle_rng(0);
+    std::vector<Linear> layers;
+    layers.emplace_back(5, 12, oracle_rng);
+    layers.emplace_back(12, 12, oracle_rng);
+    layers.emplace_back(12, 3, oracle_rng);
+    const LayerNorm norm(3);
+    std::vector<Tensor> oracle_params;
+    for (const Linear& layer : layers)
+      for (const Tensor& p : layer.parameters()) oracle_params.push_back(p);
+    for (const Tensor& p : norm.parameters()) oracle_params.push_back(p);
+    const std::vector<Tensor> mlp_params = mlp.parameters();
+    ASSERT_EQ(oracle_params.size(), mlp_params.size());
+    for (std::size_t i = 0; i < mlp_params.size(); ++i) {
+      Tensor dst = oracle_params[i];
+      ASSERT_EQ(dst.vec().size(), mlp_params[i].vec().size());
+      dst.vec() = mlp_params[i].vec();
+    }
+
+    auto run = [&](bool oracle) {
+      Tensor x = random_input(7, 5, 50).set_requires_grad();
+      std::vector<Tensor> params = oracle ? oracle_params : mlp_params;
+      for (Tensor p : params) p.zero_grad();
+      Tensor y;
+      if (oracle) {
+        y = x;
+        for (std::size_t i = 0; i + 1 < layers.size(); ++i) {
+          y = layers[i].forward(y);
+          y = act == Activation::ReLU ? relu(y) : tanh_op(y);
+        }
+        y = norm.forward(layers.back().forward(y));
+      } else {
+        y = mlp.forward(x);
+      }
       mean(square(y)).backward();
       std::vector<Real> flat = y.vec();
-      for (const auto& p : mlp.parameters())
+      flat.insert(flat.end(), x.grad().begin(), x.grad().end());
+      for (const auto& p : params)
         flat.insert(flat.end(), p.grad().begin(), p.grad().end());
       return flat;
     };
-    set_fused_linear_enabled(false);
-    const std::vector<Real> reference = run();
-    set_fused_linear_enabled(true);
-    EXPECT_EQ(run(), reference);
+    EXPECT_EQ(run(/*oracle=*/false), run(/*oracle=*/true));
   }
 }
 
 TEST(FusedLinear, MlpGradCheckWithFusedPath) {
-  FusedSwitchGuard guard;
-  set_fused_linear_enabled(true);
   Rng rng(51);
   Mlp mlp(3, 6, 1, 2, rng, /*output_layer_norm=*/true, Activation::Tanh);
   const Tensor x = random_input(2, 3, 52);
