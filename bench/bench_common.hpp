@@ -20,13 +20,10 @@
 #include <utility>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "core/datagen.hpp"
 #include "core/serialize.hpp"
 #include "core/trainer.hpp"
+#include "exec/executor.hpp"
 #include "obs/obs.hpp"
 #include "util/timer.hpp"
 
@@ -46,36 +43,18 @@ inline std::string cache_dir() {
   return dir;
 }
 
-/// Honors the GNS_NUM_THREADS environment variable: on first call pins the
-/// OpenMP pool to that many threads (and the serve benches use the same
-/// count for worker pools), so benchmark numbers are reproducible across
-/// machines with different core counts. Unset or 0 keeps the OpenMP
-/// default and reports it.
-inline int configured_threads() {
-  static const int n = [] {
-    const char* env = std::getenv("GNS_NUM_THREADS");
-    const int requested = env ? std::atoi(env) : 0;
-#ifdef _OPENMP
-    if (requested > 0) omp_set_num_threads(requested);
-    return requested > 0 ? requested : omp_get_max_threads();
-#else
-    return requested > 0 ? requested : 1;
-#endif
-  }();
-  return n;
-}
-
 /// Dumps bench results as a flat JSON object to
 /// `<cache_dir>/BENCH_<name>.json` — the machine-readable artifact CI
-/// uploads and gates on. Always records gns_num_threads so a result file
-/// carries the thread pinning it was measured under.
+/// uploads and gates on. Always records exec_workers, the global
+/// executor's worker count (GNS_EXEC_WORKERS pins it), so a result file
+/// carries the parallelism it was measured under.
 inline void write_json(
     const std::string& name,
     const std::vector<std::pair<std::string, double>>& fields) {
   const std::string path = cache_dir() + "/BENCH_" + name + ".json";
   std::ofstream out(path);
   out.precision(10);
-  out << "{\n  \"gns_num_threads\": " << configured_threads();
+  out << "{\n  \"exec_workers\": " << exec::Executor::global().workers();
   for (const auto& [key, value] : fields)
     out << ",\n  \"" << key << "\": " << value;
   out << "\n}\n";

@@ -207,7 +207,6 @@ int run_kernel_suite() {
   using namespace gns::bench;
   print_header("SIMD kernel suite: scalar vs AVX2-dispatched twins",
                "vectorization changes cost, not bits");
-  configured_threads();
   std::printf("avx2: %s\n", simd::cpu_has_avx2() ? "yes" : "no");
 
   constexpr int kNodes = 4000;

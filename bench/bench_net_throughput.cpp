@@ -149,8 +149,8 @@ int main(int argc, char** argv) {
 
   print_header("net: loopback TCP serving vs in-process scheduling",
                "the wire must not eat the batched-dispatch speedup");
-  const int threads = configured_threads();
-  std::printf("OpenMP threads per rollout: %d%s\n", threads,
+  std::printf("executor workers: %d (GNS_EXEC_WORKERS pins)%s\n",
+              exec::Executor::global().workers(),
               small ? "   [--small: untrained small-scene model]" : "");
 
   Load load = build_load(requests, small);
@@ -203,7 +203,6 @@ int main(int argc, char** argv) {
     JobScheduler scheduler(load.registry,
                            scheduler_config(requests, "bench_net_loopback"));
     net::ServerConfig server_config;
-    server_config.handler_threads = 2;
     server_config.max_inflight_global = std::max(64, clients);
     server_config.metrics_prefix = "bench_net";
     net::Server server(scheduler, server_config);

@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
   print_header(
       "Rollout perf: Verlet-skin neighbor reuse / SIMD kernels",
       "optimizations change cost, not results (bitwise-identical frames)");
-  configured_threads();
 
   io::Dataset test;
   LearnedSimulator sim = [&]() -> LearnedSimulator {

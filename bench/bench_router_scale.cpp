@@ -206,7 +206,8 @@ int main(int argc, char** argv) {
 
   print_header("router: fleet scaling, 1 -> 2 -> 4 latency-bound backends",
                "a fleet behind the router must scale aggregate throughput");
-  std::printf("OpenMP threads per rollout: %d\n", configured_threads());
+  std::printf("executor workers: %d (GNS_EXEC_WORKERS pins)\n",
+              exec::Executor::global().workers());
   std::printf("load: %d requests from %d clients; backend capacity %d, "
               "reply delay %.0f ms/frame\n\n",
               requests_n, clients, kBackendCapacity, reply_delay_ms);

@@ -4,10 +4,11 @@
 // simulator that can be loaded once and queried concurrently. This bench
 // drives the serve subsystem with a fixed batch of rollout requests at
 // worker counts 1..max and reports throughput + latency percentiles per
-// configuration, so the worker-scaling curve (and its OpenMP-oversubscription
-// knee) is measurable on any machine. GNS_NUM_THREADS pins the OpenMP pool
-// inside each rollout step for reproducible numbers; the value is recorded
-// in the JSON output.
+// configuration, so the worker-scaling curve is measurable on any machine.
+// Scheduler workers cap concurrent rollout chains; the chains and each
+// step's parallel kernels share the global executor, whose size
+// GNS_EXEC_WORKERS pins for reproducible numbers (recorded in the JSON
+// output as exec_workers).
 //
 // A third section sweeps the content-addressed rollout cache (src/store):
 // a no-cache cold baseline, then request streams at 0% / 50% / 100%
@@ -15,19 +16,10 @@
 // stream bitwise against the cold run and reporting steps/sec speedups
 // (BENCH_cache.json carries identical_outputs + the speedups CI gates on).
 //
-// A fourth section compares the legacy three-pool layout (GNS_EXEC=0:
-// serve worker threads + OpenMP regions) against the work-stealing
-// executor on the same load, recording steal-rate and queue-depth stats
-// (BENCH_exec.json carries identical_outputs + the exec_over_threads
-// ratio CI gates on).
-//
 // Usage: bench_serve_throughput [requests=64] [--small] [--cache-only]
-//                               [--exec-only]
 //   --small       untrained small-scene model: same code paths, CI-fast
 //   --cache-only  skip the worker/batching sweeps, run just the cache sweep
-//   --exec-only   run just the executor-vs-thread-pool compare
 
-#include <atomic>
 #include <filesystem>
 #include <thread>
 
@@ -277,153 +269,26 @@ int run_cache_sweep(const Load& load, int requests, bool small) {
   return all_identical ? 0 : 1;
 }
 
-// ---- Executor vs legacy thread pool ----------------------------------------
-
-struct ModeRun {
-  double steps_per_sec = 0.0;
-  int failed = 0;
-  std::vector<Frames> frames;
-};
-
-/// One full request stream through a scheduler constructed with the
-/// executor path on or off. Components snapshot exec::enabled() at
-/// construction, so flipping it between runs compares both layouts in one
-/// process on identical inputs.
-ModeRun run_mode(const Load& load, int workers, bool use_exec) {
-  exec::set_enabled(use_exec);
-  SchedulerConfig cfg;
-  cfg.workers = workers;
-  cfg.queue_capacity = static_cast<int>(load.requests.size());
-  JobScheduler scheduler(load.registry, cfg);
-
-  Timer wall;
-  std::vector<JobTicket> tickets;
-  tickets.reserve(load.requests.size());
-  for (const RolloutRequest& req : load.requests)
-    tickets.push_back(scheduler.submit(req));
-
-  ModeRun run;
-  std::size_t total_steps = 0;
-  for (auto& t : tickets) {
-    RolloutResult r = t.result.get();
-    if (!r.ok()) ++run.failed;
-    total_steps += r.frames.size();
-    run.frames.push_back(std::move(r.frames));
-  }
-  const double seconds = wall.seconds();
-  run.steps_per_sec =
-      seconds > 0.0 ? static_cast<double>(total_steps) / seconds : 0.0;
-  return run;
-}
-
-/// The single-pool migration's acceptance bench: the same serving load on
-/// the legacy three-pool layout (serve worker threads + OpenMP regions)
-/// and on the work-stealing executor, with queue-depth and steal-rate
-/// counters from the executor run. Emits BENCH_exec.json.
-int run_exec_compare(const Load& load, int requests) {
-  print_header("serve: work-stealing executor vs legacy thread pools",
-               "one shared pool must not cost throughput");
-  const int workers = std::max(
-      2, std::min(4, static_cast<int>(std::thread::hardware_concurrency())));
-  std::printf("%d mixed-size requests, scheduler workers=%d, executor has %d\n\n",
-              requests, workers, exec::Executor::global().workers());
-
-  const ModeRun threads = run_mode(load, workers, /*use_exec=*/false);
-
-  // Sample executor queue depth while the exec run is in flight.
-  const exec::ExecutorStats before = exec::Executor::global().stats();
-  std::atomic<bool> sampling{true};
-  std::uint64_t peak_pending = 0;
-  double sum_pending = 0.0;
-  std::uint64_t samples = 0;
-  std::thread sampler([&] {
-    while (sampling.load(std::memory_order_acquire)) {
-      const std::uint64_t pending = exec::Executor::global().stats().pending;
-      if (pending > peak_pending) peak_pending = pending;
-      sum_pending += static_cast<double>(pending);
-      ++samples;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  const ModeRun executor = run_mode(load, workers, /*use_exec=*/true);
-  sampling.store(false, std::memory_order_release);
-  sampler.join();
-  exec::set_enabled(true);  // leave the process on the default path
-  const exec::ExecutorStats after = exec::Executor::global().stats();
-
-  const std::uint64_t executed = after.executed - before.executed;
-  const std::uint64_t stolen = after.stolen - before.stolen;
-  const std::uint64_t injected = after.injected - before.injected;
-  const double steal_rate =
-      executed > 0 ? static_cast<double>(stolen) / static_cast<double>(executed)
-                   : 0.0;
-  const double mean_pending =
-      samples > 0 ? sum_pending / static_cast<double>(samples) : 0.0;
-  const double ratio = threads.steps_per_sec > 0.0
-                           ? executor.steps_per_sec / threads.steps_per_sec
-                           : 0.0;
-  const bool identical = threads.failed == 0 && executor.failed == 0 &&
-                         threads.frames == executor.frames;
-
-  std::printf("%10s %14s %8s\n", "mode", "steps/s", "failed");
-  std::printf("%10s %14.1f %8d\n", "threads", threads.steps_per_sec,
-              threads.failed);
-  std::printf("%10s %14.1f %8d   (%.2fx threads)\n", "executor",
-              executor.steps_per_sec, executor.failed, ratio);
-  print_rule();
-  std::printf(
-      "executor run: %llu tasks (%llu stolen = %.1f%%, %llu injected),\n"
-      "queue depth mean %.1f / peak %llu, outputs bitwise identical: %s\n",
-      static_cast<unsigned long long>(executed),
-      static_cast<unsigned long long>(stolen), 100.0 * steal_rate,
-      static_cast<unsigned long long>(injected), mean_pending,
-      static_cast<unsigned long long>(peak_pending), identical ? "yes" : "NO");
-
-  write_json("exec",
-             {{"requests", static_cast<double>(requests)},
-              {"workers", static_cast<double>(workers)},
-              {"exec_workers",
-               static_cast<double>(exec::Executor::global().workers())},
-              {"threads_steps_per_sec", threads.steps_per_sec},
-              {"exec_steps_per_sec", executor.steps_per_sec},
-              {"exec_over_threads", ratio},
-              {"tasks_executed", static_cast<double>(executed)},
-              {"tasks_stolen", static_cast<double>(stolen)},
-              {"tasks_injected", static_cast<double>(injected)},
-              {"steal_rate", steal_rate},
-              {"queue_depth_mean", mean_pending},
-              {"queue_depth_peak", static_cast<double>(peak_pending)},
-              {"identical_outputs", identical ? 1.0 : 0.0}});
-  return identical ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   int requests = 64;
   bool small = false;
   bool cache_only = false;
-  bool exec_only = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--small")
       small = true;
     else if (arg == "--cache-only")
       cache_only = true;
-    else if (arg == "--exec-only")
-      exec_only = true;
     else
       requests = std::atoi(arg.c_str());
   }
-  if (exec_only) {
-    Load load = build_load(requests, small);
-    return run_exec_compare(load, requests);
-  }
   print_header("serve: rollout throughput vs worker count",
                "operational form of the >165x forward-speedup claim");
-  const int threads = configured_threads();
-  std::printf("OpenMP threads per rollout: %d (GNS_NUM_THREADS pins)\n",
-              threads);
+  const int exec_workers = exec::Executor::global().workers();
+  std::printf("executor workers: %d (GNS_EXEC_WORKERS pins)\n",
+              exec_workers);
 
   Load load = build_load(requests, small);
   std::printf("load: %d mixed-size requests, model '%s'%s\n\n", requests,
@@ -470,10 +335,10 @@ int main(int argc, char** argv) {
     }
     print_rule();
     std::printf(
-        "note: each rollout step itself runs OpenMP-parallel kernels, so\n"
-        "worker scaling saturates once workers x %d threads covers the\n"
-        "machine; pin GNS_NUM_THREADS=1 to measure pure pool scaling.\n",
-        threads);
+        "note: scheduler workers only cap concurrent rollout chains; the\n"
+        "chains and each step's parallel kernels share the executor's %d\n"
+        "workers, so scaling saturates once the chains keep them busy.\n",
+        exec_workers);
 
     // ---- Batched vs sequential dispatch -----------------------------------
     // One block-diagonal forward per step for up to max_batch coalesced jobs
@@ -544,13 +409,11 @@ int main(int argc, char** argv) {
     print_rule();
     std::printf(
         "note: batching wins come from amortizing per-step fixed costs; on\n"
-        "few-core machines (or GNS_NUM_THREADS=1) expect modest gains, on\n"
+        "few-core machines (or GNS_EXEC_WORKERS=1) expect modest gains, on\n"
         ">=4 cores max_batch=8 should clear 1.5x over max_batch=1.\n");
 
     json_fields.emplace_back("requests", static_cast<double>(requests));
     write_json("serve_throughput", json_fields);
-
-    if (run_exec_compare(load, requests) != 0) return 1;
   }  // !cache_only
 
   return run_cache_sweep(load, requests, small);

@@ -19,8 +19,8 @@ using namespace gns::bench;
 int main() {
   print_header("E2: forward-simulation speedup, GNS vs MPM",
                ">165x on GPU inference vs parallel CPU MPM (sec. 3.1)");
-  std::printf("threads: %d (set GNS_NUM_THREADS to pin)\n",
-              configured_threads());
+  std::printf("executor workers: %d (set GNS_EXEC_WORKERS to pin)\n",
+              exec::Executor::global().workers());
 
   LearnedSimulator sim = columns_simulator();
 
@@ -47,7 +47,7 @@ int main() {
   const double ratio = mpm_per_frame / gns_per_frame;
 
   print_rule();
-  std::printf("%-34s %12.3f ms/frame\n", "MPM (OpenMP explicit, CFL dt)",
+  std::printf("%-34s %12.3f ms/frame\n", "MPM (parallel explicit, CFL dt)",
               1e3 * mpm_per_frame);
   std::printf("%-34s %12.3f ms/frame\n", "GNS rollout (CPU inference)",
               1e3 * gns_per_frame);

@@ -2,7 +2,7 @@
 //
 // The deployment shape of the paper's speedup claim: a trained GNS is
 // loaded once into a ModelRegistry and queried by many clients at once
-// through a JobScheduler worker pool. This driver
+// through a JobScheduler on the shared task executor. This program
 //
 //   1. trains-or-caches a small column-collapse GNS checkpoint,
 //   2. registers it from disk,
@@ -13,13 +13,15 @@
 //
 // Usage: serve_rollouts [requests=48] [workers=4] [clients=8]
 //        serve_rollouts --listen <port> [workers=4]
+// `workers` caps the number of concurrent rollout chains.
 // Both modes accept --cache-dir <dir> anywhere on the line: it enables
 // the content-addressed rollout cache (src/store) backed by that
 // directory, so repeated identical requests are served from the mmap'd
 // trajectory store instead of re-running the model. Without the flag,
 // GNS_CACHE_DIR enables the same thing from the environment, and
 // GNS_CACHE_BYTES caps the resident LRU budget (bytes) either way.
-// GNS_NUM_THREADS caps the OpenMP pool inside each rollout step.
+// GNS_EXEC_WORKERS sizes the executor that runs the rollout chains and
+// each step's parallel kernels.
 //
 // --listen serves the same checkpoint over TCP (src/net wire protocol,
 // 127.0.0.1 unless GNS_LISTEN_HOST overrides) until SIGINT/SIGTERM, then
@@ -44,10 +46,6 @@
 #include "serve/serve.hpp"
 #include "store/store.hpp"
 #include "util/timer.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 using namespace gns;
 using namespace gns::core;
@@ -245,13 +243,7 @@ int main(int argc, char** argv) {
   const int requests = !args.empty() ? std::atoi(args[0].c_str()) : 48;
   int workers = args.size() > 1 ? std::atoi(args[1].c_str()) : 4;
   const int clients = args.size() > 2 ? std::atoi(args[2].c_str()) : 8;
-  if (workers < 4) workers = 4;  // acceptance shape: >= 4-worker pool
-#ifdef _OPENMP
-  if (const char* env = std::getenv("GNS_NUM_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) omp_set_num_threads(n);
-  }
-#endif
+  if (workers < 4) workers = 4;  // acceptance shape: >= 4 chains
 
   const char* cache_env = std::getenv("GNS_BENCH_CACHE");
   const std::string cache = cache_env ? cache_env : "bench_cache";

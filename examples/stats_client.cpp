@@ -3,9 +3,9 @@
 // Sends a kStatsRequest over the wire protocol and prints the health
 // header (uptime, in-flight, queue depth, connections, drain state)
 // followed by the full metrics snapshot — Prometheus text exposition by
-// default, the registry's JSON dump with --json. The server answers on a
-// handler thread without touching its worker pool, so scraping a loaded
-// server is safe at any frequency.
+// default, the registry's JSON dump with --json. The server answers in the
+// connection's own service task without queueing behind rollouts, so
+// scraping a loaded server is safe at any frequency.
 //
 // Usage: gns_stats <host> <port> [--json] [--probe N] [--steps S]
 //

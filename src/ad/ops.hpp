@@ -67,7 +67,7 @@ Tensor leaky_relu(const Tensor& a, Real slope = Real(0.01));
 
 // ---- Matrix product ---------------------------------------------------------
 
-/// [N,K] x [K,M] -> [N,M]; OpenMP-parallel over output rows.
+/// [N,K] x [K,M] -> [N,M]; parallel over output rows (exec::parallel_for).
 Tensor matmul(const Tensor& a, const Tensor& b);
 Tensor transpose(const Tensor& a);
 

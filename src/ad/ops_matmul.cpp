@@ -6,11 +6,6 @@
 #endif
 
 #include "ad/ops.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "exec/parallel_for.hpp"
 #include "obs/trace.hpp"
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "exec/parallel_for.hpp"
+
 namespace gns::cfd {
 
 CfdSolver::CfdSolver(CfdConfig config) : config_(config) {
@@ -98,8 +100,8 @@ void CfdSolver::apply_velocity_bc(std::vector<double>& u,
 void CfdSolver::advect(double dt) {
   const int nx = config_.nx, ny = config_.ny;
   // Semi-Lagrangian backtrace for each face value.
-#pragma omp parallel for schedule(static)
-  for (int j = 0; j < ny; ++j) {
+  exec::parallel_for(ny, true, [&](std::int64_t row) {
+    const int j = static_cast<int>(row);
     for (int i = 0; i <= nx; ++i) {
       const double x = i * dx_;
       const double y = (j + 0.5) * dx_;
@@ -107,9 +109,9 @@ void CfdSolver::advect(double dt) {
       const double vv = sample_v(x, y);
       u_tmp_[uidx(i, j)] = sample_u(x - dt * uu, y - dt * vv);
     }
-  }
-#pragma omp parallel for schedule(static)
-  for (int j = 0; j <= ny; ++j) {
+  });
+  exec::parallel_for(ny + 1, true, [&](std::int64_t row) {
+    const int j = static_cast<int>(row);
     for (int i = 0; i < nx; ++i) {
       const double x = (i + 0.5) * dx_;
       const double y = j * dx_;
@@ -117,7 +119,7 @@ void CfdSolver::advect(double dt) {
       const double vv = v_[vidx(i, j)];
       v_tmp_[vidx(i, j)] = sample_v(x - dt * uu, y - dt * vv);
     }
-  }
+  });
   u_.swap(u_tmp_);
   v_.swap(v_tmp_);
 }
@@ -125,8 +127,8 @@ void CfdSolver::advect(double dt) {
 void CfdSolver::diffuse(double dt) {
   const int nx = config_.nx, ny = config_.ny;
   const double a = nu_ * dt / (dx_ * dx_);
-#pragma omp parallel for schedule(static)
-  for (int j = 0; j < ny; ++j) {
+  exec::parallel_for(ny, true, [&](std::int64_t row) {
+    const int j = static_cast<int>(row);
     for (int i = 1; i < nx; ++i) {
       const double c = u_[uidx(i, j)];
       const double l = u_[uidx(i - 1, j)];
@@ -137,9 +139,9 @@ void CfdSolver::diffuse(double dt) {
     }
     u_tmp_[uidx(0, j)] = u_[uidx(0, j)];
     u_tmp_[uidx(nx, j)] = u_[uidx(nx, j)];
-  }
-#pragma omp parallel for schedule(static)
-  for (int j = 1; j < ny; ++j) {
+  });
+  exec::parallel_for(ny - 1, true, [&](std::int64_t row) {
+    const int j = static_cast<int>(row) + 1;
     for (int i = 0; i < nx; ++i) {
       const double c = v_[vidx(i, j)];
       const double l = (i > 0) ? v_[vidx(i - 1, j)] : c;
@@ -148,7 +150,7 @@ void CfdSolver::diffuse(double dt) {
       const double t = v_[vidx(i, j + 1)];
       v_tmp_[vidx(i, j)] = c + a * (l + r + d + t - 4.0 * c);
     }
-  }
+  });
   for (int i = 0; i < nx; ++i) {
     v_tmp_[vidx(i, 0)] = v_[vidx(i, 0)];
     v_tmp_[vidx(i, ny)] = v_[vidx(i, ny)];
@@ -171,8 +173,8 @@ void CfdSolver::project(double dt) {
   // Red-black SOR so sweeps parallelize without races.
   for (int iter = 0; iter < config_.pressure_iters; ++iter) {
     for (int color = 0; color < 2; ++color) {
-#pragma omp parallel for schedule(static)
-      for (int j = 0; j < ny; ++j) {
+      exec::parallel_for(ny, true, [&](std::int64_t row) {
+        const int j = static_cast<int>(row);
         for (int i = (j + color) & 1; i < nx; i += 2) {
           if (solid(i, j)) continue;
           // Outflow column holds p = 0 (Dirichlet) so pressure is anchored.
@@ -200,24 +202,24 @@ void CfdSolver::project(double dt) {
               p_[cidx(i, j)] +
               config_.sor_omega * (p_new - p_[cidx(i, j)]);
         }
-      }
+      });
     }
   }
   // Velocity correction u -= dt/dx ∇p (with the scale folding, u -= Δp/scale).
-#pragma omp parallel for schedule(static)
-  for (int j = 0; j < ny; ++j) {
+  exec::parallel_for(ny, true, [&](std::int64_t row) {
+    const int j = static_cast<int>(row);
     for (int i = 1; i < nx; ++i) {
       if (solid(i - 1, j) || solid(i, j)) continue;
       u_[uidx(i, j)] -= (p_[cidx(i, j)] - p_[cidx(i - 1, j)]) / scale;
     }
-  }
-#pragma omp parallel for schedule(static)
-  for (int j = 1; j < ny; ++j) {
+  });
+  exec::parallel_for(ny - 1, true, [&](std::int64_t row) {
+    const int j = static_cast<int>(row) + 1;
     for (int i = 0; i < nx; ++i) {
       if (solid(i, j - 1) || solid(i, j)) continue;
       v_[vidx(i, j)] -= (p_[cidx(i, j)] - p_[cidx(i, j - 1)]) / scale;
     }
-  }
+  });
 }
 
 double CfdSolver::step() {

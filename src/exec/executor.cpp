@@ -11,22 +11,11 @@ namespace gns::exec {
 
 namespace {
 
-bool env_flag(const char* name, bool dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return dflt;
-  return !(v[0] == '0' && v[1] == '\0');
-}
-
 int env_int(const char* name) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return 0;
   const int n = std::atoi(v);
   return n > 0 ? n : 0;
-}
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{env_flag("GNS_EXEC", true)};
-  return flag;
 }
 
 // Thread-local identity of executor workers, for submit()'s own-deque
@@ -66,15 +55,8 @@ obs::Counter& busy_counter() {
 
 }  // namespace
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
-
 int default_workers() {
   int n = env_int("GNS_EXEC_WORKERS");
-  if (n == 0) n = env_int("GNS_NUM_THREADS");
   if (n == 0) n = static_cast<int>(std::thread::hardware_concurrency());
   if (n <= 0) n = 1;
   return n;

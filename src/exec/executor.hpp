@@ -12,16 +12,14 @@
 /// deadlines and batch windows share cores with compute instead of
 /// holding threads.
 ///
-/// Runtime toggle: `GNS_EXEC=0` (or exec::set_enabled(false)) keeps the
-/// legacy three-pool layout — serve worker threads, net handler threads,
-/// OpenMP regions — as a one-release escape hatch. Components snapshot
-/// the flag at construction; exec::parallel_for consults it per call so a
-/// bench can compare both paths in one process.
+/// The program runs all of its parallel work here: the scheduler's
+/// rollout chains, the net server's connection tasks, and every parallel
+/// loop (exec::parallel_for / parallel_jobs).
 ///
 /// Determinism: the executor itself adds none of the usual hazards — all
-/// parallel loops routed through parallel_for/parallel_chunks use a
+/// parallel loops routed through parallel_for/parallel_jobs use a
 /// decomposition that depends only on problem size (never worker count),
-/// and every migrated loop either writes disjoint outputs per iteration
+/// and every parallel loop either writes disjoint outputs per iteration
 /// or reduces over fixed-order lanes, so results are bitwise identical at
 /// any GNS_EXEC_WORKERS (see DESIGN.md §13 for the argument).
 
@@ -41,14 +39,12 @@
 
 namespace gns::exec {
 
-/// Global executor-path switch (GNS_EXEC env, default on). Flipping at
-/// runtime only affects code that consults it afterwards; long-lived
-/// components (JobScheduler, net::Server) snapshot it at construction.
-bool enabled();
-void set_enabled(bool on);
+/// Always true: the executor is the only threading model. Kept as a query
+/// so configuration stamps can report it.
+[[nodiscard]] inline bool enabled() { return true; }
 
 /// Worker count the global executor will use: GNS_EXEC_WORKERS, else
-/// GNS_NUM_THREADS, else std::thread::hardware_concurrency().
+/// std::thread::hardware_concurrency().
 int default_workers();
 
 /// Point-in-time executor counters for benches and the stats endpoint.

@@ -2,29 +2,24 @@
 
 /// \file parallel_for.hpp
 /// Executor-backed data parallelism with a worker-count-independent
-/// decomposition, replacing `#pragma omp parallel for schedule(static)`
-/// on the hot paths (ad ops, MPM transfers, neighbor search).
+/// decomposition: the program's only parallel-loop primitive (ad ops, MPM
+/// transfers, neighbor search, CFD sweeps, SR fitness).
 ///
 /// Determinism contract: the loop is split into a fixed number of chunks
-/// that depends ONLY on the trip count (never on the worker count), and
-/// chunk bounds use the same `n*c/k` arithmetic OpenMP's static schedule
-/// uses. Workers claim chunks dynamically, so *which thread* runs a chunk
-/// varies run to run — callers must only use parallel_for on loops whose
-/// iterations write disjoint outputs (every migrated site does; loops
-/// that accumulate use parallel_chunks with per-lane buffers and a fixed
+/// that depends ONLY on the trip count (never on the worker count), with
+/// static `n*c/k` chunk bounds. Workers claim chunks dynamically, so
+/// *which thread* runs a chunk varies run to run — callers must only use
+/// parallel_for on loops whose iterations write disjoint outputs (loops
+/// that accumulate use parallel_jobs with per-lane buffers and a fixed
 /// serial reduction order instead). Under that contract results are
-/// bitwise identical at any GNS_EXEC_WORKERS, which is strictly stronger
-/// than the OpenMP path (bitwise per thread-count).
-///
-/// When exec::enabled() is false the call lowers to the original OpenMP
-/// pragma, preserving the legacy path byte for byte.
+/// bitwise identical at any GNS_EXEC_WORKERS.
 ///
 /// The caller participates: it claims chunks alongside submitted helper
 /// tasks and returns when every chunk has finished. Completion is counted
 /// per chunk, not per helper, so all chunks complete even if no helper
 /// ever runs (e.g. all workers busy) — the caller just does the whole
 /// loop itself. Nested calls (a body invoking another parallel loop) run
-/// serially, matching OpenMP's default non-nested behavior.
+/// serially on the calling thread.
 
 #include <atomic>
 #include <cstdint>
@@ -37,6 +32,8 @@ namespace gns::exec {
 namespace detail {
 
 /// Depth of parallel loops on this thread; >0 forces nested calls serial.
+/// Holding a ScopedParallelDepth therefore runs every parallel_for and
+/// parallel_jobs on the caller, which tests use as the serial reference.
 inline thread_local int t_parallel_depth = 0;
 
 struct ScopedParallelDepth {
@@ -91,35 +88,25 @@ void run_jobs(int njobs, Body& body) {
 /// results; what matters is that it never depends on the worker count.
 inline constexpr int kForChunks = 32;
 
-/// Drop-in replacement for
-///   #pragma omp parallel for schedule(static) if (worthwhile)
-///   for (std::int64_t i = 0; i < n; ++i) body(i);
-/// Iterations must write disjoint outputs (see file comment).
+/// Runs body(i) for i in [0, n), in parallel when `worthwhile` (else
+/// serially on the caller). Iterations must write disjoint outputs (see
+/// file comment).
 template <typename Body>
 void parallel_for(std::int64_t n, bool worthwhile, Body&& body) {
   if (n <= 0) return;
-  if (enabled()) {
-    if (!worthwhile || n < 2 || detail::t_parallel_depth > 0) {
-      for (std::int64_t i = 0; i < n; ++i) body(i);
-      return;
-    }
-    const int nchunks =
-        n < static_cast<std::int64_t>(kForChunks) ? static_cast<int>(n)
-                                                  : kForChunks;
-    auto chunk_body = [&body, n, nchunks](int c) {
-      const std::int64_t begin = n * c / nchunks;
-      const std::int64_t end = n * (c + 1) / nchunks;
-      for (std::int64_t i = begin; i < end; ++i) body(i);
-    };
-    detail::run_jobs(nchunks, chunk_body);
-  } else {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (worthwhile)
+  if (!worthwhile || n < 2 || detail::t_parallel_depth > 0) {
     for (std::int64_t i = 0; i < n; ++i) body(i);
-#else
-    for (std::int64_t i = 0; i < n; ++i) body(i);
-#endif
+    return;
   }
+  const int nchunks =
+      n < static_cast<std::int64_t>(kForChunks) ? static_cast<int>(n)
+                                                : kForChunks;
+  auto chunk_body = [&body, n, nchunks](int c) {
+    const std::int64_t begin = n * c / nchunks;
+    const std::int64_t end = n * (c + 1) / nchunks;
+    for (std::int64_t i = begin; i < end; ++i) body(i);
+  };
+  detail::run_jobs(nchunks, chunk_body);
 }
 
 /// Runs body(job) for job in [0, njobs) in parallel, where the caller has
@@ -130,8 +117,7 @@ void parallel_for(std::int64_t n, bool worthwhile, Body&& body) {
 template <typename Body>
 void parallel_jobs(int njobs, bool worthwhile, Body&& body) {
   if (njobs <= 0) return;
-  if (!enabled() || !worthwhile || njobs == 1 ||
-      detail::t_parallel_depth > 0) {
+  if (!worthwhile || njobs == 1 || detail::t_parallel_depth > 0) {
     for (int j = 0; j < njobs; ++j) body(j);
     return;
   }

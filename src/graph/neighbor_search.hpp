@@ -3,8 +3,8 @@
 /// \file neighbor_search.hpp
 /// Fixed-radius neighbor search in 2-D via a uniform cell list (cell size =
 /// search radius, 3x3 stencil). This is the graph-construction kernel that
-/// runs every GNS rollout step, so it is allocation-light and OpenMP
-/// parallel over query particles.
+/// runs every GNS rollout step, so it is allocation-light and parallel
+/// over query particles (exec::parallel_for).
 
 #include <array>
 #include <vector>

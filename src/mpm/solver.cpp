@@ -3,32 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "exec/parallel_for.hpp"
 #include "obs/obs.hpp"
 #include "util/simd.hpp"
 
 namespace gns::mpm {
-
-namespace {
-int max_threads() {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
-int thread_id() {
-#ifdef _OPENMP
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
-}
-}  // namespace
 
 MpmSolver::MpmSolver(MpmConfig config, std::shared_ptr<const Material> material,
                      Particles particles)
@@ -40,31 +19,22 @@ MpmSolver::MpmSolver(MpmConfig config, std::shared_ptr<const Material> material,
   GNS_CHECK_MSG(particles_.size() > 0, "MpmSolver needs particles");
   GNS_CHECK(config_.flip_blend >= 0.0 && config_.flip_blend <= 1.0);
   grid_old_velocity_.assign(grid_.num_nodes(), Vec2d{});
-  ensure_p2g_buffers();
-}
-
-void MpmSolver::ensure_p2g_buffers() {
-  // Sized lazily so a later rise in omp_get_max_threads() cannot run a
-  // thread off the end of the buffer array. New/resized buffers start
-  // with epoch stamps 0 < p2g_epoch_ + 1, i.e. "stale everywhere" — the
-  // lazy clear initializes them on first touch. The executor path needs
-  // one buffer per fixed P2G lane instead of one per OpenMP thread.
-  const int nt = exec::enabled() ? kP2gLanes : max_threads();
+  // One scatter buffer per fixed P2G lane, sized once: the grid never
+  // changes size. Epoch stamps start at 0 < p2g_epoch_ + 1, i.e. "stale
+  // everywhere" — the lazy clear initializes each block on first touch.
   const std::size_t n = static_cast<std::size_t>(grid_.num_nodes());
   const std::size_t nblocks = (n + (std::size_t{1} << kBlockShift) - 1) >>
                               kBlockShift;
-  if (static_cast<int>(p2g_buffers_.size()) < nt) p2g_buffers_.resize(nt);
+  p2g_buffers_.resize(kP2gLanes);
   for (auto& buf : p2g_buffers_) {
-    if (buf.mass.size() != n) {
-      buf.mass.assign(n, 0.0);
-      buf.mom_x.assign(n, 0.0);
-      buf.mom_y.assign(n, 0.0);
-      buf.force_x.assign(n, 0.0);
-      buf.force_y.assign(n, 0.0);
-      buf.block_epoch.assign(nblocks, 0);
-    }
+    buf.mass.assign(n, 0.0);
+    buf.mom_x.assign(n, 0.0);
+    buf.mom_y.assign(n, 0.0);
+    buf.force_x.assign(n, 0.0);
+    buf.force_y.assign(n, 0.0);
+    buf.block_epoch.assign(nblocks, 0);
   }
-  if (touched_epoch_.size() != nblocks) touched_epoch_.assign(nblocks, 0);
+  touched_epoch_.assign(nblocks, 0);
 }
 
 double MpmSolver::dt() const {
@@ -148,7 +118,6 @@ void MpmSolver::particle_to_grid(double dt) {
   const Vec2d g = config_.gravity;
   const int nchunks = (np + kShapeBatch - 1) / kShapeBatch;
 
-  ensure_p2g_buffers();
   // One epoch per step: a buffer block whose stamp is behind this value
   // holds stale data and counts as zero (it is zeroed on first touch).
   const std::uint64_t epoch = ++p2g_epoch_;
@@ -220,60 +189,46 @@ void MpmSolver::particle_to_grid(double dt) {
     }
   };
 
-  if (exec::enabled()) {
-    // Executor path: kP2gLanes fixed lanes, each owning a contiguous
-    // chunk range (a function of nchunks only) and its own buffer. The
-    // ascending-lane reduction below then performs the same FP sequence
-    // at any worker count — P2G is bitwise worker-count invariant here.
-    const int lanes = std::min(kP2gLanes, nchunks);
-    exec::parallel_jobs(lanes, true, [&](int lane) {
-      P2gBuffer& buf = p2g_buffers_[lane];
-      buf.dirty.clear();
-      const int cbegin = nchunks * lane / lanes;
-      const int cend = nchunks * (lane + 1) / lanes;
-      for (int c = cbegin; c < cend; ++c) process_chunk(c, buf);
-    });
-    // Lanes beyond `lanes` kept stale dirty lists from earlier steps;
-    // clear them so the union below only sees this step's blocks.
-    for (int t = lanes; t < static_cast<int>(p2g_buffers_.size()); ++t)
-      p2g_buffers_[t].dirty.clear();
-  } else {
-#pragma omp parallel
-    {
-      const int tid = thread_id();
-      P2gBuffer& buf = p2g_buffers_[tid];
-      buf.dirty.clear();
-#pragma omp for schedule(static) nowait
-      for (int c = 0; c < nchunks; ++c) process_chunk(c, buf);
-    }
-  }
+  // kP2gLanes fixed lanes, each owning a contiguous chunk range (a
+  // function of nchunks only) and its own buffer. The ascending-lane
+  // reduction below then performs the same FP sequence at any worker
+  // count — P2G is bitwise worker-count invariant.
+  const int lanes = std::min(kP2gLanes, nchunks);
+  exec::parallel_jobs(lanes, true, [&](int lane) {
+    P2gBuffer& buf = p2g_buffers_[lane];
+    buf.dirty.clear();
+    const int cbegin = nchunks * lane / lanes;
+    const int cend = nchunks * (lane + 1) / lanes;
+    for (int c = cbegin; c < cend; ++c) process_chunk(c, buf);
+  });
+  // Lanes beyond `lanes` kept stale dirty lists from earlier steps; clear
+  // them so the union below only sees this step's blocks.
+  for (int t = lanes; t < kP2gLanes; ++t) p2g_buffers_[t].dirty.clear();
 
-  // Union of the per-thread dirty lists. Blocks nobody touched keep the
+  // Union of the per-lane dirty lists. Blocks nobody touched keep the
   // grid_.clear() zeros — exactly the legacy all-zero sum.
-  const int nt = static_cast<int>(p2g_buffers_.size());
   touched_blocks_.clear();
-  for (int t = 0; t < nt; ++t)
+  for (int t = 0; t < kP2gLanes; ++t)
     for (const int blk : p2g_buffers_[t].dirty)
       if (touched_epoch_[blk] != epoch) {
         touched_epoch_[blk] = epoch;
         touched_blocks_.push_back(blk);
       }
 
-  // Fixed-order reduction over threads keeps results deterministic for a
-  // given OMP_NUM_THREADS; each block has one owning thread, and every
-  // grid value accumulates its per-thread contributions in ascending t —
-  // the identical FP sequence as the legacy per-node loop (threads that
-  // never touched a block contributed exact zeros there, and adding +0.0
-  // to a +0.0-seeded running sum can never change its bits).
+  // Fixed-order reduction over lanes: each block has one owning task, and
+  // every grid value accumulates its per-lane contributions in ascending
+  // lane order — the identical FP sequence as the legacy per-node loop
+  // (lanes that never touched a block contributed exact zeros there, and
+  // adding +0.0 to a +0.0-seeded running sum can never change its bits).
   const int n_touched = static_cast<int>(touched_blocks_.size());
   exec::parallel_for(n_touched, true, [&](std::int64_t u) {
     const int blk = touched_blocks_[u];
     const std::size_t lo = static_cast<std::size_t>(blk) << kBlockShift;
     const std::size_t len =
         std::min(block_len, static_cast<std::size_t>(n_nodes) - lo);
-    for (int t = 0; t < nt; ++t) {
+    for (int t = 0; t < kP2gLanes; ++t) {
       const P2gBuffer& buf = p2g_buffers_[t];
-      if (buf.block_epoch.empty() || buf.block_epoch[blk] != epoch) continue;
+      if (buf.block_epoch[blk] != epoch) continue;
       simd::accumulate(grid_.mass.data() + lo, buf.mass.data() + lo, len);
       for (std::size_t i = lo; i < lo + len; ++i) {
         grid_.momentum[i].x += buf.mom_x[i];
@@ -304,7 +259,7 @@ void MpmSolver::grid_to_particle(double dt) {
 
   // Same chunked SoA weight evaluation as P2G. The gather itself is a
   // purely per-particle reduction (no cross-particle accumulation), so
-  // the results are bitwise independent of chunking and thread count.
+  // the results are bitwise independent of chunking and worker count.
   exec::parallel_for(nchunks, true, [&](std::int64_t cc) {
     const int c = static_cast<int>(cc);
     const int c0 = c * kShapeBatch;

@@ -7,17 +7,15 @@
 /// forces) -> grid velocity update with box boundary conditions -> grid-to-
 /// particle transfer with a FLIP/PIC blend, velocity-gradient-driven
 /// constitutive update, and position advection. Both transfer directions
-/// run in parallel — on the work-stealing executor (exec::parallel_for /
-/// fixed P2G lanes, bitwise invariant to the worker count) by default, or
-/// under OpenMP with GNS_EXEC=0 (P2G scatters into per-thread grid buffers
-/// reduced in fixed order: deterministic at a fixed thread count).
+/// run in parallel on the work-stealing executor (exec::parallel_for and
+/// fixed P2G lanes), bitwise invariant to the worker count.
 ///
 /// Both transfers run in kShapeBatch-particle chunks over SoA scratch:
 /// shape weights are evaluated by the batched (AVX2-dispatched, bitwise
-/// scalar-identical) shape_weights_batch, and the per-thread P2G buffers
-/// are epoch-stamped per node block so only blocks a thread actually
+/// scalar-identical) shape_weights_batch, and the per-lane P2G buffers
+/// are epoch-stamped per node block so only blocks a lane actually
 /// touched are cleared and reduced — the full-grid clear/reduce used to
-/// cost O(nodes × threads) per step regardless of particle support.
+/// cost O(nodes × lanes) per step regardless of particle support.
 ///
 /// This is the substrate playing the role of CB-Geo MPM in the paper: it
 /// generates the GNS training trajectories, is the "physics refinement"
@@ -87,25 +85,23 @@ class MpmSolver {
   /// (blk + 1) << kBlockShift) form one clear/reduce unit.
   static constexpr int kBlockShift = 6;  // 64 nodes per block
 
-  /// P2G scatter lanes on the executor path (GNS_EXEC=1). Each lane owns a
-  /// fixed contiguous chunk range and a private scatter buffer, and the
-  /// reduction sums lanes in ascending order — a constant decomposition,
-  /// so P2G is bitwise identical at any executor worker count (the OpenMP
-  /// path keeps its per-thread buffers: bitwise per thread count only).
+  /// P2G scatter lanes. Each lane owns a fixed contiguous chunk range and
+  /// a private scatter buffer, and the reduction sums lanes in ascending
+  /// order — a constant decomposition, so P2G is bitwise identical at any
+  /// executor worker count.
   static constexpr int kP2gLanes = 8;
 
-  /// Per-thread P2G scatter buffers, SoA per field so the reduction can
+  /// Per-lane P2G scatter buffers, SoA per field so the reduction can
   /// run as flat vector adds. `block_epoch[blk] == current epoch` means
-  /// this thread zeroed + touched block blk this step; anything else is
+  /// this lane zeroed + touched block blk this step; anything else is
   /// stale data from an earlier step that the reduction must (and does)
   /// skip — which is exactly the legacy behaviour of a fully-zeroed
   /// buffer, without the O(nodes) clear.
   struct P2gBuffer {
     std::vector<double> mass, mom_x, mom_y, force_x, force_y;
     std::vector<std::uint64_t> block_epoch;
-    std::vector<int> dirty;  ///< blocks this thread touched this step
+    std::vector<int> dirty;  ///< blocks this lane touched this step
   };
-  void ensure_p2g_buffers();
 
   MpmConfig config_;
   std::shared_ptr<const Material> material_;

@@ -8,9 +8,10 @@
 ///
 ///   protocol — length-prefixed binary frames ("GNS1" magic, versioned),
 ///              strict bounds-checked decoding, typed transport errors;
-///   Server   — poll()-based acceptor + handler threads, nonblocking
-///              sockets, bounded in-flight caps (Busy backpressure),
-///              deadline propagation, graceful drain on stop();
+///   Server   — nonblocking sockets serviced as executor tasks (no
+///              threads of its own), bounded in-flight caps (Busy
+///              backpressure), deadline propagation, graceful drain on
+///              stop();
 ///   Client   — blocking request/stream-response with Busy retry/backoff,
 ///              automatic trace-id generation, and a stats() scrape.
 ///
@@ -19,7 +20,7 @@
 /// status replies carry a per-phase latency breakdown (decode / cache /
 /// queue / batch-wait / compute / serialize), and kStatsRequest frames
 /// snapshot the metrics registry + server health (Prometheus or JSON)
-/// without touching the worker pool. v1 clients interoperate unchanged.
+/// without queueing behind rollouts. v1 clients interoperate unchanged.
 ///
 /// See examples/serve_rollouts.cpp --listen for a server driver,
 /// examples/stats_client.cpp for a scrape tool,

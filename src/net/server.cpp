@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <thread>
 
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -66,16 +67,13 @@ Server::Server(serve::JobScheduler& scheduler, ServerConfig config)
       queue_depth_gauge_(obs::MetricsRegistry::global().gauge(
           config_.metrics_prefix + ".scheduler_queue_depth")),
       request_ms_(obs::MetricsRegistry::global().histogram(
-          config_.metrics_prefix + ".request_ms")),
-      use_exec_(exec::enabled()) {
+          config_.metrics_prefix + ".request_ms")) {
   for (std::uint8_t code = static_cast<std::uint8_t>(NetError::Busy);
        code <= static_cast<std::uint8_t>(NetError::BackendLost); ++code) {
     reject_counters_[code] = &obs::MetricsRegistry::global().counter(
         config_.metrics_prefix + ".reject." +
         to_string(static_cast<NetError>(code)));
   }
-  GNS_CHECK_MSG(config_.handler_threads >= 1,
-                "Server needs >= 1 handler thread");
   GNS_CHECK_MSG(config_.max_inflight_per_connection >= 1 &&
                     config_.max_inflight_global >= 1,
                 "Server in-flight caps must be >= 1");
@@ -122,252 +120,27 @@ bool Server::start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
   port_ = ntohs(bound.sin_port);
 
-  if (use_exec_) {
-    // Executor mode: no threads of our own. The bridge's poller turns
-    // listener/connection readiness into tasks on the global executor.
-    started_ = Clock::now();
-    draining_.store(false, std::memory_order_release);
-    running_.store(true, std::memory_order_release);
-    bridge_ = std::make_unique<exec::IoBridge>(exec::Executor::global());
-    listen_watch_ =
-        bridge_->watch(listen_fd_, POLLIN, [this](short re) {
-          exec_accept(re);
-        });
-    GNS_INFO("net: serving on " << config_.host << ":" << port_
-                                << " (executor mode, "
-                                << exec::Executor::global().workers()
-                                << " shared workers)");
-    return true;
-  }
-
-  shared_.clear();
-  for (int i = 0; i < config_.handler_threads; ++i) {
-    auto shared = std::make_unique<HandlerShared>();
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0) {
-      GNS_ERROR("net: pipe() failed: " << std::strerror(errno));
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      for (auto& s : shared_) {
-        ::close(s->wake_read);
-        ::close(s->wake_write);
-      }
-      shared_.clear();
-      return false;
-    }
-    set_nonblocking(pipe_fds[0]);
-    set_nonblocking(pipe_fds[1]);
-    shared->wake_read = pipe_fds[0];
-    shared->wake_write = pipe_fds[1];
-    shared_.push_back(std::move(shared));
-  }
-
+  // No threads of our own: the bridge's poller turns listener/connection
+  // readiness into tasks on the global executor.
   started_ = Clock::now();
   draining_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  for (int i = 0; i < config_.handler_threads; ++i)
-    handlers_.emplace_back([this, i] { handler_loop(i); });
-  acceptor_ = std::thread([this] { acceptor_loop(); });
+  bridge_ = std::make_unique<exec::IoBridge>(exec::Executor::global());
+  {
+    // The first accept task can run before watch() returns; it re-arms
+    // through listen_watch_, so publish the id under the same lock.
+    std::lock_guard<std::mutex> lock(listen_mutex_);
+    listen_watch_ = bridge_->watch(listen_fd_, POLLIN,
+                                   [this](short re) { exec_accept(re); });
+  }
   GNS_INFO("net: serving on " << config_.host << ":" << port_ << " ("
-                              << config_.handler_threads
-                              << " handler threads)");
+                              << exec::Executor::global().workers()
+                              << " shared executor workers)");
   return true;
-}
-
-void Server::stop() {
-  std::call_once(stop_once_, [this] {
-    if (!running_.load(std::memory_order_acquire)) return;
-    GNS_INFO("net: draining (stop accepting, flush in-flight)");
-    draining_.store(true, std::memory_order_release);
-    if (use_exec_) {
-      exec_stop();
-      return;
-    }
-    // 1. Stop accepting: close the listener and join the acceptor.
-    if (acceptor_.joinable()) acceptor_.join();
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    // 2. Handlers observe draining_, reject new requests, finish in-flight
-    //    jobs, flush write queues, then close their connections and exit
-    //    (bounded by drain_timeout_ms).
-    for (auto& shared : shared_) wake(*shared);
-    for (std::thread& t : handlers_) {
-      if (t.joinable()) t.join();
-    }
-    handlers_.clear();
-    for (auto& shared : shared_) {
-      std::lock_guard<std::mutex> lock(shared->mutex);
-      for (int fd : shared->incoming_fds) ::close(fd);
-      shared->incoming_fds.clear();
-      ::close(shared->wake_read);
-      ::close(shared->wake_write);
-    }
-    shared_.clear();
-    running_.store(false, std::memory_order_release);
-    // 3. Persist what this process observed: the obs env files are the
-    //    operator's only record once the server goes away.
-    obs::flush_env_files();
-    GNS_INFO("net: drained and stopped");
-  });
 }
 
 int Server::active_connections() const {
   return active_connections_.load(std::memory_order_relaxed);
-}
-
-void Server::wake(HandlerShared& shared) {
-  const char byte = 1;
-  [[maybe_unused]] ssize_t n = ::write(shared.wake_write, &byte, 1);
-}
-
-void Server::acceptor_loop() {
-  std::size_t next_handler = 0;
-  while (!draining_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (rc < 0 && errno != EINTR) break;
-    if (rc <= 0 || !(pfd.revents & POLLIN)) continue;
-    for (;;) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) break;  // EAGAIN or transient error: back to poll
-      if (active_connections_.load(std::memory_order_relaxed) >=
-              config_.max_connections ||
-          !set_nonblocking(fd)) {
-        ::close(fd);
-        continue;
-      }
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      accepted_.add();
-      active_connections_.fetch_add(1, std::memory_order_relaxed);
-      active_connections_gauge_.set(
-          active_connections_.load(std::memory_order_relaxed));
-      HandlerShared& shared = *shared_[next_handler];
-      next_handler = (next_handler + 1) % shared_.size();
-      {
-        std::lock_guard<std::mutex> lock(shared.mutex);
-        shared.incoming_fds.push_back(fd);
-      }
-      wake(shared);
-    }
-  }
-}
-
-void Server::handler_loop(int index) {
-  HandlerShared& shared = *shared_[index];
-  std::vector<Connection> conns;
-  std::vector<pollfd> pfds;
-  bool drain_seen = false;
-  Clock::time_point drain_deadline{};
-
-  for (;;) {
-    const bool draining = draining_.load(std::memory_order_acquire);
-    if (draining && !drain_seen) {
-      drain_seen = true;
-      drain_deadline =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double, std::milli>(
-                                 config_.drain_timeout_ms));
-    }
-
-    // Adopt connections the acceptor handed over.
-    {
-      std::lock_guard<std::mutex> lock(shared.mutex);
-      while (!shared.incoming_fds.empty()) {
-        Connection conn;
-        conn.fd = shared.incoming_fds.front();
-        shared.incoming_fds.pop_front();
-        conn.last_activity = Clock::now();
-        // Until the peer speaks, answer in the newest version this server
-        // admits — what a binary of that era would do.
-        conn.peer_version = config_.max_protocol_version;
-        conns.push_back(std::move(conn));
-      }
-    }
-
-    bool any_inflight = false;
-    pfds.clear();
-    pfds.push_back({shared.wake_read, POLLIN, 0});
-    for (Connection& conn : conns) {
-      short events = POLLIN;
-      if (!conn.wqueue.empty()) events |= POLLOUT;
-      pfds.push_back({conn.fd, events, 0});
-      if (!conn.inflight.empty()) any_inflight = true;
-    }
-
-    if (drain_seen) {
-      // Drain exit: every in-flight job resolved and every reply flushed
-      // (or the drain deadline passed — then in-flight work is abandoned
-      // and logged, never silently).
-      bool dirty = any_inflight;
-      for (Connection& conn : conns)
-        if (!conn.wqueue.empty()) dirty = true;
-      if (!dirty || Clock::now() >= drain_deadline) {
-        if (dirty)
-          GNS_WARN("net: drain timeout, abandoning " << conns.size()
-                                                     << " connections");
-        for (Connection& conn : conns) close_connection(conn);
-        conns.clear();
-        return;
-      }
-    }
-
-    // Tight tick while jobs are in flight (futures are poll-checked);
-    // relaxed tick otherwise. The self-pipe cuts accept latency anyway.
-    const int timeout_ms = (any_inflight || drain_seen) ? 2 : 50;
-    const int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    if (rc < 0 && errno != EINTR) {
-      GNS_ERROR("net: poll failed: " << std::strerror(errno));
-      for (Connection& conn : conns) close_connection(conn);
-      return;
-    }
-
-    if (pfds[0].revents & POLLIN) {  // drain the wake pipe
-      char buf[64];
-      while (::read(shared.wake_read, buf, sizeof(buf)) > 0) {
-      }
-    }
-
-    const Clock::time_point now = Clock::now();
-    for (std::size_t i = 0; i < conns.size(); ++i) {
-      Connection& conn = conns[i];
-      const short revents = pfds[i + 1].revents;
-      bool alive = true;
-
-      if (revents & (POLLERR | POLLHUP | POLLNVAL)) alive = false;
-      if (alive && (revents & POLLIN)) {
-        alive = read_some(conn);
-        if (alive) process_rbuf(conn);
-      }
-      if (alive) pump_completions(conn);
-      if (alive && !conn.wqueue.empty()) alive = flush_writes(conn);
-      if (alive && conn.close_after_flush && conn.wqueue.empty())
-        alive = false;
-
-      // Timeouts: a stalled partial frame (read timeout) or a connection
-      // with nothing pending for too long (idle timeout).
-      if (alive && config_.read_timeout_ms > 0 && conn.has_partial &&
-          ms_since(conn.partial_since, now) > config_.read_timeout_ms) {
-        timeouts_.add();
-        alive = false;
-      }
-      if (alive && config_.idle_timeout_ms > 0 && conn.inflight.empty() &&
-          conn.wqueue.empty() && !conn.has_partial &&
-          ms_since(conn.last_activity, now) > config_.idle_timeout_ms) {
-        timeouts_.add();
-        alive = false;
-      }
-
-      if (!alive) {
-        close_connection(conn);
-        conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
-        pfds.erase(pfds.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-        --i;
-      }
-    }
-  }
 }
 
 bool Server::read_some(Connection& conn) {
@@ -718,10 +491,11 @@ bool Server::flush_writes(Connection& conn) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor mode (use_exec_): the exact handler_loop per-connection cycle,
-// run as oneshot-watch tasks on the global executor. ec->m serializes the
-// watch callback, pump-timer callback, and stop() against each other; the
-// oneshot watch guarantees at most one socket-event task per connection.
+// Connection servicing: one read/decode/pump/flush/timeout cycle per
+// connection, run as oneshot-watch tasks on the global executor. ec->m
+// serializes the watch callback, pump-timer callback, and stop() against
+// each other; the oneshot watch guarantees at most one socket-event task
+// per connection.
 // ---------------------------------------------------------------------------
 
 struct Server::ExecConn {
@@ -754,6 +528,8 @@ void Server::exec_accept(short /*revents*/) {
     auto ec = std::make_shared<ExecConn>();
     ec->conn.fd = fd;
     ec->conn.last_activity = Clock::now();
+    // Until the peer speaks, answer in the newest version this server
+    // admits — what a binary of that era would do.
     ec->conn.peer_version = config_.max_protocol_version;
     {
       std::lock_guard<std::mutex> lock(econns_mutex_);
@@ -766,7 +542,8 @@ void Server::exec_accept(short /*revents*/) {
     ec->watch_id = bridge_->watch(
         fd, POLLIN, [this, ec](short re) { exec_service(ec, re); });
   }
-  bridge_->rearm(listen_watch_, POLLIN);
+  std::lock_guard<std::mutex> lock(listen_mutex_);
+  bridge_->rearm(listen_watch_, POLLIN);  // no-op once stop() unwatched it
 }
 
 void Server::exec_service(const std::shared_ptr<ExecConn>& ec,
@@ -800,7 +577,7 @@ void Server::exec_service(const std::shared_ptr<ExecConn>& ec,
       alive = false;
     }
     // Drain exit per connection: once nothing is in flight and every
-    // reply flushed, the connection closes itself (exec_stop is waiting).
+    // reply flushed, the connection closes itself (stop() is waiting).
     if (alive && draining_.load(std::memory_order_acquire) &&
         conn.inflight.empty() && conn.wqueue.empty()) {
       alive = false;
@@ -822,8 +599,7 @@ void Server::exec_service(const std::shared_ptr<ExecConn>& ec,
       if (!conn.wqueue.empty()) events |= POLLOUT;
       bridge_->rearm(ec->watch_id, events);
       // Futures are poll-checked, so a connection with work pending gets a
-      // tight pump tick and an idle one a relaxed tick — the executor-
-      // timer analogue of handler_loop's 2 ms / 50 ms poll timeout.
+      // tight 2 ms pump tick and an idle one a relaxed 50 ms tick.
       if (!ec->pump_armed) {
         const bool busy = !conn.inflight.empty() || !conn.wqueue.empty() ||
                           conn.has_partial ||
@@ -850,67 +626,75 @@ void Server::exec_service(const std::shared_ptr<ExecConn>& ec,
   }
 }
 
-void Server::exec_stop() {
-  // 1. Stop accepting. The listener fd stays open until the bridge stops:
-  //    an already-submitted accept task may still be using it.
-  bridge_->unwatch(listen_watch_);
-  listen_watch_ = -1;
-  // 2. Drain: connections close themselves once their in-flight jobs have
-  //    resolved and flushed (pump timers keep servicing them); bounded by
-  //    drain_timeout_ms, after which stragglers are abandoned and logged.
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             config_.drain_timeout_ms));
-  for (;;) {
-    bool dirty = false;
+void Server::stop() {
+  std::call_once(stop_once_, [this] {
+    if (!running_.load(std::memory_order_acquire)) return;
+    GNS_INFO("net: draining (stop accepting, flush in-flight)");
+    draining_.store(true, std::memory_order_release);
+    // 1. Stop accepting. The listener fd stays open until the bridge stops:
+    //    an already-submitted accept task may still be using it.
+    {
+      std::lock_guard<std::mutex> lock(listen_mutex_);
+      bridge_->unwatch(listen_watch_);
+      listen_watch_ = -1;
+    }
+    // 2. Drain: connections close themselves once their in-flight jobs have
+    //    resolved and flushed (pump timers keep servicing them); bounded by
+    //    drain_timeout_ms, after which stragglers are abandoned and logged.
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double, std::milli>(
+                               config_.drain_timeout_ms));
+    for (;;) {
+      bool dirty = false;
+      {
+        std::lock_guard<std::mutex> lock(econns_mutex_);
+        for (auto& entry : econns_) {
+          std::lock_guard<std::mutex> lk(entry.second->m);
+          const Connection& conn = entry.second->conn;
+          if (!conn.inflight.empty() || !conn.wqueue.empty()) dirty = true;
+        }
+      }
+      if (!dirty || Clock::now() >= deadline) {
+        if (dirty) GNS_WARN("net: drain timeout, abandoning connections");
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    // 3. Close every remaining connection and cancel its pump timer.
+    std::map<std::uint64_t, std::shared_ptr<ExecConn>> snapshot;
     {
       std::lock_guard<std::mutex> lock(econns_mutex_);
-      for (auto& entry : econns_) {
-        std::lock_guard<std::mutex> lk(entry.second->m);
-        const Connection& conn = entry.second->conn;
-        if (!conn.inflight.empty() || !conn.wqueue.empty()) dirty = true;
+      snapshot.swap(econns_);
+    }
+    for (auto& entry : snapshot) {
+      ExecConn& ec = *entry.second;
+      std::lock_guard<std::mutex> lk(ec.m);
+      if (ec.closed) continue;
+      ec.closed = true;
+      if (ec.pump_timer != 0 &&
+          exec::Executor::global().cancel_timer(ec.pump_timer)) {
+        exec_pending_.fetch_sub(1, std::memory_order_acq_rel);
       }
+      ec.pump_timer = 0;
+      bridge_->unwatch(ec.watch_id);
+      close_connection(ec.conn);
     }
-    if (!dirty || Clock::now() >= deadline) {
-      if (dirty) GNS_WARN("net: drain timeout, abandoning connections");
-      break;
+    // 4. Quiesce: the bridge joins its poller and drains watch-callback
+    //    tasks; pump-timer callbacks are tracked separately via
+    //    exec_pending_ (they see closed connections and return early).
+    bridge_->stop();
+    while (exec_pending_.load(std::memory_order_acquire) > 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    bridge_.reset();
+    if (listen_fd_ >= 0) {
+      ::close(listen_fd_);
+      listen_fd_ = -1;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  // 3. Close every remaining connection and cancel its pump timer.
-  std::map<std::uint64_t, std::shared_ptr<ExecConn>> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(econns_mutex_);
-    snapshot.swap(econns_);
-  }
-  for (auto& entry : snapshot) {
-    ExecConn& ec = *entry.second;
-    std::lock_guard<std::mutex> lk(ec.m);
-    if (ec.closed) continue;
-    ec.closed = true;
-    if (ec.pump_timer != 0 &&
-        exec::Executor::global().cancel_timer(ec.pump_timer)) {
-      exec_pending_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    ec.pump_timer = 0;
-    bridge_->unwatch(ec.watch_id);
-    close_connection(ec.conn);
-  }
-  // 4. Quiesce: the bridge joins its poller and drains watch-callback
-  //    tasks; pump-timer callbacks are tracked separately via
-  //    exec_pending_ (they see closed connections and return early).
-  bridge_->stop();
-  while (exec_pending_.load(std::memory_order_acquire) > 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  bridge_.reset();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  running_.store(false, std::memory_order_release);
-  obs::flush_env_files();
-  GNS_INFO("net: drained and stopped");
+    running_.store(false, std::memory_order_release);
+    obs::flush_env_files();
+    GNS_INFO("net: drained and stopped");
+  });
 }
 
 void Server::close_connection(Connection& conn) {

@@ -3,26 +3,18 @@
 /// \file server.hpp
 /// TCP front-end of the rollout serving subsystem.
 ///
-/// Threading model (default, exec::enabled()): the server owns no threads.
-/// The listening socket and every accepted connection are registered with
-/// an exec::IoBridge, whose poller turns readiness events into tasks on
-/// the global work-stealing executor — the same pool that runs the
-/// scheduler's rollout chains and the per-step compute, so net I/O shares
-/// cores with compute instead of pinning handler threads. Each connection
-/// is serviced by at most one task at a time (oneshot watches plus a
-/// per-connection mutex); while requests are in flight or writes are
-/// queued, a short executor pump timer re-services the connection between
-/// socket events (the analogue of the handler loop's tight poll tick).
-///
-/// Legacy threading model (GNS_EXEC=0): one acceptor thread blocks in
-/// poll() on the listening socket and hands accepted connections
-/// round-robin to N handler threads. Each handler owns a disjoint set of
-/// nonblocking connections and runs its own poll() loop over them (plus a
-/// self-pipe the acceptor and stop() use as a wakeup). Both modes share
-/// every decode, dispatch, encode, and flush path below: reads append to a
-/// per-connection buffer, complete frames are decoded and submitted to the
-/// serve::JobScheduler, resolved futures are encoded into a per-connection
-/// write queue, and writes drain on POLLOUT.
+/// Threading model: the server owns no threads. The listening socket and
+/// every accepted connection are registered with an exec::IoBridge, whose
+/// poller turns readiness events into tasks on the global work-stealing
+/// executor — the same pool that runs the scheduler's rollout chains and
+/// the per-step compute, so net I/O shares cores with compute. Each
+/// connection is serviced by at most one task at a time (oneshot watches
+/// plus a per-connection mutex); while requests are in flight or writes
+/// are queued, a short executor pump timer re-services the connection
+/// between socket events. A service pass appends reads to a
+/// per-connection buffer, decodes complete frames and submits them to the
+/// serve::JobScheduler, encodes resolved futures into a per-connection
+/// write queue, and drains writes on POLLOUT.
 ///
 /// Backpressure is explicit and bounded everywhere: a request beyond the
 /// per-connection or global in-flight cap — or one the scheduler rejects
@@ -40,9 +32,9 @@
 /// decode through the scheduler to the final flush, so one Perfetto trace
 /// shows the cross-layer life of a request; per-phase latency lands in the
 /// scheduler's serve.phase.* histograms. kStatsRequest frames are answered
-/// inline on the handler thread with a metrics + health snapshot
-/// (Prometheus or JSON), so a live server can be scraped without touching
-/// the worker pool.
+/// inline by the connection's service task with a metrics + health
+/// snapshot (Prometheus or JSON), so a live server can be scraped without
+/// queueing behind rollouts.
 ///
 /// stop() drains gracefully: the listener closes, new requests get
 /// ErrorReply{ShuttingDown}, in-flight jobs run to completion and their
@@ -60,7 +52,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exec/executor.hpp"
@@ -74,7 +65,6 @@ namespace gns::net {
 struct ServerConfig {
   std::string host = "127.0.0.1";  ///< bind address
   int port = 0;                    ///< 0 picks an ephemeral port (see port())
-  int handler_threads = 2;         ///< connection-handler poll loops (>= 1)
   int max_connections = 64;        ///< accepted beyond this are closed
   /// In-flight (submitted, unresolved) request caps; exceeding either is a
   /// Busy reply, never a queue.
@@ -109,8 +99,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and starts the acceptor + handler threads. Returns
-  /// false (with the OS error logged) when the socket setup fails.
+  /// Binds, listens, and registers the listener with the executor's I/O
+  /// bridge. Returns false (with the OS error logged) when the socket
+  /// setup fails.
   [[nodiscard]] bool start();
 
   /// Graceful drain: stop accepting, fail new requests with ShuttingDown,
@@ -176,31 +167,17 @@ class Server {
     bool close_after_flush = false;  ///< fatal decode error: drop politely
   };
 
-  struct HandlerShared {
-    std::mutex mutex;
-    std::deque<int> incoming_fds;  ///< acceptor -> handler handoff
-    int wake_read = -1;            ///< self-pipe, poll()ed by the handler
-    int wake_write = -1;
-  };
-
-  /// One connection in executor mode: the shared Connection state plus the
-  /// bridge watch and pump timer that drive it. Defined in server.cpp.
+  /// One live connection: the Connection state plus the bridge watch and
+  /// pump timer that drive it. Defined in server.cpp.
   struct ExecConn;
 
-  void acceptor_loop();
-  void handler_loop(int index);
-  // ---- executor-mode plumbing (use_exec_) ----
   /// Listener watch callback: accepts everything ready, registers each
   /// connection with the bridge, then re-arms the listener.
   void exec_accept(short revents);
   /// One service pass over a connection (read/decode/submit, pump resolved
-  /// futures, flush writes, timeouts) — the body of handler_loop's per-
-  /// connection cycle, run as an executor task. At most one runs per
-  /// connection at a time (oneshot watch + ec->m).
+  /// futures, flush writes, timeouts), run as an executor task. At most
+  /// one runs per connection at a time (oneshot watch + ec->m).
   void exec_service(const std::shared_ptr<ExecConn>& ec, short revents);
-  /// stop() body for executor mode: unwatch the listener, drain-wait,
-  /// close every connection, stop the bridge, quiesce pump timers.
-  void exec_stop();
   /// Drains socket -> rbuf; false when the peer closed or errored.
   bool read_some(Connection& conn);
   /// Decodes and dispatches every complete frame in rbuf.
@@ -209,13 +186,13 @@ class Server {
   /// charged against the request's deadline before submit.
   void handle_request(Connection& conn, const FrameView& frame,
                       double buffered_ms);
-  /// Answers a kStatsRequest with a metrics + health snapshot. Runs on the
-  /// handler thread; touches only atomics, the scheduler's queue-depth
-  /// accessor, and the metrics registry — never a worker thread.
+  /// Answers a kStatsRequest with a metrics + health snapshot. Runs in the
+  /// connection's service task; touches only atomics, the scheduler's
+  /// queue-depth accessor, and the metrics registry.
   void handle_stats(Connection& conn, const FrameView& frame);
   /// Answers a kHello with this backend's capability advertisement
-  /// (protocol version, registry model names, in-flight capacity). Runs on
-  /// the handler thread, like handle_stats.
+  /// (protocol version, registry model names, in-flight capacity). Runs in
+  /// the connection's service task, like handle_stats.
   void handle_hello(Connection& conn, const FrameView& frame);
   /// Moves resolved futures into the write queue; returns in-flight count.
   std::size_t pump_completions(Connection& conn);
@@ -227,7 +204,6 @@ class Server {
   /// Writes wqueue to the socket; false when the peer errored.
   bool flush_writes(Connection& conn);
   void close_connection(Connection& conn);
-  static void wake(HandlerShared& shared);
 
   serve::JobScheduler& scheduler_;
   ServerConfig config_;
@@ -240,10 +216,6 @@ class Server {
   std::atomic<int> global_inflight_{0};
   std::atomic<int> active_connections_{0};
   std::once_flag stop_once_;
-
-  std::thread acceptor_;
-  std::vector<std::thread> handlers_;
-  std::vector<std::unique_ptr<HandlerShared>> shared_;
 
   // net.* instruments (cached handles; registry owns them).
   obs::Counter& accepted_;
@@ -263,9 +235,9 @@ class Server {
   /// by the numeric NetError value; [0] is unused.
   std::array<obs::Counter*, 10> reject_counters_{};
 
-  // ---- executor-mode state ----
-  const bool use_exec_;  ///< exec::enabled() snapshot at construction
+  // ---- executor I/O state ----
   std::unique_ptr<exec::IoBridge> bridge_;
+  std::mutex listen_mutex_;  ///< guards listen_watch_
   int listen_watch_ = -1;
   /// Live connections by key. Lock order: NEVER acquire econns_mutex_
   /// while holding an ExecConn's mutex (release ec->m first).

@@ -94,8 +94,7 @@ JobScheduler::JobScheduler(std::shared_ptr<ModelRegistry> registry,
                            SchedulerConfig config)
     : registry_(std::move(registry)),
       config_(std::move(config)),
-      stats_(config_.stats_prefix),
-      use_exec_(exec::enabled()) {
+      stats_(config_.stats_prefix) {
   GNS_CHECK_MSG(registry_ != nullptr, "JobScheduler needs a registry");
   GNS_CHECK_MSG(config_.workers >= 1, "JobScheduler needs >= 1 worker");
   GNS_CHECK_MSG(config_.queue_capacity >= 1,
@@ -104,18 +103,9 @@ JobScheduler::JobScheduler(std::shared_ptr<ModelRegistry> registry,
                 "JobScheduler max_batch must be >= 1");
   GNS_CHECK_MSG(config_.batch_window_us >= 0.0,
                 "JobScheduler batch_window_us must be >= 0");
-  if (use_exec_) return;  // rollouts run as executor task chains
-  threads_.reserve(static_cast<std::size_t>(config_.workers));
-  for (int i = 0; i < config_.workers; ++i)
-    threads_.emplace_back([this] { worker_loop(); });
 }
 
-JobScheduler::~JobScheduler() {
-  shutdown(true);
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-}
+JobScheduler::~JobScheduler() { shutdown(true); }
 
 JobTicket JobScheduler::submit(RolloutRequest request) {
   GNS_TRACE_SCOPE_T("serve.scheduler.submit", request.trace_id);
@@ -169,19 +159,14 @@ JobTicket JobScheduler::submit(RolloutRequest request) {
       const Clock::time_point deadline = job.deadline;
       queue_.push_back(std::move(job));
       stats_.on_submitted(static_cast<int>(queue_.size()));
-      if (use_exec_) {
-        // Deadline expiry is a timer, not a poll: a still-queued job
-        // resolves the moment its budget lapses. Cancelled when the job
-        // dispatches (or at shutdown).
-        if (has_deadline) arm_deadline_timer_locked(id, deadline);
-        schedule_drain_locked();
-      }
+      // Deadline expiry is a timer, not a poll: a still-queued job
+      // resolves the moment its budget lapses. Cancelled when the job
+      // dispatches (or at shutdown).
+      if (has_deadline) arm_deadline_timer_locked(id, deadline);
+      schedule_drain_locked();
     }
   }
-  if (rejection == JobStatus::Ok) {
-    if (!use_exec_) cv_.notify_one();
-    return ticket;
-  }
+  if (rejection == JobStatus::Ok) return ticket;
 
   // Rejection path: resolve immediately, never block the caller.
   RolloutResult result;
@@ -220,7 +205,7 @@ JobScheduler::CacheOutcome JobScheduler::consult_cache(Job& job) {
   Timer cache_timer;
   const ModelRegistry::Resolved model = registry_->resolve(job.request.model);
   if (model.simulator == nullptr) {
-    return CacheOutcome::Enqueue;  // execute() will type ModelNotFound
+    return CacheOutcome::Enqueue;  // chain_step() will type ModelNotFound
   }
   const std::uint64_t key = compute_cache_key(job.request, model.digest,
                                               model.simulator->features());
@@ -365,24 +350,18 @@ bool JobScheduler::cancel(std::uint64_t job_id) {
 }
 
 void JobScheduler::pause() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    paused_ = true;
-    // Mirror the thread pool, where a pause interrupts the coalescing
-    // wait: batches already parked dispatch immediately (a popped job
-    // runs during pause; only queued jobs hold their place).
-    if (use_exec_) flush_pending_locked();
-  }
-  cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mutex_);
+  paused_ = true;
+  // A pause interrupts the coalescing wait: batches already parked
+  // dispatch immediately (a popped job runs during pause; only queued
+  // jobs hold their place).
+  flush_pending_locked();
 }
 
 void JobScheduler::resume() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    paused_ = false;
-    if (use_exec_ && !queue_.empty()) schedule_drain_locked();
-  }
-  cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mutex_);
+  paused_ = false;
+  if (!queue_.empty()) schedule_drain_locked();
 }
 
 void JobScheduler::shutdown(bool drain) {
@@ -392,306 +371,33 @@ void JobScheduler::shutdown(bool drain) {
     stopping_ = true;
     paused_ = false;  // a paused scheduler must still drain and exit
     if (!drain) orphans.swap(queue_);
-    if (use_exec_) {
-      // Queued-deadline timers would stall quiescence below (a 30 s
-      // budget keeps its timer armed for 30 s); chains re-check expiry
-      // at dispatch anyway, so cancel them all.
-      for (auto& entry : deadline_timers_) cancel_timer_locked(entry.second);
-      deadline_timers_.clear();
-      flush_pending_locked();  // stop waiting out batch windows
-      if (!queue_.empty()) schedule_drain_locked();
-    }
+    // Queued-deadline timers would stall quiescence below (a 30 s budget
+    // keeps its timer armed for 30 s); chains re-check expiry at dispatch
+    // anyway, so cancel them all.
+    for (auto& entry : deadline_timers_) cancel_timer_locked(entry.second);
+    deadline_timers_.clear();
+    flush_pending_locked();  // stop waiting out batch windows
+    if (!queue_.empty()) schedule_drain_locked();
   }
-  cv_.notify_all();
   for (Job& job : orphans) {
     RolloutResult result;
     result.status = JobStatus::ShutDown;
     result.error = "scheduler shut down before execution";
     resolve(std::move(job), std::move(result));
   }
-  if (use_exec_) {
-    // Quiesce: every chain, parked batch, drain task, and armed timer is
-    // owned by this object — nothing may outlive it on the (shared,
-    // global) executor.
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_cv_.wait(lock, [this] {
-      return tasks_inflight_ == 0 && active_chains_ == 0 &&
-             pending_batches_.empty() && queue_.empty();
-    });
-  }
+  // Quiesce: every chain, parked batch, drain task, and armed timer is
+  // owned by this object — nothing may outlive it on the (shared, global)
+  // executor.
+  std::unique_lock<std::mutex> lock(mutex_);
+  idle_cv_.wait(lock, [this] {
+    return tasks_inflight_ == 0 && active_chains_ == 0 &&
+           pending_batches_.empty() && queue_.empty();
+  });
 }
 
 int JobScheduler::queue_depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return static_cast<int>(queue_.size());
-}
-
-void JobScheduler::worker_loop() {
-  for (;;) {
-    std::vector<Job> batch;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] {
-        return stopping_ || (!paused_ && !queue_.empty());
-      });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;  // spurious wake while paused
-      }
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-      batch.front().dequeued = Clock::now();
-      if (config_.max_batch > 1) {
-        collect_batch(lock, batch);
-        // The coalescing wait may have swallowed notifications aimed at
-        // idle workers; re-arm them for whatever is still queued.
-        if (!queue_.empty()) cv_.notify_one();
-      }
-    }
-    stats_.on_dispatch(static_cast<int>(batch.size()));
-    if (batch.size() == 1 && config_.max_batch <= 1) {
-      RolloutResult result = execute(batch.front());
-      resolve(std::move(batch.front()), std::move(result));
-    } else {
-      execute_batch(std::move(batch));
-    }
-  }
-}
-
-void JobScheduler::collect_batch(std::unique_lock<std::mutex>& lock,
-                                 std::vector<Job>& batch) {
-  // By value: growing `batch` reallocates and would dangle a reference
-  // into its front element.
-  const std::string model = batch.front().request.model;
-  const auto take_compatible = [this, &batch, &model] {
-    for (auto it = queue_.begin();
-         it != queue_.end() &&
-         static_cast<int>(batch.size()) < config_.max_batch;) {
-      if (it->request.model == model) {
-        batch.push_back(std::move(*it));
-        batch.back().dequeued = Clock::now();
-        it = queue_.erase(it);
-      } else {
-        ++it;  // incompatible jobs keep their place for other workers
-      }
-    }
-  };
-  take_compatible();
-
-  if (config_.batch_window_us <= 0.0) return;
-  const Clock::time_point window_end =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::micro>(
-                             config_.batch_window_us));
-  while (static_cast<int>(batch.size()) < config_.max_batch && !stopping_ &&
-         !paused_) {
-    // Never hold a member past its own deadline just to fill the batch:
-    // the wait is capped by the earliest member deadline.
-    Clock::time_point wake = window_end;
-    for (const Job& job : batch) {
-      if (job.has_deadline) wake = std::min(wake, job.deadline);
-    }
-    if (Clock::now() >= wake) break;
-    cv_.wait_until(lock, wake);
-    take_compatible();
-  }
-}
-
-RolloutResult JobScheduler::execute(Job& job) const {
-  GNS_TRACE_SCOPE_IT("serve.scheduler.execute",
-                     static_cast<std::int64_t>(job.id),
-                     job.request.trace_id);
-  const Clock::time_point started = Clock::now();
-  RolloutResult result;
-  result.queue_ms =
-      std::chrono::duration<double, std::milli>(started - job.submitted)
-          .count();
-  if (job.dequeued != Clock::time_point{}) {
-    result.phases.batch_wait_us =
-        std::chrono::duration<double, std::micro>(started - job.dequeued)
-            .count();
-  }
-
-  const auto expired = [&job] {
-    return job.has_deadline && Clock::now() > job.deadline;
-  };
-
-  if (job.cancelled->load(std::memory_order_relaxed)) {
-    result.status = JobStatus::Cancelled;
-    return result;
-  }
-  if (expired()) {
-    result.status = JobStatus::DeadlineExceeded;
-    result.error = "deadline exceeded while queued";
-    return result;
-  }
-
-  const ModelRegistry::Handle sim = registry_->get(job.request.model);
-  if (sim == nullptr) {
-    result.status = JobStatus::ModelNotFound;
-    result.error = "no model registered as '" + job.request.model + "'";
-    return result;
-  }
-
-  Timer exec_timer;
-  try {
-    const RolloutRequest& req = job.request;
-    // Per-job tensors only; the tape is thread-local and off, so the only
-    // state shared with sibling jobs is the (const) model weights.
-    ad::NoGradGuard no_grad;
-    MemberInputs inputs = build_member_inputs(req, sim->features());
-    core::Window& window = inputs.window;
-    const core::SceneContext& context = inputs.context;
-
-    result.frames.reserve(static_cast<std::size_t>(req.steps));
-    result.status = JobStatus::Ok;
-    for (int s = 0; s < req.steps; ++s) {
-      if (job.cancelled->load(std::memory_order_relaxed)) {
-        result.status = JobStatus::Cancelled;
-        break;
-      }
-      if (expired()) {
-        result.status = JobStatus::DeadlineExceeded;
-        result.error = "deadline exceeded after " + std::to_string(s) +
-                       " of " + std::to_string(req.steps) + " steps";
-        break;
-      }
-      // Mirrors LearnedSimulator::rollout exactly (same op sequence), so
-      // chunked serving stays bit-identical to the one-shot API.
-      ad::Tensor next = sim->step(window, context);
-      result.frames.push_back(core::tensor_to_frame(next));
-      window.erase(window.begin());
-      window.push_back(next);
-    }
-  } catch (const std::exception& e) {
-    result.status = JobStatus::ExecutionError;
-    result.error = e.what();
-  }
-  result.exec_ms = exec_timer.millis();
-  return result;
-}
-
-void JobScheduler::execute_batch(std::vector<Job> jobs) {
-  GNS_TRACE_SCOPE_I("serve.scheduler.execute_batch",
-                    static_cast<std::int64_t>(jobs.size()));
-  const Clock::time_point started = Clock::now();
-  const std::size_t count = jobs.size();
-  std::vector<RolloutResult> results(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    results[i].queue_ms = std::chrono::duration<double, std::milli>(
-                              started - jobs[i].submitted)
-                              .count();
-    if (jobs[i].dequeued != Clock::time_point{}) {
-      results[i].phases.batch_wait_us =
-          std::chrono::duration<double, std::micro>(started -
-                                                    jobs[i].dequeued)
-              .count();
-    }
-  }
-
-  // collect_batch guarantees every member targets the same model, so one
-  // registry lookup covers the batch.
-  const ModelRegistry::Handle sim = registry_->get(jobs[0].request.model);
-
-  // Pre-flight: resolve members that never get to run and build validated
-  // inputs for the rest. A malformed member fails alone — it must not take
-  // its batch siblings down with it.
-  std::vector<std::size_t> members;  ///< job index per live batch member
-  std::vector<core::Window> windows;
-  std::vector<core::SceneContext> contexts;
-  std::vector<int> steps;
-  ad::NoGradGuard no_grad;
-  for (std::size_t i = 0; i < count; ++i) {
-    RolloutResult& result = results[i];
-    const Job& job = jobs[i];
-    if (job.cancelled->load(std::memory_order_relaxed)) {
-      result.status = JobStatus::Cancelled;
-      continue;
-    }
-    if (job.has_deadline && Clock::now() > job.deadline) {
-      result.status = JobStatus::DeadlineExceeded;
-      result.error = "deadline exceeded while queued";
-      continue;
-    }
-    if (sim == nullptr) {
-      result.status = JobStatus::ModelNotFound;
-      result.error = "no model registered as '" + job.request.model + "'";
-      continue;
-    }
-    try {
-      MemberInputs inputs = build_member_inputs(job.request, sim->features());
-      members.push_back(i);
-      windows.push_back(std::move(inputs.window));
-      contexts.push_back(std::move(inputs.context));
-      steps.push_back(job.request.steps);
-    } catch (const std::exception& e) {
-      result.status = JobStatus::ExecutionError;
-      result.error = e.what();
-    }
-  }
-
-  if (!members.empty()) {
-    const std::int64_t batch_start_ns = obs::trace_now_ns();
-    Timer exec_timer;
-    try {
-      core::BatchedSimulator batched(sim);
-      // The gate runs before every batched step: an expired or cancelled
-      // member is compacted out with its partial frames while the rest of
-      // the batch keeps stepping — so the earliest member deadline is
-      // honored even though the members share forward passes.
-      const auto gate = [&jobs, &members, &results](int m) {
-        const Job& job = jobs[members[m]];
-        RolloutResult& result = results[members[m]];
-        if (job.cancelled->load(std::memory_order_relaxed)) {
-          result.status = JobStatus::Cancelled;
-          return false;
-        }
-        if (job.has_deadline && Clock::now() > job.deadline) {
-          result.status = JobStatus::DeadlineExceeded;
-          return false;
-        }
-        return true;
-      };
-      auto frames = batched.rollout(windows, steps, contexts, gate);
-      for (std::size_t m = 0; m < members.size(); ++m) {
-        RolloutResult& result = results[members[m]];
-        result.frames = std::move(frames[m]);
-        if (result.status == JobStatus::DeadlineExceeded) {
-          result.error = "deadline exceeded after " +
-                         std::to_string(result.frames.size()) + " of " +
-                         std::to_string(steps[m]) + " steps";
-        } else if (result.status == JobStatus::ExecutionError &&
-                   result.error.empty()) {
-          result.status = JobStatus::Ok;  // default-initialized: ran clean
-        }
-      }
-    } catch (const std::exception& e) {
-      // A batch-level failure (bad shapes, NaN guard, ...) fails every
-      // member that was still running.
-      for (std::size_t m : members) {
-        if (results[m].status == JobStatus::ExecutionError &&
-            results[m].error.empty()) {
-          results[m].error = e.what();
-        }
-      }
-    }
-    const double exec_ms = exec_timer.millis();
-    // Forward passes are shared, so per-member execution time is the
-    // batch's wall time (the latency a member actually observed).
-    for (std::size_t m : members) results[m].exec_ms = exec_ms;
-    // One span per member carrying its own trace id, so a traced request
-    // stays visible even when its compute was amortized across a batch.
-    const std::int64_t batch_end_ns = obs::trace_now_ns();
-    for (std::size_t m : members) {
-      obs::record_manual_span("serve.scheduler.execute_member",
-                              batch_start_ns, batch_end_ns,
-                              jobs[m].request.trace_id,
-                              static_cast<std::int64_t>(jobs[m].id));
-    }
-  }
-
-  for (std::size_t i = 0; i < count; ++i)
-    resolve(std::move(jobs[i]), std::move(results[i]));
 }
 
 void JobScheduler::resolve(Job&& job, RolloutResult result) {
@@ -748,11 +454,10 @@ void JobScheduler::resolve(Job&& job, RolloutResult result) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor-mode machinery (use_exec_). The scheduler owns no threads here:
-// drains, batch windows, queued deadlines, and rollout steps are all tasks
-// or timers on the global work-stealing executor. Every path below funnels
-// into the SAME execute/resolve semantics as the thread pool — identical
-// status codes, error strings, and (bitwise) frames.
+// Executor machinery. The scheduler owns no threads: drains, batch
+// windows, queued deadlines, and rollout steps are all tasks or timers on
+// the global work-stealing executor, and every terminal path funnels into
+// resolve().
 // ---------------------------------------------------------------------------
 
 /// One in-flight rollout chain: preflighted on its first task, then
@@ -764,13 +469,13 @@ struct JobScheduler::ChainState {
   std::vector<Job> jobs;
   std::vector<RolloutResult> results;
   ModelRegistry::Handle sim;
-  bool single = false;    ///< one job, max_batch <= 1: mirror execute()
+  bool single = false;    ///< one job, max_batch <= 1: unbatched steps
   bool prepared = false;  ///< preflight passed; stepping may begin
   bool done = false;      ///< terminal: finish_chain on this task
-  // Single-job path (mirrors execute()).
+  // Single-job path.
   core::Window window;
   core::SceneContext context;
-  // Batched path (mirrors execute_batch()).
+  // Batched path.
   std::vector<std::size_t> members;  ///< job index per live batch member
   std::vector<int> steps;
   std::unique_ptr<core::BatchedRollout> rollout;
@@ -922,8 +627,8 @@ void JobScheduler::drain_ready() {
         Clock::time_point wake = Clock::time_point::max();
         if (static_cast<int>(batch.size()) < config_.max_batch &&
             config_.batch_window_us > 0.0 && !stopping_) {
-          // Same cap as collect_batch: never hold a member past its own
-          // deadline just to fill the batch.
+          // Never hold a member past its own deadline just to fill the
+          // batch: the wait is capped by the earliest member deadline.
           wake = Clock::now() +
                  std::chrono::duration_cast<Clock::duration>(
                      std::chrono::duration<double, std::micro>(
@@ -1056,8 +761,9 @@ void JobScheduler::chain_step(const std::shared_ptr<ChainState>& chain) {
         }
       }
     } else {
-      // Pre-flight, mirroring execute_batch: resolve members that never
-      // get to run, validate the rest. A malformed member fails alone.
+      // Pre-flight: resolve members that never get to run, validate the
+      // rest. A malformed member fails alone — it must not take its batch
+      // siblings down with it.
       std::vector<core::Window> windows;
       std::vector<core::SceneContext> contexts;
       for (std::size_t i = 0; i < chain->jobs.size(); ++i) {
@@ -1150,7 +856,8 @@ void JobScheduler::chain_step(const std::shared_ptr<ChainState>& chain) {
   } else {
     // The gate runs before every batched step: an expired or cancelled
     // member is compacted out with its partial frames while the rest of
-    // the batch keeps stepping (exactly execute_batch's gate).
+    // the batch keeps stepping — so the earliest member deadline is
+    // honored even though the members share forward passes.
     const auto gate = [&chain](int m) {
       const Job& job = chain->jobs[chain->members[m]];
       RolloutResult& result = chain->results[chain->members[m]];
@@ -1167,8 +874,8 @@ void JobScheduler::chain_step(const std::shared_ptr<ChainState>& chain) {
     try {
       if (!chain->rollout->step_once(gate)) chain->done = true;
     } catch (const std::exception& e) {
-      // Batch-level failure: fails every member still running, exactly
-      // like execute_batch's catch.
+      // A batch-level failure (bad shapes, NaN guard, ...) fails every
+      // member that was still running.
       for (std::size_t m : chain->members) {
         if (chain->results[m].status == JobStatus::ExecutionError &&
             chain->results[m].error.empty()) {

@@ -2,12 +2,11 @@
 
 /// \file scheduler.hpp
 /// JobScheduler: bounded-queue rollout inference on the task-graph
-/// executor (or a dedicated thread pool with GNS_EXEC=0).
+/// executor.
 ///
-/// Execution model (default, exec::enabled()): the scheduler owns no
-/// threads. submit() enqueues and schedules a drain task on the global
-/// work-stealing executor; the drain pops jobs (up to `workers` concurrent
-/// dispatches, preserving the pool-sized concurrency cap) and runs each
+/// Execution model: the scheduler owns no threads. submit() enqueues and
+/// schedules a drain task on the global work-stealing executor; the drain
+/// pops jobs (up to `workers` concurrent rollout chains) and runs each
 /// rollout as a continuation chain — one executor task per step, each
 /// under its own NoGradGuard, re-checking deadline and cancellation
 /// before every step. Batch-window coalescing becomes a timer-wheel task:
@@ -20,20 +19,15 @@
 /// DeadlineExceeded the moment its budget lapses, and is cancelled when
 /// the job dispatches.
 ///
-/// Legacy threading model (GNS_EXEC=0): `workers` threads block on one
-/// condition variable over the same FIFO deque. Both modes share every
-/// queueing, caching, and resolution path; a rollout produces bitwise
-/// identical frames on either (guarded by test_serve on both legs).
-///
 /// submit() never blocks — when the queue is full the returned future is
 /// already resolved with JobStatus::QueueFull (backpressure is the
 /// *client's* problem, the scheduler never buffers unboundedly). A
-/// runaway request occupies a worker (or chain slot) for at most one
-/// extra step past its budget.
+/// runaway request occupies a chain slot for at most one extra step past
+/// its budget.
 ///
-/// Batched dispatch (max_batch > 1): a worker that pops a job also pulls up
+/// Batched dispatch (max_batch > 1): a drain that pops a job also pulls up
 /// to max_batch-1 more queued jobs for the *same model* (skipping
-/// incompatible ones, which stay queued for other workers), waiting at most
+/// incompatible ones, which stay queued for other chains), waiting at most
 /// batch_window_us for stragglers — but never past the earliest member
 /// deadline. The members run as ONE block-diagonal rollout
 /// (core::BatchedSimulator): one GNS forward per step for the whole batch.
@@ -42,7 +36,7 @@
 /// rest keep batching. Dispatch sizes land in the `<prefix>.batch_size`
 /// histogram.
 ///
-/// Workers share model weights through registry handles but build all
+/// Chains share model weights through registry handles but build all
 /// per-job tensors locally; the autograd tape is thread-local and disabled
 /// during serving, so concurrent — and batched — rollouts of one model are
 /// bit-identical to running them serially (guarded by test_serve and
@@ -51,7 +45,7 @@
 /// Rollout caching (optional, SchedulerConfig::cache): submit() consults
 /// the content-addressed store::RolloutCache before queueing. A hit
 /// resolves the future immediately — bitwise the frames a live rollout
-/// would produce — without touching the worker pool; a miss with an
+/// would produce — without touching the executor; a miss with an
 /// identical request already in flight joins that flight (one compute for
 /// N concurrent duplicates); otherwise the job leads: it queues normally
 /// and its terminal resolve() inserts a complete rollout into the cache
@@ -66,12 +60,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exec/executor.hpp"
@@ -83,15 +77,17 @@
 namespace gns::serve {
 
 struct SchedulerConfig {
-  int workers = 4;          ///< fixed pool size (>= 1)
+  /// Maximum number of concurrent rollout chains (>= 1). Advertised in
+  /// HELLO capability replies as the backend's worker count.
+  int workers = 4;
   int queue_capacity = 64;  ///< max queued (not yet running) jobs (>= 1)
   /// Max jobs coalesced into one block-diagonal rollout; 1 disables
-  /// batching (the classic one-job-per-worker path).
+  /// batching (one job per chain).
   int max_batch = 1;
-  /// How long a worker holding an underfull batch waits for more
-  /// same-model jobs to arrive, in microseconds. 0 = dispatch immediately
-  /// with whatever is already queued. The wait is always capped by the
-  /// earliest member deadline.
+  /// How long an underfull batch waits for more same-model jobs to
+  /// arrive, in microseconds. 0 = dispatch immediately with whatever is
+  /// already queued. The wait is always capped by the earliest member
+  /// deadline.
   double batch_window_us = 0.0;
   /// MetricsRegistry prefix for this scheduler's ServerStats. Give every
   /// concurrently-live scheduler a distinct prefix.
@@ -115,7 +111,8 @@ class JobScheduler {
   JobScheduler(std::shared_ptr<ModelRegistry> registry,
                SchedulerConfig config = {});
 
-  /// Drains the queue (shutdown(true)) and joins the workers.
+  /// Drains the queue (shutdown(true)) and waits for every task and timer
+  /// this scheduler put on the executor.
   ~JobScheduler();
 
   JobScheduler(const JobScheduler&) = delete;
@@ -132,23 +129,21 @@ class JobScheduler {
   /// already resolved.
   bool cancel(std::uint64_t job_id);
 
-  /// Stops workers from picking up new jobs (running jobs finish). Queued
-  /// jobs keep their place and their deadlines keep ticking. Used for
-  /// deterministic tests and drain-for-reload operations.
+  /// Stops dispatching new jobs (running chains finish). Queued jobs keep
+  /// their place and their deadlines keep ticking. Used for deterministic
+  /// tests and drain-for-reload operations.
   void pause();
   void resume();
 
-  /// Stops accepting new jobs. With drain=true workers finish the queue
+  /// Stops accepting new jobs. With drain=true chains finish the queue
   /// first; with drain=false queued jobs resolve ShutDown immediately.
   /// Idempotent; the destructor calls shutdown(true).
   void shutdown(bool drain = true);
 
   [[nodiscard]] int queue_depth() const;
-  /// Concurrency cap: pool size in thread mode, max concurrent dispatch
-  /// chains in executor mode. Advertised in HELLO capability replies.
-  [[nodiscard]] int workers() const {
-    return use_exec_ ? config_.workers : static_cast<int>(threads_.size());
-  }
+  /// Concurrency cap: max concurrent rollout chains. Advertised in HELLO
+  /// capability replies.
+  [[nodiscard]] int workers() const { return config_.workers; }
   [[nodiscard]] ServerStats& stats() { return stats_; }
   [[nodiscard]] const ServerStats& stats() const { return stats_; }
   /// The model registry this scheduler executes against — what a HELLO
@@ -168,7 +163,7 @@ class JobScheduler {
     Clock::time_point submitted;
     Clock::time_point deadline;  ///< time_point::max() when none
     bool has_deadline = false;
-    /// When a worker pulled this job off the queue (epoch default until
+    /// When a drain pulled this job off the queue (epoch default until
     /// then). Splits the pre-dispatch wait into queue_us (submitted ->
     /// dequeued) and batch_wait_us (dequeued -> dispatch) in the result's
     /// PhaseTimeline.
@@ -188,30 +183,22 @@ class JobScheduler {
   };
 
   /// An underfull batch parked on the executor waiting out its coalescing
-  /// window (exec mode only). Later drains top it up; the timer (or an
-  /// early-dispatch path that cancelled the timer) dispatches it.
+  /// window. Later drains top it up; the timer (or an early-dispatch path
+  /// that cancelled the timer) dispatches it.
   struct PendingBatch {
     std::vector<Job> jobs;
     std::string model;
     exec::Executor::TimerId timer = 0;
   };
-  /// One in-flight rollout chain (exec mode): jobs, per-member results,
-  /// and the incremental batched rollout advanced one step per task.
+  /// One in-flight rollout chain: jobs, per-member results, and the
+  /// incremental rollout advanced one step per task.
   struct ChainState;
 
-  void worker_loop();
-  /// Pulls up to max_batch-1 more same-model jobs into `batch`, waiting at
-  /// most batch_window_us (capped by the earliest member deadline). Called
-  /// with mutex_ held via `lock`.
-  void collect_batch(std::unique_lock<std::mutex>& lock,
-                     std::vector<Job>& batch);
-  /// Non-waiting variant shared by the exec drain paths: moves up to
-  /// max_batch same-model jobs out of queue_ into `batch`, stamping
-  /// dequeued and cancelling their queued-deadline timers. Requires
-  /// mutex_ held.
+  /// Moves up to max_batch same-model jobs out of queue_ into `batch`,
+  /// stamping dequeued and cancelling their queued-deadline timers.
+  /// Requires mutex_ held.
   void take_compatible_locked(std::vector<Job>& batch,
                               const std::string& model);
-  // ---- executor-mode machinery (use_exec_) ----
   /// Ensures one drain task is queued on the executor. Requires mutex_.
   void schedule_drain_locked();
   /// Drain task body: tops up pending batches, then pops jobs into new
@@ -247,11 +234,6 @@ class JobScheduler {
   /// Deadline-timer body: resolves job `id` DeadlineExceeded iff it is
   /// still sitting in queue_.
   void expire_queued(std::uint64_t id);
-  /// Runs the rollout; everything but queueing. Must not hold mutex_.
-  [[nodiscard]] RolloutResult execute(Job& job) const;
-  /// Runs `jobs` as one block-diagonal batched rollout and resolves every
-  /// member (per-member statuses/deadlines). Must not hold mutex_.
-  void execute_batch(std::vector<Job> jobs);
   void resolve(Job&& job, RolloutResult result);
   /// Cache hit / single-flight join / leadership claim for `job`. Called
   /// without mutex_ held; takes it briefly for bookkeeping. On Resolved
@@ -264,20 +246,16 @@ class JobScheduler {
   ServerStats stats_;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   std::deque<Job> queue_;
   std::uint64_t next_id_ = 1;
   bool paused_ = false;
-  bool stopping_ = false;   ///< no new submissions
-  bool abandoned_ = false;  ///< queued jobs resolve ShutDown
-  std::vector<std::thread> threads_;
+  bool stopping_ = false;  ///< no new submissions
 
   /// Cancellation flags of live (queued or running) jobs, so cancel() can
-  /// reach a job that a worker already popped.
+  /// reach a job that a drain already popped.
   std::map<std::uint64_t, std::shared_ptr<std::atomic<bool>>> live_flags_;
 
-  // ---- executor-mode state (all guarded by mutex_) ----
-  const bool use_exec_;        ///< exec::enabled() snapshot at construction
+  // ---- executor tasks and timers (all guarded by mutex_) ----
   bool drain_scheduled_ = false;
   int active_chains_ = 0;      ///< dispatch chains + parked pending batches
   int tasks_inflight_ = 0;     ///< executor tasks + armed timers alive

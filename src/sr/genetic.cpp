@@ -1,5 +1,6 @@
 #include "sr/genetic.hpp"
 
+#include "exec/parallel_for.hpp"
 #include "sr/simplify.hpp"
 
 #include <algorithm>
@@ -10,7 +11,19 @@ namespace gns::sr {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// expr evaluated on every sample, parallel over samples for large
+/// datasets. Each sample writes its own slot, so callers that reduce the
+/// buffer serially in index order get the same bits at any worker count.
+std::vector<double> predict(const Expr& expr, const SrProblem& problem) {
+  const int n = problem.num_samples();
+  std::vector<double> pred(n);
+  exec::parallel_for(n, n > 4096, [&](std::int64_t i) {
+    pred[i] = expr.eval(problem.X[i]);
+  });
+  return pred;
 }
+}  // namespace
 
 std::vector<Op> paper_operator_set() {
   return {Op::Add, Op::Sub, Op::Mul, Op::Div, Op::Gt,  Op::Lt,
@@ -20,36 +33,24 @@ std::vector<Op> paper_operator_set() {
 FitnessResult evaluate(const Expr& expr, const SrProblem& problem) {
   const int n = problem.num_samples();
   GNS_CHECK(n > 0);
+  const std::vector<double> pred = predict(expr, problem);
   double abs_sum = 0.0, sq_sum = 0.0;
-  bool bad = false;
-#pragma omp parallel for schedule(static) reduction(+ : abs_sum, sq_sum) \
-    reduction(|| : bad) if (n > 4096)
   for (int i = 0; i < n; ++i) {
-    const double pred = expr.eval(problem.X[i]);
-    if (!std::isfinite(pred)) {
-      bad = true;
-    } else {
-      const double d = pred - problem.y[i];
-      abs_sum += std::abs(d);
-      sq_sum += d * d;
-    }
+    if (!std::isfinite(pred[i])) return {kInf, kInf, false};
+    const double d = pred[i] - problem.y[i];
+    abs_sum += std::abs(d);
+    sq_sum += d * d;
   }
-  if (bad) return {kInf, kInf, false};
   return {abs_sum / n, sq_sum / n, true};
 }
 
 ScaledFitness evaluate_scaled(const Expr& expr, const SrProblem& problem) {
   const int n = problem.num_samples();
   GNS_CHECK(n > 0);
-  std::vector<double> pred(n);
-  bool bad = false;
-#pragma omp parallel for schedule(static) reduction(|| : bad) if (n > 4096)
-  for (int i = 0; i < n; ++i) {
-    pred[i] = expr.eval(problem.X[i]);
-    if (!std::isfinite(pred[i])) bad = true;
-  }
+  const std::vector<double> pred = predict(expr, problem);
   ScaledFitness out;
-  if (bad) return out;
+  for (const double p : pred)
+    if (!std::isfinite(p)) return out;
   // Least-squares a, b for y ≈ a·pred + b.
   double mp = 0.0, my = 0.0;
   for (int i = 0; i < n; ++i) {
@@ -275,15 +276,16 @@ ParetoFront run_sr(const SrProblem& problem, const SrConfig& config) {
   std::vector<double> adjusted(config.population, kInf);
 
   for (int gen = 0; gen <= config.generations; ++gen) {
-    // Fitness pass (parallel over individuals — each eval is independent).
+    // Fitness pass (parallel over individuals — each eval is independent
+    // and writes only its own slots; the nested per-sample loop runs
+    // serially inside).
     std::vector<ScaledFitness> fits(config.population);
-#pragma omp parallel for schedule(dynamic)
-    for (int i = 0; i < config.population; ++i) {
+    exec::parallel_for(config.population, true, [&](std::int64_t i) {
       fits[i] = evaluate_scaled(*population[i], problem);
       mae[i] = fits[i].valid ? fits[i].mae : kInf;
       adjusted[i] =
           mae[i] + config.parsimony * population[i]->complexity();
-    }
+    });
     // Offer the affine-wrapped champions to the Pareto front (serial:
     // the front is shared state).
     for (int i = 0; i < config.population; ++i) {

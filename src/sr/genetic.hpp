@@ -74,7 +74,9 @@ class ParetoFront {
 };
 
 /// MAE/MSE of an expression over a problem; NaN-producing expressions get
-/// +inf. OpenMP-parallel over samples for large datasets.
+/// +inf. Predictions run parallel over samples for large datasets; the
+/// sums are serial in sample order, so the result is the same at any
+/// worker count.
 struct FitnessResult {
   double mae = 0.0;
   double mse = 0.0;

@@ -4,7 +4,7 @@
 /// Minimal leveled logger. Defaults to Info; benches lower it to Warn so
 /// table output stays clean. Thread-safe: the level is an atomic, emission
 /// takes a mutex, and each line carries a small per-thread id (t0, t1, ...)
-/// so interleaved worker / OpenMP-region logs stay attributable.
+/// so interleaved executor-worker logs stay attributable.
 
 #include <sstream>
 #include <string>

@@ -1,71 +1,49 @@
-// Thread-count invariance (ISSUE: determinism checks).
+// Worker-count invariance: every parallel path gives the same bits serial
+// and on the executor.
 //
-// Strategy, per substrate:
-//  - GNS / autograd: every parallel region is row-local (matmul rows,
+// Each case runs one computation twice: once with every parallel_for and
+// parallel_jobs forced inline on the calling thread (a held
+// exec::detail::ScopedParallelDepth, the same mechanism that serializes
+// nested loops), and once on the global executor, which splits the work
+// across GNS_EXEC_WORKERS workers plus the caller. The two results must be
+// bitwise equal. CI runs this suite at GNS_EXEC_WORKERS = 1, 4 and 16.
+//
+// Why bitwise holds, per substrate:
+//  - GNS / autograd: every parallel loop is row-local (matmul rows,
 //    layer-norm rows, gather/activation elementwise, scatter_add backward
 //    rows). The cross-row reductions — scatter_add forward and gather
 //    backward — run either serially (GNS_SIMD=0) or as CSR-transpose
 //    per-destination loops that accumulate contributions in ascending
-//    original-index order regardless of which thread owns a destination
-//    (GNS_SIMD=1). Either way no floating-point reassociation depends on
-//    the thread count, so rollouts are required to be BITWISE identical
-//    at 1 vs 8 threads.
-//  - MPM: p2g accumulates into per-thread buffers reduced in fixed thread
-//    order. That is bit-deterministic for a fixed OMP_NUM_THREADS (rerun
-//    invariance), but changing the thread count regroups the partial sums,
-//    reassociating the reduction; invariance across thread counts is
-//    therefore asserted to a tolerance (~1e-12 per step, 1e-9 over a
-//    short run) rather than bitwise. Making it bitwise would need a
-//    particle-ordered serial reduction per node — rejected for the
-//    serial-bottleneck cost; the tolerance is documented in DESIGN.md.
-//
-// Without OpenMP the thread count is pinned at 1 and these tests reduce to
-// rerun determinism, which must still hold.
+//    original-index order, whichever worker owns a destination.
+//  - MPM: p2g scatters into a fixed number of lanes (kP2gLanes), each
+//    owning a fixed chunk range, and reduces them in ascending lane
+//    order. The decomposition never depends on the worker count.
+//  - CFD: every sweep writes disjoint rows; red-black SOR updates one
+//    colour from the other.
+//  - SR: predictions fill one slot per sample; the error sums are serial
+//    in sample order.
 
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <cmath>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "ad/ops.hpp"
+#include "cfd/cfd.hpp"
 #include "core/trainer.hpp"
+#include "exec/parallel_for.hpp"
 #include "mpm/scenes.hpp"
 #include "mpm/solver.hpp"
+#include "sr/genetic.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
 namespace gns {
 namespace {
 
-/// Temporarily pins the OpenMP thread count; restores on destruction.
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(int n) {
-#ifdef _OPENMP
-    previous_ = omp_get_max_threads();
-    omp_set_num_threads(n);
-#else
-    (void)n;
-#endif
-  }
-  ~ThreadCountGuard() {
-#ifdef _OPENMP
-    omp_set_num_threads(previous_);
-#endif
-  }
-  ThreadCountGuard(const ThreadCountGuard&) = delete;
-  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
-
- private:
-  int previous_ = 1;
-};
-
-// ---------- GNS rollout: bitwise invariance ----------
+// ---------- GNS rollout ----------
 
 io::Trajectory seed_trajectory(int particles, std::uint64_t seed) {
   io::Trajectory traj;
@@ -86,8 +64,7 @@ io::Trajectory seed_trajectory(int particles, std::uint64_t seed) {
   return traj;
 }
 
-std::vector<std::vector<double>> gns_rollout_with_threads(int threads) {
-  ThreadCountGuard guard(threads);
+std::vector<std::vector<double>> gns_rollout() {
   io::Dataset ds;
   ds.trajectories.push_back(seed_trajectory(12, 7));
   core::FeatureConfig fc;
@@ -112,20 +89,26 @@ std::vector<std::vector<double>> gns_rollout_with_threads(int threads) {
 }
 
 TEST(ThreadInvariance, GnsRolloutIsBitwiseIdentical) {
-  const auto one = gns_rollout_with_threads(1);
-  const auto eight = gns_rollout_with_threads(8);
-  ASSERT_EQ(one.size(), eight.size());
-  for (std::size_t t = 0; t < one.size(); ++t) {
-    ASSERT_EQ(one[t].size(), eight[t].size());
-    for (std::size_t k = 0; k < one[t].size(); ++k)
-      EXPECT_EQ(one[t][k], eight[t][k])
-          << "frame " << t << " component " << k << " differs across "
-          << "thread counts";
+  std::vector<std::vector<double>> serial;
+  {
+    exec::detail::ScopedParallelDepth serial_only;
+    serial = gns_rollout();
+  }
+  const auto parallel = gns_rollout();
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t t = 0; t < serial.size(); ++t) {
+    ASSERT_EQ(serial[t].size(), parallel[t].size());
+    for (std::size_t k = 0; k < serial[t].size(); ++k)
+      EXPECT_EQ(serial[t][k], parallel[t][k])
+          << "frame " << t << " component " << k
+          << " differs between serial and executor runs";
   }
 }
 
+// ---------- Autograd graph ops ----------
+
 TEST(ThreadInvariance, ScatterAddForwardAndBackwardBitwise) {
-  // Large enough to clear the `if (work > 1<<15)` parallel thresholds.
+  // Large enough to clear the ops' parallel thresholds.
   const int e = 40000, m = 4, nodes = 512;
   Rng rng(13);
   std::vector<ad::Real> vals(static_cast<std::size_t>(e) * m);
@@ -133,25 +116,31 @@ TEST(ThreadInvariance, ScatterAddForwardAndBackwardBitwise) {
   std::vector<int> index(e);
   for (auto& i : index) i = static_cast<int>(rng.uniform_index(nodes));
 
-  auto run = [&](int threads) {
-    ThreadCountGuard guard(threads);
+  auto run = [&] {
     ad::Tensor a = ad::Tensor::from_vector(e, m, vals, true);
     ad::Tensor out = ad::scatter_add_rows(a, index, nodes);
     ad::Tensor loss = ad::sum(ad::square(out));
     loss.backward();
     return std::pair{out.vec(), a.grad()};
   };
-  const auto [out1, grad1] = run(1);
-  const auto [out8, grad8] = run(8);
-  for (std::size_t i = 0; i < out1.size(); ++i) EXPECT_EQ(out1[i], out8[i]);
-  for (std::size_t i = 0; i < grad1.size(); ++i)
-    EXPECT_EQ(grad1[i], grad8[i]);
+  std::vector<ad::Real> out_serial, grad_serial;
+  {
+    exec::detail::ScopedParallelDepth serial_only;
+    std::tie(out_serial, grad_serial) = run();
+  }
+  const auto [out_parallel, grad_parallel] = run();
+  ASSERT_EQ(out_serial.size(), out_parallel.size());
+  for (std::size_t i = 0; i < out_serial.size(); ++i)
+    EXPECT_EQ(out_serial[i], out_parallel[i]);
+  ASSERT_EQ(grad_serial.size(), grad_parallel.size());
+  for (std::size_t i = 0; i < grad_serial.size(); ++i)
+    EXPECT_EQ(grad_serial[i], grad_parallel[i]);
 }
 
 TEST(ThreadInvariance, GatherBackwardCsrBitwise) {
   // The GNS_SIMD=1 gather backward parallelizes over destination rows via
   // the CSR transpose; a duplicate-heavy index makes the per-destination
-  // accumulation order matter. 1 vs 8 threads must agree bitwise.
+  // accumulation order matter.
   simd::set_enabled(true);
   const int e = 40000, m = 4, nodes = 512;
   Rng rng(17);
@@ -162,22 +151,25 @@ TEST(ThreadInvariance, GatherBackwardCsrBitwise) {
   for (std::size_t i = 0; i < index.size(); ++i)
     index[i] = (i % 2 == 0) ? 7 : static_cast<int>(rng.uniform_index(nodes));
 
-  auto run = [&](int threads) {
-    ThreadCountGuard guard(threads);
+  auto run = [&] {
     ad::Tensor a = ad::Tensor::from_vector(nodes, m, vals, true);
     ad::Tensor out = ad::gather_rows(a, index);
     ad::Tensor loss = ad::sum(ad::square(out));
     loss.backward();
     return a.grad();
   };
-  const auto grad1 = run(1);
-  const auto grad8 = run(8);
-  ASSERT_EQ(grad1.size(), grad8.size());
-  for (std::size_t i = 0; i < grad1.size(); ++i)
-    EXPECT_EQ(grad1[i], grad8[i]);
+  std::vector<ad::Real> serial;
+  {
+    exec::detail::ScopedParallelDepth serial_only;
+    serial = run();
+  }
+  const auto parallel = run();
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i)
+    EXPECT_EQ(serial[i], parallel[i]);
 }
 
-// ---------- MPM: rerun-bitwise, cross-thread-count to tolerance ----------
+// ---------- MPM ----------
 
 mpm::MpmSolver column_solver() {
   mpm::GranularSceneParams params;
@@ -189,56 +181,107 @@ mpm::MpmSolver column_solver() {
   return mpm::make_column_collapse(params, 0.15, 1.5).make_solver();
 }
 
-std::vector<mpm::Vec2d> mpm_positions_with_threads(int threads, int steps) {
-  ThreadCountGuard guard(threads);
+std::vector<mpm::Vec2d> mpm_positions(int steps) {
   mpm::MpmSolver solver = column_solver();
   solver.run(steps);
   return solver.particles().position;
 }
 
-TEST(ThreadInvariance, MpmRerunIsBitwiseAtFixedThreadCount) {
-  const auto a = mpm_positions_with_threads(4, 50);
-  const auto b = mpm_positions_with_threads(4, 50);
+void expect_same_positions(const std::vector<mpm::Vec2d>& a,
+                           const std::vector<mpm::Vec2d>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].x, b[i].x);
-    EXPECT_EQ(a[i].y, b[i].y);
+    EXPECT_EQ(a[i].x, b[i].x) << "particle " << i;
+    EXPECT_EQ(a[i].y, b[i].y) << "particle " << i;
   }
 }
 
-TEST(ThreadInvariance, MpmCrossThreadCountWithinTolerance) {
-  const auto one = mpm_positions_with_threads(1, 50);
-  const auto eight = mpm_positions_with_threads(8, 50);
-  ASSERT_EQ(one.size(), eight.size());
-  double max_diff = 0.0;
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    max_diff = std::max(max_diff, std::abs(one[i].x - eight[i].x));
-    max_diff = std::max(max_diff, std::abs(one[i].y - eight[i].y));
+TEST(ThreadInvariance, MpmExecutorRerunIsBitwise) {
+  expect_same_positions(mpm_positions(50), mpm_positions(50));
+}
+
+TEST(ThreadInvariance, MpmSerialVsExecutorBitwise) {
+  std::vector<mpm::Vec2d> serial;
+  {
+    exec::detail::ScopedParallelDepth serial_only;
+    serial = mpm_positions(50);
   }
-  // p2g's per-thread partial sums reassociate across thread counts; the
-  // drift over 50 steps stays far below feature resolution.
-  EXPECT_LT(max_diff, 1e-9);
+  expect_same_positions(serial, mpm_positions(50));
 }
 
 TEST(ThreadInvariance, MpmSimdOnOffBitwise) {
   // GNS_SIMD only swaps the batched-weights kernel and the reduction's
   // accumulate implementation for bitwise-identical twins; the MPM step
   // must therefore produce identical bits with the toggle on and off.
-  auto run = [&](bool simd_on) {
-    simd::set_enabled(simd_on);
-    ThreadCountGuard guard(4);
-    mpm::MpmSolver solver = column_solver();
-    solver.run(50);
-    return solver.particles().position;
-  };
-  const auto off = run(false);
-  const auto on = run(true);
+  simd::set_enabled(false);
+  const auto off = mpm_positions(50);
   simd::set_enabled(true);
-  ASSERT_EQ(off.size(), on.size());
-  for (std::size_t i = 0; i < off.size(); ++i) {
-    EXPECT_EQ(off[i].x, on[i].x);
-    EXPECT_EQ(off[i].y, on[i].y);
+  expect_same_positions(off, mpm_positions(50));
+}
+
+// ---------- CFD ----------
+
+TEST(ThreadInvariance, CfdStepsSerialVsExecutorBitwise) {
+  cfd::CfdConfig cfg;
+  cfg.nx = 48;
+  cfg.ny = 24;
+  cfg.pressure_iters = 40;
+  auto run = [&cfg] {
+    cfd::CfdSolver solver(cfg);
+    for (int i = 0; i < 4; ++i) solver.step();
+    return std::vector<std::vector<double>>{solver.u(), solver.v(),
+                                            solver.pressure()};
+  };
+  std::vector<std::vector<double>> serial;
+  {
+    exec::detail::ScopedParallelDepth serial_only;
+    serial = run();
   }
+  const auto parallel = run();
+  EXPECT_EQ(serial[0], parallel[0]) << "u";
+  EXPECT_EQ(serial[1], parallel[1]) << "v";
+  EXPECT_EQ(serial[2], parallel[2]) << "pressure";
+}
+
+// ---------- Symbolic regression ----------
+
+TEST(ThreadInvariance, SrEvaluateEqualsSerialIndexOrderSum) {
+  // Above evaluate()'s 4096-sample parallel threshold, with magnitudes
+  // spread over several decades so a regrouped sum would change bits.
+  constexpr int kSamples = 20000;
+  sr::SrProblem problem;
+  problem.var_names = {"a", "b"};
+  Rng rng(23);
+  for (int i = 0; i < kSamples; ++i) {
+    const double a = rng.uniform(-3.0, 3.0) * std::pow(10.0, i % 7 - 3);
+    const double b = rng.uniform(0.5, 2.0);
+    problem.X.push_back({a, b});
+    problem.y.push_back(std::sin(a) * b + 0.1 * rng.uniform(-1.0, 1.0));
+  }
+  const sr::ExprPtr expr = sr::Expr::binary(
+      sr::Op::Mul,
+      sr::Expr::binary(sr::Op::Add, sr::Expr::variable(0),
+                       sr::Expr::constant(0.25)),
+      sr::Expr::variable(1));
+
+  double abs_sum = 0.0, sq_sum = 0.0;
+  for (int i = 0; i < kSamples; ++i) {
+    const double d = expr->eval(problem.X[i]) - problem.y[i];
+    abs_sum += std::abs(d);
+    sq_sum += d * d;
+  }
+
+  sr::FitnessResult serial;
+  {
+    exec::detail::ScopedParallelDepth serial_only;
+    serial = sr::evaluate(*expr, problem);
+  }
+  const sr::FitnessResult parallel = sr::evaluate(*expr, problem);
+  ASSERT_TRUE(parallel.valid);
+  EXPECT_EQ(parallel.mae, abs_sum / kSamples);
+  EXPECT_EQ(parallel.mse, sq_sum / kSamples);
+  EXPECT_EQ(serial.mae, parallel.mae);
+  EXPECT_EQ(serial.mse, parallel.mse);
 }
 
 }  // namespace

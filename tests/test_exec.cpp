@@ -228,7 +228,6 @@ TEST(ExecutorTimerTest, ScheduleAtHonorsDueTime) {
 // parallel_for / parallel_jobs determinism contract
 
 TEST(ParallelForTest, MatchesSerialBitwise) {
-  if (!enabled()) GTEST_SKIP() << "legacy OpenMP leg";
   constexpr std::int64_t kN = 10007;  // prime: uneven chunk boundaries
   std::vector<double> serial(kN), par(kN);
   auto f = [](std::int64_t i) {
@@ -248,7 +247,6 @@ TEST(ParallelForTest, MatchesSerialBitwise) {
 }
 
 TEST(ParallelForTest, CoversEveryIterationExactlyOnce) {
-  if (!enabled()) GTEST_SKIP() << "legacy OpenMP leg";
   constexpr std::int64_t kN = 4096;
   std::vector<std::atomic<int>> hits(kN);
   for (auto& h : hits) h.store(0);
@@ -260,7 +258,6 @@ TEST(ParallelForTest, CoversEveryIterationExactlyOnce) {
 }
 
 TEST(ParallelForTest, NestedCallsRunSerialAndTerminate) {
-  if (!enabled()) GTEST_SKIP() << "legacy OpenMP leg";
   // A body that itself calls parallel_for must not deadlock the pool.
   constexpr std::int64_t kOuter = 64;
   constexpr std::int64_t kInner = 64;
@@ -283,7 +280,6 @@ TEST(ParallelForTest, ZeroAndNegativeTripCountsAreNoops) {
 }
 
 TEST(ParallelJobsTest, FixedLaneReductionIsDeterministic) {
-  if (!enabled()) GTEST_SKIP() << "legacy OpenMP leg";
   // The MPM p2g pattern: lanes accumulate privately, then a serial
   // ascending-lane reduction. Two runs must agree bitwise.
   constexpr int kLanes = 8;

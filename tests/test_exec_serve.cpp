@@ -3,10 +3,6 @@
 // deadline timer, expiry and cancellation between chain steps, and the
 // batch-window regression where a cancelled job whose coalescing timer is
 // still pending must never execute.
-//
-// These tests target the GNS_EXEC=1 path; on the legacy leg the
-// timer-specific ones skip (the thread pool polls deadlines at dequeue
-// instead of arming timers, so the observable ordering differs).
 
 #include <gtest/gtest.h>
 
@@ -16,7 +12,6 @@
 #include <vector>
 
 #include "core/trainer.hpp"
-#include "exec/executor.hpp"
 #include "serve/serve.hpp"
 
 namespace gns::serve {
@@ -103,12 +98,10 @@ TEST_F(ExecServeTest, ExpiredAtSubmitResolvesWithoutTouchingTheExecutor) {
 }
 
 TEST_F(ExecServeTest, QueuedDeadlineFiresAsTimerWhilePaused) {
-  if (!exec::enabled()) GTEST_SKIP() << "thread pool polls at dequeue";
   JobScheduler scheduler(registry_, SchedulerConfig{1, 8});
 
   // With the scheduler paused nothing ever dequeues the job; only the
-  // armed deadline timer can resolve it. The thread pool cannot do this —
-  // it notices expiry when a worker pops the job.
+  // armed deadline timer can resolve it.
   scheduler.pause();
   RolloutRequest req = small_request(*sim_, 2);
   req.deadline_ms = 20.0;
@@ -175,7 +168,6 @@ TEST_F(ExecServeTest, CancelMidBatchSkipsMemberAndSiblingSurvives) {
 // dispatched the batch without re-checking flags). The pre-dispatch sweep
 // in dispatch_pending must resolve it as Cancelled, unexecuted.
 TEST_F(ExecServeTest, CancelWhileBatchWindowPending) {
-  if (!exec::enabled()) GTEST_SKIP() << "coalescing timers are exec-only";
   SchedulerConfig cfg;
   cfg.workers = 1;
   cfg.queue_capacity = 8;
@@ -200,7 +192,6 @@ TEST_F(ExecServeTest, CancelWhileBatchWindowPending) {
 }
 
 TEST_F(ExecServeTest, BatchWindowCoalescesSecondSubmitBeforeTimerFires) {
-  if (!exec::enabled()) GTEST_SKIP() << "coalescing timers are exec-only";
   SchedulerConfig cfg;
   cfg.workers = 1;
   cfg.queue_capacity = 8;

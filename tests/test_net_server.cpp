@@ -210,7 +210,6 @@ TEST(NetServer, LoopbackRolloutBitwiseEqualsDirect) {
 TEST(NetServer, EightConcurrentClientsMixedValidInvalid) {
   ServerConfig cfg;
   cfg.metrics_prefix = "net_t2";
-  cfg.handler_threads = 3;
   Harness h(cfg, sched_cfg(4, 64));
   ASSERT_TRUE(h.start());
 
@@ -399,7 +398,6 @@ TEST(NetServer, BackpressureBusyThenRetrySucceeds) {
 TEST(NetServer, GracefulDrainDropsNoInflightJobs) {
   ServerConfig cfg;
   cfg.metrics_prefix = "net_t5";
-  cfg.handler_threads = 2;
   Harness h(cfg, sched_cfg(2, 32));
   ASSERT_TRUE(h.start());
 
