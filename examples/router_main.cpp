@@ -59,11 +59,11 @@ void print_fleet(const router::Router& r) {
       if (!models.empty()) models += ",";
       models += m;
     }
-    if (models.empty()) models = b.capabilities.legacy ? "*(legacy)" : "?";
-    std::printf("  %s:%d  %-8s v%d  inflight %d/%u  models [%s]\n",
+    if (models.empty()) models = "?";
+    std::printf("  %s:%d  %-8s inflight %d/%d  models [%s]\n",
                 b.address.host.c_str(), b.address.port,
-                health_name(b.health), b.capabilities.wire_version,
-                b.inflight, b.capabilities.capacity, models.c_str());
+                health_name(b.health), b.inflight, b.capabilities.capacity,
+                models.c_str());
   }
 }
 

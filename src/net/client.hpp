@@ -93,9 +93,8 @@ struct ClientResult {
   std::uint64_t trace_id = 0;
   bool cached = false;  ///< frames came from the server's rollout cache
   serve::CacheOutcome cache_outcome = serve::CacheOutcome::None;
-  /// Server-side per-phase breakdown from the StatusReply (v2 servers;
-  /// all-zero against v1). write_us is always 0 on the wire — see
-  /// WireStatus.
+  /// Server-side per-phase breakdown from the StatusReply. write_us is
+  /// always 0 on the wire — see WireStatus.
   serve::PhaseTimeline phases;
 
   [[nodiscard]] bool ok() const {

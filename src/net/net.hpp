@@ -15,12 +15,12 @@
 ///   Client   — blocking request/stream-response with Busy retry/backoff,
 ///              automatic trace-id generation, and a stats() scrape.
 ///
-/// Protocol v2 adds end-to-end observability: requests carry a 64-bit
+/// End-to-end observability rides the protocol: requests carry a 64-bit
 /// trace_id that is stamped on every span of their server-side life,
 /// status replies carry a per-phase latency breakdown (decode / cache /
 /// queue / batch-wait / compute / serialize), and kStatsRequest frames
 /// snapshot the metrics registry + server health (Prometheus or JSON)
-/// without queueing behind rollouts. v1 clients interoperate unchanged.
+/// without queueing behind rollouts.
 ///
 /// See examples/serve_rollouts.cpp --listen for a server driver,
 /// examples/stats_client.cpp for a scrape tool,

@@ -136,17 +136,13 @@ class Reader {
 
 std::vector<std::uint8_t> make_frame(MessageType type,
                                      std::uint64_t request_id,
-                                     std::vector<std::uint8_t> payload,
-                                     std::uint8_t version) {
+                                     std::vector<std::uint8_t> payload) {
   GNS_CHECK_MSG(payload.size() <= kMaxPayloadBytes,
                 "encoded payload exceeds kMaxPayloadBytes");
-  GNS_CHECK_MSG(version >= kMinProtocolVersion &&
-                    version <= kProtocolVersion,
-                "encoder asked for an unsupported protocol version");
   std::vector<std::uint8_t> frame;
   frame.reserve(kHeaderBytes + payload.size());
   put_u32(frame, kMagic);
-  put_u8(frame, version);
+  put_u8(frame, kProtocolVersion);
   put_u8(frame, static_cast<std::uint8_t>(type));
   put_u16(frame, 0);  // reserved
   put_u64(frame, request_id);
@@ -165,8 +161,7 @@ bool fail(std::string& error, const char* what) {
 // ---- Encoding --------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_rollout_request(
-    std::uint64_t request_id, const serve::RolloutRequest& request,
-    std::uint8_t version) {
+    std::uint64_t request_id, const serve::RolloutRequest& request) {
   GNS_CHECK_MSG(request.steps > 0 &&
                     static_cast<std::uint32_t>(request.steps) <=
                         kMaxRolloutSteps,
@@ -191,17 +186,14 @@ std::vector<std::uint8_t> encode_rollout_request(
   }
   put_u32(payload, static_cast<std::uint32_t>(request.node_attrs.size()));
   put_doubles(payload, request.node_attrs);
-  if (version >= 2) {
-    put_u64(payload, request.trace_id);
-    put_u8(payload, request.trace_flags);
-  }
+  put_u64(payload, request.trace_id);
+  put_u8(payload, request.trace_flags);
   return make_frame(MessageType::RolloutRequest, request_id,
-                    std::move(payload), version);
+                    std::move(payload));
 }
 
 std::vector<std::uint8_t> encode_rollout_chunk(std::uint64_t request_id,
-                                               const WireChunk& chunk,
-                                               std::uint8_t version) {
+                                               const WireChunk& chunk) {
   GNS_CHECK_MSG(chunk.frame_len > 0 &&
                     chunk.data.size() % chunk.frame_len == 0,
                 "chunk data must be whole frames");
@@ -210,13 +202,11 @@ std::vector<std::uint8_t> encode_rollout_chunk(std::uint64_t request_id,
   put_u32(payload, chunk.num_frames());
   put_u32(payload, chunk.frame_len);
   put_doubles(payload, chunk.data);
-  return make_frame(MessageType::RolloutChunk, request_id, std::move(payload),
-                    version);
+  return make_frame(MessageType::RolloutChunk, request_id, std::move(payload));
 }
 
 std::vector<std::uint8_t> encode_status_reply(std::uint64_t request_id,
-                                              const WireStatus& status,
-                                              std::uint8_t version) {
+                                              const WireStatus& status) {
   std::vector<std::uint8_t> payload;
   put_u8(payload, static_cast<std::uint8_t>(status.status));
   put_u32(payload, status.total_frames);
@@ -226,61 +216,48 @@ std::vector<std::uint8_t> encode_status_reply(std::uint64_t request_id,
   std::string message = status.error;
   if (message.size() > kMaxStringBytes) message.resize(kMaxStringBytes);
   put_string(payload, message);
-  if (version >= 2) {
-    put_u64(payload, status.trace_id);
-    put_u8(payload, status.cached ? 1 : 0);
-    put_u8(payload, static_cast<std::uint8_t>(status.cache_outcome));
-    put_f64(payload, status.phases.decode_us);
-    put_f64(payload, status.phases.cache_us);
-    put_f64(payload, status.phases.queue_us);
-    put_f64(payload, status.phases.batch_wait_us);
-    put_f64(payload, status.phases.compute_us);
-    put_f64(payload, status.phases.serialize_us);
-    put_f64(payload, status.phases.write_us);
-  }
-  return make_frame(MessageType::StatusReply, request_id, std::move(payload),
-                    version);
+  put_u64(payload, status.trace_id);
+  put_u8(payload, status.cached ? 1 : 0);
+  put_u8(payload, static_cast<std::uint8_t>(status.cache_outcome));
+  put_f64(payload, status.phases.decode_us);
+  put_f64(payload, status.phases.cache_us);
+  put_f64(payload, status.phases.queue_us);
+  put_f64(payload, status.phases.batch_wait_us);
+  put_f64(payload, status.phases.compute_us);
+  put_f64(payload, status.phases.serialize_us);
+  put_f64(payload, status.phases.write_us);
+  return make_frame(MessageType::StatusReply, request_id, std::move(payload));
 }
 
 std::vector<std::uint8_t> encode_error_reply(std::uint64_t request_id,
-                                             const WireError& error,
-                                             std::uint8_t version) {
+                                             const WireError& error) {
   std::vector<std::uint8_t> payload;
   put_u8(payload, static_cast<std::uint8_t>(error.code));
   std::string message = error.message;
   if (message.size() > kMaxStringBytes) message.resize(kMaxStringBytes);
   put_string(payload, message);
-  return make_frame(MessageType::ErrorReply, request_id, std::move(payload),
-                    version);
+  return make_frame(MessageType::ErrorReply, request_id, std::move(payload));
 }
 
-std::vector<std::uint8_t> encode_stats_request(std::uint64_t request_id,
-                                               const WireStatsRequest& request,
-                                               std::uint8_t version) {
-  GNS_CHECK_MSG(version >= 2, "stats frames need protocol v2");
+std::vector<std::uint8_t> encode_stats_request(
+    std::uint64_t request_id, const WireStatsRequest& request) {
   GNS_CHECK_MSG(request.format <= WireStatsRequest::kPrometheus,
                 "unknown stats format");
   std::vector<std::uint8_t> payload;
   put_u8(payload, request.format);
-  return make_frame(MessageType::StatsRequest, request_id, std::move(payload),
-                    version);
+  return make_frame(MessageType::StatsRequest, request_id, std::move(payload));
 }
 
 std::vector<std::uint8_t> encode_hello(std::uint64_t request_id,
-                                       const WireHello& hello,
-                                       std::uint8_t version) {
-  GNS_CHECK_MSG(version >= 3, "hello frames need protocol v3");
+                                       const WireHello& hello) {
   GNS_CHECK_MSG(hello.kind <= WireHello::kRouter, "unknown hello kind");
   std::vector<std::uint8_t> payload;
   put_u8(payload, hello.kind);
-  return make_frame(MessageType::Hello, request_id, std::move(payload),
-                    version);
+  return make_frame(MessageType::Hello, request_id, std::move(payload));
 }
 
 std::vector<std::uint8_t> encode_hello_reply(std::uint64_t request_id,
-                                             const WireHelloReply& reply,
-                                             std::uint8_t version) {
-  GNS_CHECK_MSG(version >= 3, "hello frames need protocol v3");
+                                             const WireHelloReply& reply) {
   GNS_CHECK_MSG(reply.models.size() <= kMaxHelloModels,
                 "hello reply model list exceeds cap");
   std::vector<std::uint8_t> payload;
@@ -291,14 +268,11 @@ std::vector<std::uint8_t> encode_hello_reply(std::uint64_t request_id,
   put_u32(payload, reply.workers);
   put_u16(payload, static_cast<std::uint16_t>(reply.models.size()));
   for (const std::string& model : reply.models) put_string(payload, model);
-  return make_frame(MessageType::HelloReply, request_id, std::move(payload),
-                    version);
+  return make_frame(MessageType::HelloReply, request_id, std::move(payload));
 }
 
 std::vector<std::uint8_t> encode_stats_reply(std::uint64_t request_id,
-                                             const WireStatsReply& reply,
-                                             std::uint8_t version) {
-  GNS_CHECK_MSG(version >= 2, "stats frames need protocol v2");
+                                             const WireStatsReply& reply) {
   std::string body = reply.body;
   if (body.size() > kMaxStatsBodyBytes) body.resize(kMaxStatsBodyBytes);
   std::vector<std::uint8_t> payload;
@@ -310,8 +284,7 @@ std::vector<std::uint8_t> encode_stats_reply(std::uint64_t request_id,
   put_u8(payload, reply.format);
   put_u32(payload, static_cast<std::uint32_t>(body.size()));
   payload.insert(payload.end(), body.begin(), body.end());
-  return make_frame(MessageType::StatsReply, request_id, std::move(payload),
-                    version);
+  return make_frame(MessageType::StatsReply, request_id, std::move(payload));
 }
 
 // ---- Decoding --------------------------------------------------------------
@@ -321,7 +294,8 @@ DecodeStatus try_decode_frame(const std::uint8_t* data, std::size_t len,
   if (len < kHeaderBytes) return DecodeStatus::NeedMore;
 
   // Header checks, in the order that preserves the most framing: magic and
-  // version failures mean the byte stream cannot be trusted at all; an
+  // version failures mean the byte stream cannot be trusted at all (any
+  // version byte but kProtocolVersion is a foreign layout); an
   // oversized length would commit the reader to swallowing an attacker-
   // chosen number of bytes, so it is fatal too.
   if (load_u32(data) != kMagic) {
@@ -336,7 +310,7 @@ DecodeStatus try_decode_frame(const std::uint8_t* data, std::size_t len,
   const std::uint64_t request_id = load_u64(data + 8);
   const std::uint32_t payload_len = load_u32(data + 16);
 
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+  if (version != kProtocolVersion) {
     error = {NetError::BadVersion,
              "unsupported protocol version " + std::to_string(version),
              /*fatal=*/true, 0, request_id};
@@ -357,15 +331,8 @@ DecodeStatus try_decode_frame(const std::uint8_t* data, std::size_t len,
              /*fatal=*/false, frame_bytes, request_id};
     return DecodeStatus::Error;
   }
-  // Each type is only known from the version that introduced it (stats
-  // with v2, hello with v3): an older frame claiming a newer type is as
-  // unknown as any out-of-range type.
-  const std::uint8_t max_type =
-      version >= 3 ? static_cast<std::uint8_t>(MessageType::HelloReply)
-      : version >= 2 ? static_cast<std::uint8_t>(MessageType::StatsReply)
-                     : static_cast<std::uint8_t>(MessageType::ErrorReply);
   if (raw_type < static_cast<std::uint8_t>(MessageType::RolloutRequest) ||
-      raw_type > max_type) {
+      raw_type > static_cast<std::uint8_t>(MessageType::HelloReply)) {
     error = {NetError::BadType,
              "unknown message type " + std::to_string(raw_type),
              /*fatal=*/false, frame_bytes, request_id};
@@ -373,7 +340,6 @@ DecodeStatus try_decode_frame(const std::uint8_t* data, std::size_t len,
   }
 
   out.type = static_cast<MessageType>(raw_type);
-  out.version = version;
   out.request_id = request_id;
   out.payload = data + kHeaderBytes;
   out.payload_len = payload_len;
@@ -409,17 +375,8 @@ bool decode_rollout_request(const FrameView& frame,
     return fail(error, "node_attrs truncated");
   if (!r.doubles(out.node_attrs, attrs))
     return fail(error, "node_attrs truncated");
-  if (frame.version >= 2) {
-    std::uint64_t trace_id = 0;
-    std::uint8_t trace_flags = 0;
-    if (!r.u64(trace_id) || !r.u8(trace_flags))
-      return fail(error, "truncated trace context");
-    out.trace_id = trace_id;
-    out.trace_flags = trace_flags;
-  } else {
-    out.trace_id = 0;
-    out.trace_flags = 0;
-  }
+  if (!r.u64(out.trace_id) || !r.u8(out.trace_flags))
+    return fail(error, "truncated trace context");
   if (!r.exhausted()) return fail(error, "trailing bytes after request");
   out.steps = static_cast<int>(steps);
   out.material = material;
@@ -454,26 +411,19 @@ bool decode_status_reply(const FrameView& frame, WireStatus& out,
   if (!r.u32(out.total_frames) || !r.f64(out.queue_ms) ||
       !r.f64(out.exec_ms) || !r.f64(out.total_ms) || !r.str(out.error))
     return fail(error, "truncated status reply");
-  if (frame.version >= 2) {
-    std::uint8_t cached = 0, outcome = 0;
-    if (!r.u64(out.trace_id) || !r.u8(cached) || !r.u8(outcome))
-      return fail(error, "truncated status trace/cache fields");
-    if (cached > 1 ||
-        outcome > static_cast<std::uint8_t>(serve::CacheOutcome::Joined))
-      return fail(error, "bad cache outcome");
-    out.cached = cached != 0;
-    out.cache_outcome = static_cast<serve::CacheOutcome>(outcome);
-    if (!r.f64(out.phases.decode_us) || !r.f64(out.phases.cache_us) ||
-        !r.f64(out.phases.queue_us) || !r.f64(out.phases.batch_wait_us) ||
-        !r.f64(out.phases.compute_us) || !r.f64(out.phases.serialize_us) ||
-        !r.f64(out.phases.write_us))
-      return fail(error, "truncated phase breakdown");
-  } else {
-    out.trace_id = 0;
-    out.cached = false;
-    out.cache_outcome = serve::CacheOutcome::None;
-    out.phases = serve::PhaseTimeline{};
-  }
+  std::uint8_t cached = 0, outcome = 0;
+  if (!r.u64(out.trace_id) || !r.u8(cached) || !r.u8(outcome))
+    return fail(error, "truncated status trace/cache fields");
+  if (cached > 1 ||
+      outcome > static_cast<std::uint8_t>(serve::CacheOutcome::Joined))
+    return fail(error, "bad cache outcome");
+  out.cached = cached != 0;
+  out.cache_outcome = static_cast<serve::CacheOutcome>(outcome);
+  if (!r.f64(out.phases.decode_us) || !r.f64(out.phases.cache_us) ||
+      !r.f64(out.phases.queue_us) || !r.f64(out.phases.batch_wait_us) ||
+      !r.f64(out.phases.compute_us) || !r.f64(out.phases.serialize_us) ||
+      !r.f64(out.phases.write_us))
+    return fail(error, "truncated phase breakdown");
   if (!r.exhausted()) return fail(error, "trailing bytes after status");
   out.status = static_cast<serve::JobStatus>(status);
   return true;
@@ -483,12 +433,8 @@ bool decode_error_reply(const FrameView& frame, WireError& out,
                         std::string& error) {
   Reader r(frame.payload, frame.payload_len);
   std::uint8_t code = 0;
-  // BackendLost entered with v3; an older frame carrying it is malformed.
-  const std::uint8_t max_code =
-      frame.version >= 3 ? static_cast<std::uint8_t>(NetError::BackendLost)
-                         : static_cast<std::uint8_t>(NetError::Internal);
   if (!r.u8(code) || code < static_cast<std::uint8_t>(NetError::Busy) ||
-      code > max_code)
+      code > static_cast<std::uint8_t>(NetError::BackendLost))
     return fail(error, "bad error code");
   if (!r.str(out.message)) return fail(error, "truncated error message");
   if (!r.exhausted()) return fail(error, "trailing bytes after error");
@@ -498,7 +444,6 @@ bool decode_error_reply(const FrameView& frame, WireError& out,
 
 bool decode_stats_request(const FrameView& frame, WireStatsRequest& out,
                           std::string& error) {
-  if (frame.version < 2) return fail(error, "stats frames need protocol v2");
   Reader r(frame.payload, frame.payload_len);
   std::uint8_t format = 0;
   if (!r.u8(format) || format > WireStatsRequest::kPrometheus)
@@ -510,7 +455,6 @@ bool decode_stats_request(const FrameView& frame, WireStatsRequest& out,
 
 bool decode_stats_reply(const FrameView& frame, WireStatsReply& out,
                         std::string& error) {
-  if (frame.version < 2) return fail(error, "stats frames need protocol v2");
   Reader r(frame.payload, frame.payload_len);
   std::uint32_t body_len = 0;
   if (!r.f64(out.uptime_ms) || !r.u32(out.inflight) ||
@@ -530,7 +474,6 @@ bool decode_stats_reply(const FrameView& frame, WireStatsReply& out,
 
 bool decode_hello(const FrameView& frame, WireHello& out,
                   std::string& error) {
-  if (frame.version < 3) return fail(error, "hello frames need protocol v3");
   Reader r(frame.payload, frame.payload_len);
   std::uint8_t kind = 0;
   if (!r.u8(kind) || kind > WireHello::kRouter)
@@ -542,7 +485,6 @@ bool decode_hello(const FrameView& frame, WireHello& out,
 
 bool decode_hello_reply(const FrameView& frame, WireHelloReply& out,
                         std::string& error) {
-  if (frame.version < 3) return fail(error, "hello frames need protocol v3");
   Reader r(frame.payload, frame.payload_len);
   std::uint16_t num_models = 0;
   if (!r.u8(out.protocol_version) || !r.u8(out.draining) ||
@@ -550,7 +492,7 @@ bool decode_hello_reply(const FrameView& frame, WireHelloReply& out,
       !r.u32(out.workers) || !r.u16(num_models))
     return fail(error, "truncated hello reply");
   if (out.draining > 1) return fail(error, "bad hello draining flag");
-  if (out.protocol_version < kMinProtocolVersion)
+  if (out.protocol_version < kProtocolVersion)
     return fail(error, "bad hello protocol version");
   if (num_models > kMaxHelloModels)
     return fail(error, "hello model list exceeds cap");

@@ -23,21 +23,16 @@
 /// may also send kStatsRequest and receive one kStatsReply — a metrics +
 /// health snapshot served off the poll thread, for live introspection.
 ///
-/// Versioning: version 2 appends trace context (a client-chosen 64-bit
-/// trace_id plus flags) to kRolloutRequest, appends the trace_id, cache
-/// outcome, and per-phase latency breakdown to kStatusReply, and adds the
-/// kStatsRequest/kStatsReply pair. Version 3 adds the kHello/kHelloReply
-/// capability handshake (a backend advertises its protocol version, loaded
-/// model names, and in-flight capacity at connect time — what the router
-/// needs to place work with no config file) and the BackendLost error code
-/// the router raises when a backend dies after streaming began. Appends
-/// only — every v1 field keeps its offset, and decoders accept
-/// kMinProtocolVersion..kProtocolVersion (a v1 request simply decodes with
-/// trace_id 0). Servers reply in the requester's version, so v1 clients
-/// round-trip unchanged. A pre-v3 server greets a Hello with a fatal
-/// BadVersion error frame encoded in its own version — the router reads
-/// that version byte, reconnects, and falls back to conservative defaults
-/// (see src/router/backend.cpp).
+/// A kRolloutRequest carries a client-chosen 64-bit trace_id plus flags,
+/// and a kStatusReply echoes the trace_id with the cache outcome and the
+/// per-phase latency breakdown. kHello/kHelloReply is the capability
+/// handshake: a backend advertises its protocol version, loaded model
+/// names, and in-flight capacity at connect time — what the router needs
+/// to place work with no config file.
+///
+/// Versioning: there is one layout, kProtocolVersion. Every frame carries
+/// that byte, and any other value is a fatal BadVersion, exactly like a
+/// bad magic. A layout change bumps the version; it never adds a branch.
 ///
 /// Decoding is strict and allocation-safe: the header is validated before
 /// any payload allocation, declared lengths are capped (kMaxPayloadBytes,
@@ -58,8 +53,6 @@ namespace gns::net {
 
 inline constexpr std::uint32_t kMagic = 0x31534E47u;  ///< "GNS1" on the wire
 inline constexpr std::uint8_t kProtocolVersion = 3;
-/// Oldest version decoders still accept (see the versioning note above).
-inline constexpr std::uint8_t kMinProtocolVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 20;
 
 /// Hard cap on one frame's payload. Large enough for a 100k-particle 3-D
@@ -80,10 +73,10 @@ enum class MessageType : std::uint8_t {
   RolloutChunk = 2,    ///< server -> client: streamed predicted frames
   StatusReply = 3,     ///< server -> client: terminal job outcome
   ErrorReply = 4,      ///< server -> client: transport-level failure
-  StatsRequest = 5,    ///< client -> server: snapshot metrics + health (v2)
-  StatsReply = 6,      ///< server -> client: the snapshot (v2)
-  Hello = 7,           ///< client -> server: who are you / what do you serve (v3)
-  HelloReply = 8,      ///< server -> client: capability advertisement (v3)
+  StatsRequest = 5,    ///< client -> server: snapshot metrics + health
+  StatsReply = 6,      ///< server -> client: the snapshot
+  Hello = 7,           ///< client -> server: who are you / what do you serve
+  HelloReply = 8,      ///< server -> client: capability advertisement
 };
 
 /// Transport-level error codes carried by kErrorReply (job-level outcomes
@@ -97,7 +90,7 @@ enum class NetError : std::uint8_t {
   BadType = 6,       ///< unknown MessageType
   ShuttingDown = 7,  ///< server is draining; no new requests
   Internal = 8,      ///< unexpected server-side failure
-  BackendLost = 9,   ///< router: backend died after streaming began (v3)
+  BackendLost = 9,   ///< router: backend died after streaming began
 };
 
 [[nodiscard]] inline const char* to_string(NetError e) {
@@ -132,8 +125,6 @@ struct WireChunk {
 
 /// kStatusReply: terminal outcome of one request, mirroring
 /// serve::RolloutResult minus the frames (those were streamed as chunks).
-/// The fields below `error` are the v2 appendix; they decode as defaults
-/// from a v1 frame and are dropped when encoding one.
 struct WireStatus {
   serve::JobStatus status = serve::JobStatus::ExecutionError;
   std::uint32_t total_frames = 0;  ///< chunked frames the client should hold
@@ -195,7 +186,8 @@ struct WireHelloReply {
   std::uint8_t draining = 0;
   std::uint32_t max_inflight = 0;
   std::uint32_t current_inflight = 0;
-  std::uint32_t workers = 0;  ///< scheduler worker threads (sizing hint)
+  /// SchedulerConfig::workers: max concurrent rollout chains (sizing hint)
+  std::uint32_t workers = 0;
   std::vector<std::string> models;  ///< <= kMaxHelloModels names
 };
 
@@ -204,37 +196,22 @@ struct WireHelloReply {
 /// Serializers produce one complete frame (header + payload), ready to
 /// write. Encoding never fails: inputs come from our own code, and
 /// violations of the wire caps are programmer errors (GNS_CHECK).
-///
-/// `version` selects the wire layout (and the header byte): servers pass
-/// the requester's version so old clients get frames they can parse;
-/// tests use it to craft v1 frames. Must be within
-/// kMinProtocolVersion..kProtocolVersion.
 [[nodiscard]] std::vector<std::uint8_t> encode_rollout_request(
-    std::uint64_t request_id, const serve::RolloutRequest& request,
-    std::uint8_t version = kProtocolVersion);
+    std::uint64_t request_id, const serve::RolloutRequest& request);
 [[nodiscard]] std::vector<std::uint8_t> encode_rollout_chunk(
-    std::uint64_t request_id, const WireChunk& chunk,
-    std::uint8_t version = kProtocolVersion);
+    std::uint64_t request_id, const WireChunk& chunk);
 [[nodiscard]] std::vector<std::uint8_t> encode_status_reply(
-    std::uint64_t request_id, const WireStatus& status,
-    std::uint8_t version = kProtocolVersion);
+    std::uint64_t request_id, const WireStatus& status);
 [[nodiscard]] std::vector<std::uint8_t> encode_error_reply(
-    std::uint64_t request_id, const WireError& error,
-    std::uint8_t version = kProtocolVersion);
-/// Stats frames are v2-only (GNS_CHECK on version < 2).
+    std::uint64_t request_id, const WireError& error);
 [[nodiscard]] std::vector<std::uint8_t> encode_stats_request(
-    std::uint64_t request_id, const WireStatsRequest& request,
-    std::uint8_t version = kProtocolVersion);
+    std::uint64_t request_id, const WireStatsRequest& request);
 [[nodiscard]] std::vector<std::uint8_t> encode_stats_reply(
-    std::uint64_t request_id, const WireStatsReply& reply,
-    std::uint8_t version = kProtocolVersion);
-/// Hello frames are v3-only (GNS_CHECK on version < 3).
+    std::uint64_t request_id, const WireStatsReply& reply);
 [[nodiscard]] std::vector<std::uint8_t> encode_hello(
-    std::uint64_t request_id, const WireHello& hello,
-    std::uint8_t version = kProtocolVersion);
+    std::uint64_t request_id, const WireHello& hello);
 [[nodiscard]] std::vector<std::uint8_t> encode_hello_reply(
-    std::uint64_t request_id, const WireHelloReply& reply,
-    std::uint8_t version = kProtocolVersion);
+    std::uint64_t request_id, const WireHelloReply& reply);
 
 // ---- Decoding --------------------------------------------------------------
 
@@ -249,7 +226,6 @@ enum class DecodeStatus {
 /// bounds-checked against the buffer.
 struct FrameView {
   MessageType type = MessageType::ErrorReply;
-  std::uint8_t version = kProtocolVersion;  ///< header version byte
   std::uint64_t request_id = 0;
   const std::uint8_t* payload = nullptr;
   std::uint32_t payload_len = 0;

@@ -79,9 +79,6 @@ Server::Server(serve::JobScheduler& scheduler, ServerConfig config)
                 "Server in-flight caps must be >= 1");
   GNS_CHECK_MSG(config_.chunk_frames >= 1,
                 "Server chunk_frames must be >= 1");
-  GNS_CHECK_MSG(config_.max_protocol_version >= kMinProtocolVersion &&
-                    config_.max_protocol_version <= kProtocolVersion,
-                "Server max_protocol_version out of supported range");
 }
 
 Server::~Server() { stop(); }
@@ -199,22 +196,7 @@ void Server::process_rbuf(Connection& conn) {
       continue;
     }
 
-    // A frame above this build's admitted version is what a pre-v3 binary
-    // would call BadVersion: fatal, framing no longer trusted. The error
-    // reply goes out in this server's own (older) version — the router
-    // reads that byte to learn what the backend actually speaks.
-    if (frame.version > config_.max_protocol_version) {
-      decode_errors_.add();
-      enqueue_error(conn, frame.request_id, NetError::BadVersion,
-                    "unsupported protocol version " +
-                        std::to_string(frame.version));
-      conn.rbuf_consumed = conn.rbuf.size();
-      conn.close_after_flush = true;
-      break;
-    }
-
     frames_rx_.add();
-    conn.peer_version = frame.version;
     if (frame.type == MessageType::RolloutRequest) {
       handle_request(conn, frame, buffered_ms);
     } else if (frame.type == MessageType::StatsRequest) {
@@ -288,7 +270,6 @@ void Server::handle_request(Connection& conn, const FrameView& frame,
   pending.job_id = ticket.id;
   pending.future = std::move(ticket.result);
   pending.decoded = Clock::now();
-  pending.version = frame.version;
   conn.inflight.push_back(std::move(pending));
   const int inflight =
       global_inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -340,7 +321,6 @@ void Server::handle_hello(Connection& conn, const FrameView& frame) {
     return;
   }
   WireHelloReply reply;
-  reply.protocol_version = config_.max_protocol_version;
   reply.draining = draining_.load(std::memory_order_acquire) ? 1 : 0;
   reply.max_inflight =
       static_cast<std::uint32_t>(std::max(1, config_.max_inflight_global));
@@ -352,7 +332,7 @@ void Server::handle_hello(Connection& conn, const FrameView& frame) {
   if (reply.models.size() > kMaxHelloModels)
     reply.models.resize(kMaxHelloModels);
   WriteItem item;
-  item.bytes = encode_hello_reply(frame.request_id, reply, frame.version);
+  item.bytes = encode_hello_reply(frame.request_id, reply);
   item.terminal = true;
   item.enqueued_ns = obs::trace_now_ns();
   conn.wqueue.push_back(std::move(item));
@@ -411,7 +391,7 @@ void Server::enqueue_result(Connection& conn, const Pending& pending,
                         result.frames[f].end());
     }
     WriteItem item;
-    item.bytes = encode_rollout_chunk(request_id, chunk, pending.version);
+    item.bytes = encode_rollout_chunk(request_id, chunk);
     item.trace_id = result.trace_id;
     conn.wqueue.push_back(std::move(item));
     frames_tx_.add();
@@ -435,7 +415,7 @@ void Server::enqueue_result(Connection& conn, const Pending& pending,
   // serve.phase.write_us histogram instead.
   status.phases.serialize_us = serialize_timer.millis() * 1e3;
   WriteItem item;
-  item.bytes = encode_status_reply(request_id, status, pending.version);
+  item.bytes = encode_status_reply(request_id, status);
   item.terminal = true;
   item.trace_id = result.trace_id;
   item.enqueued_ns = obs::trace_now_ns();
@@ -450,8 +430,7 @@ void Server::enqueue_error(Connection& conn, std::uint64_t request_id,
   if (index < reject_counters_.size() && reject_counters_[index] != nullptr)
     reject_counters_[index]->add();
   WriteItem item;
-  item.bytes = encode_error_reply(request_id, {code, message},
-                                  conn.peer_version);
+  item.bytes = encode_error_reply(request_id, {code, message});
   item.terminal = true;
   item.enqueued_ns = obs::trace_now_ns();
   conn.wqueue.push_back(std::move(item));
@@ -528,9 +507,6 @@ void Server::exec_accept(short /*revents*/) {
     auto ec = std::make_shared<ExecConn>();
     ec->conn.fd = fd;
     ec->conn.last_activity = Clock::now();
-    // Until the peer speaks, answer in the newest version this server
-    // admits — what a binary of that era would do.
-    ec->conn.peer_version = config_.max_protocol_version;
     {
       std::lock_guard<std::mutex> lock(econns_mutex_);
       ec->key = next_econn_++;

@@ -28,9 +28,9 @@
 /// rejected by the scheduler at submit time (DeadlineExceeded) instead of
 /// occupying a batch slot.
 ///
-/// Observability: every request's trace_id (protocol v2) is threaded from
-/// decode through the scheduler to the final flush, so one Perfetto trace
-/// shows the cross-layer life of a request; per-phase latency lands in the
+/// Observability: every request's trace_id is threaded from decode through
+/// the scheduler to the final flush, so one Perfetto trace shows the
+/// cross-layer life of a request; per-phase latency lands in the
 /// scheduler's serve.phase.* histograms. kStatsRequest frames are answered
 /// inline by the connection's service task with a metrics + health
 /// snapshot (Prometheus or JSON), so a live server can be scraped without
@@ -81,11 +81,6 @@ struct ServerConfig {
   /// stop() waits at most this long for in-flight jobs + flushes.
   double drain_timeout_ms = 60'000.0;
   std::string metrics_prefix = "net";  ///< net.* instrument prefix
-  /// Highest protocol version this server admits; frames above it get a
-  /// fatal BadVersion, exactly as a binary built before that version would
-  /// answer. Defaults to current — lower it only in tests that pin the
-  /// router's legacy-backend fallback against a real server.
-  std::uint8_t max_protocol_version = kProtocolVersion;
 };
 
 /// TCP server bridging the wire protocol onto a JobScheduler. The
@@ -127,9 +122,6 @@ class Server {
     std::uint64_t job_id = 0;           ///< scheduler id, for cancel()
     std::future<serve::RolloutResult> future;
     Clock::time_point decoded;  ///< when the request finished decoding
-    /// Protocol version of the request frame; replies are encoded in it so
-    /// a v1 client never sees v2 fields.
-    std::uint8_t version = kProtocolVersion;
   };
 
   /// One encoded frame awaiting its turn on the socket. The terminal frame
@@ -157,9 +149,6 @@ class Server {
     std::size_t rbuf_consumed = 0;  ///< decoded prefix, compacted lazily
     std::deque<WriteItem> wqueue;
     std::size_t woff = 0;  ///< bytes of wqueue.front() already written
-    /// Version of the last well-framed frame from this peer; error replies
-    /// sent before any request decodes use it (defaults to current).
-    std::uint8_t peer_version = kProtocolVersion;
     std::vector<Pending> inflight;
     Clock::time_point last_activity;
     Clock::time_point partial_since;  ///< first byte of an incomplete frame

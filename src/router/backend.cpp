@@ -13,8 +13,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "util/logging.hpp"
-
 namespace gns::router {
 
 namespace {
@@ -188,7 +186,7 @@ std::unique_ptr<BackendConn> Backend::checkout(std::string& error) {
     error = "connect to " + label() + " failed";
     return nullptr;
   }
-  if (!handshake(conn, error)) return nullptr;
+  if (!handshake(*conn, error)) return nullptr;
   return conn;
 }
 
@@ -201,26 +199,17 @@ void Backend::checkin(std::unique_ptr<BackendConn> conn) {
   if (idle_.size() < kMaxIdleConns) idle_.push_back(std::move(conn));
 }
 
-bool Backend::handshake(std::unique_ptr<BackendConn>& conn,
-                        std::string& error) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Legacy peers never re-handshake: the HELLO would kill the fresh
-    // connection all over again. Version upgrades happen via the probe
-    // loop's re-admission path after an eviction.
-    if (caps_known_ && caps_.legacy) return true;
-  }
-
+bool Backend::handshake(BackendConn& conn, std::string& error) {
   net::WireHello hello;
   hello.kind = net::WireHello::kRouter;
-  const std::uint64_t request_id = conn->next_request_id();
-  if (!conn->send_frame(net::encode_hello(request_id, hello))) {
+  const std::uint64_t request_id = conn.next_request_id();
+  if (!conn.send_frame(net::encode_hello(request_id, hello))) {
     error = "hello send to " + label() + " failed";
     return false;
   }
   net::FrameView frame;
   const BackendConn::ReadStatus status =
-      conn->read_frame(frame, error, tuning_.hello_timeout_ms);
+      conn.read_frame(frame, error, tuning_.hello_timeout_ms);
   if (status != BackendConn::ReadStatus::Ok) {
     if (error.empty()) error = "hello to " + label() + " got no reply";
     return false;
@@ -234,9 +223,6 @@ bool Backend::handshake(std::unique_ptr<BackendConn>& conn,
       return false;
     }
     std::lock_guard<std::mutex> lock(mutex_);
-    caps_.wire_version = static_cast<std::uint8_t>(
-        std::min<int>(net::kProtocolVersion, reply.protocol_version));
-    caps_.legacy = false;
     caps_.draining = reply.draining != 0;
     caps_.models.assign(reply.models.begin(), reply.models.end());
     caps_.capacity = static_cast<int>(
@@ -247,33 +233,8 @@ bool Backend::handshake(std::unique_ptr<BackendConn>& conn,
   }
   if (frame.type == net::MessageType::ErrorReply) {
     net::WireError wire_error;
-    if (net::decode_error_reply(frame, wire_error, parse_error) &&
-        (wire_error.code == net::NetError::BadVersion ||
-         wire_error.code == net::NetError::BadType)) {
-      // A pre-v3 peer. The error frame's version byte is the newest
-      // protocol it speaks (servers answer in their own version when the
-      // peer's is unusable). BadVersion is fatal on the peer's side — it
-      // closed this connection — so reconnect silently, sans hello.
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        caps_.wire_version = static_cast<std::uint8_t>(
-            std::min<int>(net::kProtocolVersion, frame.version));
-        caps_.legacy = true;
-        caps_.draining = false;
-        caps_.models.clear();
-        caps_.capacity = std::max(1, tuning_.legacy_capacity);
-        caps_.workers = 0;
-        caps_known_ = true;
-      }
-      GNS_INFO("router: backend " << label() << " is pre-v3 (speaks v"
-                                  << static_cast<int>(frame.version)
-                                  << "); using conservative defaults");
-      if (!conn->connect(tuning_.connect_timeout_ms)) {
-        error = "reconnect to legacy backend " + label() + " failed";
-        return false;
-      }
-      return true;
-    }
+    if (!net::decode_error_reply(frame, wire_error, parse_error))
+      wire_error.message = parse_error;
     error = "hello to " + label() + " rejected: " + wire_error.message;
     return false;
   }
@@ -288,7 +249,7 @@ BackendCapabilities Backend::capabilities() const {
 
 bool Backend::serves(const std::string& model) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!caps_known_ || caps_.legacy) return true;  // optimistic wildcard
+  if (!caps_known_) return true;  // optimistic wildcard
   return std::find(caps_.models.begin(), caps_.models.end(), model) !=
          caps_.models.end();
 }

@@ -4,13 +4,11 @@
 /// One backend of a rollout fleet, as the router sees it.
 ///
 /// A Backend owns three things:
-///  - its capability record, learned from the v3 HELLO handshake the first
-///    time a connection comes up (protocol version, served models,
-///    in-flight capacity). A pre-v3 backend answers the HELLO with a fatal
-///    BadVersion error encoded in its own version; the handshake reads
-///    that version byte, reconnects, and falls back to conservative
-///    defaults (legacy_capacity slots, wildcard model match) — so an old
-///    binary is still usable, just never preferred;
+///  - its capability record, learned from the HELLO handshake the first
+///    time a connection comes up (served models, in-flight capacity). A
+///    backend that cannot answer the HELLO — it closes, times out, or
+///    replies with an error — fails the checkout like any other I/O
+///    failure;
 ///  - a pool of idle BackendConns (blocking, exclusively checked out) so
 ///    concurrent proxied requests each get their own connection without a
 ///    per-request TCP + HELLO round trip;
@@ -51,22 +49,16 @@ struct BackendTuning {
   /// Per-frame read deadline while proxying a rollout. Generous: a cold
   /// backend may legitimately compute for a long time before chunk one.
   double io_timeout_ms = 120'000.0;
-  /// In-flight slots granted to a pre-v3 backend that cannot advertise
-  /// its capacity. Deliberately small: old binaries get correctness, new
-  /// ones get throughput.
-  int legacy_capacity = 1;
   /// Eviction backoff: first re-admission attempt after readmit_backoff_ms,
   /// doubling per consecutive failure up to readmit_backoff_max_ms.
   double readmit_backoff_ms = 250.0;
   double readmit_backoff_max_ms = 5000.0;
 };
 
-/// What the HELLO handshake (or its legacy fallback) learned.
+/// What the HELLO handshake learned.
 struct BackendCapabilities {
-  std::uint8_t wire_version = net::kProtocolVersion;  ///< version we speak
-  bool legacy = false;    ///< pre-v3 peer: defaults below, wildcard models
   bool draining = false;  ///< peer said it is draining (HELLO or probe)
-  std::vector<std::string> models;  ///< served models; empty+legacy = any
+  std::vector<std::string> models;  ///< served models
   int capacity = 0;                 ///< max in-flight the router will place
   int workers = 0;                  ///< peer's scheduler workers (hint)
 };
@@ -140,11 +132,11 @@ class Backend {
 
   [[nodiscard]] BackendCapabilities capabilities() const;
   /// Least-in-flight placement asks this: does the backend serve `model`?
-  /// True for any model while capabilities are unknown or legacy (the
-  /// request itself is the probe that finds out).
+  /// True for any model while capabilities are unknown (the request
+  /// itself is the probe that finds out).
   [[nodiscard]] bool serves(const std::string& model) const;
-  /// Capacity for placement: advertised max_inflight, legacy_capacity for
-  /// legacy peers, unlimited while unknown.
+  /// Capacity for placement: advertised max_inflight, unlimited while
+  /// unknown.
   [[nodiscard]] int placement_capacity() const;
   void set_draining(bool draining);
 
@@ -167,10 +159,8 @@ class Backend {
   [[nodiscard]] bool readmit_due() const;
 
  private:
-  /// HELLO on a fresh connection; fills caps under mutex_. On a legacy
-  /// BadVersion answer, reconnects (the peer closed) without a hello.
-  [[nodiscard]] bool handshake(std::unique_ptr<BackendConn>& conn,
-                               std::string& error);
+  /// HELLO on a fresh connection; fills caps under mutex_.
+  [[nodiscard]] bool handshake(BackendConn& conn, std::string& error);
 
   const BackendAddress address_;
   const BackendTuning tuning_;

@@ -172,18 +172,13 @@ void Router::stop() {
       }
     }
     if (prober_.joinable()) prober_.join();
-    std::vector<std::thread> threads;
+    std::list<std::shared_ptr<Session>> sessions;
     {
       std::lock_guard<std::mutex> lock(sessions_mutex_);
-      threads.swap(session_threads_);
+      sessions.swap(sessions_);
     }
-    for (std::thread& t : threads) {
-      if (t.joinable()) t.join();
-    }
-    {
-      std::lock_guard<std::mutex> lock(sessions_mutex_);
-      sessions_.clear();
-    }
+    for (const std::shared_ptr<Session>& session : sessions)
+      session->thread.join();
     running_.store(false, std::memory_order_release);
     obs::flush_env_files();
     GNS_INFO("router: drained and stopped");
@@ -230,9 +225,20 @@ void Router::acceptor_loop() {
       active_clients_gauge_.set(
           active_clients_.load(std::memory_order_relaxed));
       std::lock_guard<std::mutex> lock(sessions_mutex_);
-      sessions_.push_back(session);
-      session_threads_.emplace_back(
-          [this, session] { serve_client(session); });
+      // An exited thread keeps its stack mapped until joined: reap the
+      // finished sessions so the mappings track live clients, not every
+      // client the router has ever served.
+      for (auto it = sessions_.begin(); it != sessions_.end();) {
+        if (!(*it)->done.load(std::memory_order_acquire)) {
+          ++it;
+          continue;
+        }
+        (*it)->thread.join();
+        it = sessions_.erase(it);
+      }
+      session->thread =
+          std::thread([this, session] { serve_client(session); });
+      sessions_.push_back(std::move(session));
     }
   }
 }
@@ -258,8 +264,8 @@ void Router::serve_client(std::shared_ptr<Session> session) {
           decode_error);
       if (status == net::DecodeStatus::NeedMore) break;
       if (status == net::DecodeStatus::Error) {
-        send_error(*session, decode_error.request_id, net::kProtocolVersion,
-                   decode_error.code, decode_error.message);
+        send_error(*session, decode_error.request_id, decode_error.code,
+                   decode_error.message);
         if (decode_error.fatal) {
           closing = true;
           break;
@@ -323,14 +329,15 @@ void Router::serve_client(std::shared_ptr<Session> session) {
   active_clients_.fetch_sub(1, std::memory_order_acq_rel);
   active_clients_gauge_.set(
       std::max(0, active_clients_.load(std::memory_order_relaxed)));
+  session->done.store(true, std::memory_order_release);
 }
 
 bool Router::dispatch_frame(Session& session, const net::FrameView& frame) {
   switch (frame.type) {
     case net::MessageType::RolloutRequest:
       if (draining_.load(std::memory_order_acquire)) {
-        send_error(session, frame.request_id, frame.version,
-                   net::NetError::ShuttingDown, "router is draining");
+        send_error(session, frame.request_id, net::NetError::ShuttingDown,
+                   "router is draining");
         return true;
       }
       return proxy_rollout(session, frame);
@@ -341,8 +348,7 @@ bool Router::dispatch_frame(Session& session, const net::FrameView& frame) {
       answer_hello(session, frame);
       return true;
     default:
-      send_error(session, frame.request_id, frame.version,
-                 net::NetError::Malformed,
+      send_error(session, frame.request_id, net::NetError::Malformed,
                  "unexpected message type from client");
       return true;
   }
@@ -352,8 +358,8 @@ bool Router::proxy_rollout(Session& session, const net::FrameView& frame) {
   serve::RolloutRequest request;
   std::string parse_error;
   if (!net::decode_rollout_request(frame, request, parse_error)) {
-    send_error(session, frame.request_id, frame.version,
-               net::NetError::Malformed, parse_error);
+    send_error(session, frame.request_id, net::NetError::Malformed,
+               parse_error);
     return true;
   }
   requests_.add();
@@ -372,11 +378,10 @@ bool Router::proxy_rollout(Session& session, const net::FrameView& frame) {
     Backend* backend = pick_backend(request.model, tried, outcome);
     if (backend == nullptr) break;
     tried.push_back(backend);
-    backend->add_inflight(1);
     inflight_gauge_.set(inflight_.fetch_add(1, std::memory_order_relaxed) +
                         1);
-    const ProxyOutcome result = proxy_once(
-        session, frame.request_id, frame.version, request, *backend);
+    const ProxyOutcome result =
+        proxy_once(session, frame.request_id, request, *backend);
     backend->add_inflight(-1);
     inflight_gauge_.set(std::max(
         0, inflight_.fetch_sub(1, std::memory_order_relaxed) - 1));
@@ -403,18 +408,10 @@ bool Router::proxy_rollout(Session& session, const net::FrameView& frame) {
         continue;
       case ProxyOutcome::FatalStreamLost:
         backend_lost_.add();
-        if (frame.version >= 3) {
-          send_error(session, frame.request_id, frame.version,
-                     net::NetError::BackendLost,
-                     "backend " + backend->label() +
-                         " died after streaming began; do not retry "
-                         "blindly — partial frames were delivered");
-        } else {
-          // Pre-v3 clients do not know the code; Internal with the story.
-          send_error(session, frame.request_id, frame.version,
-                     net::NetError::Internal,
-                     "backend lost after streaming began");
-        }
+        send_error(session, frame.request_id, net::NetError::BackendLost,
+                   "backend " + backend->label() +
+                       " died after streaming began; do not retry "
+                       "blindly — partial frames were delivered");
         return true;
     }
   }
@@ -427,8 +424,7 @@ bool Router::proxy_rollout(Session& session, const net::FrameView& frame) {
     status.error = "no backend serves model '" + request.model + "'";
     status.trace_id = request.trace_id;
     if (!send_to_client(session,
-                        net::encode_status_reply(frame.request_id, status,
-                                                 frame.version)))
+                        net::encode_status_reply(frame.request_id, status)))
       return false;
     return true;
   }
@@ -438,14 +434,12 @@ bool Router::proxy_rollout(Session& session, const net::FrameView& frame) {
                        : saw_failure
                            ? "no backend could serve the request; retry"
                            : "no healthy backend available";
-  send_error(session, frame.request_id, frame.version, net::NetError::Busy,
-             reason);
+  send_error(session, frame.request_id, net::NetError::Busy, reason);
   return true;
 }
 
 Router::ProxyOutcome Router::proxy_once(Session& session,
                                         std::uint64_t client_request_id,
-                                        std::uint8_t client_version,
                                         const serve::RolloutRequest& request,
                                         Backend& backend) {
   std::string error;
@@ -460,10 +454,8 @@ Router::ProxyOutcome Router::proxy_once(Session& session,
     backend.checkin(std::move(conn));
     return ProxyOutcome::RetryIncapable;
   }
-  const BackendCapabilities caps = backend.capabilities();
   const std::uint64_t backend_id = conn->next_request_id();
-  if (!conn->send_frame(net::encode_rollout_request(backend_id, request,
-                                                    caps.wire_version))) {
+  if (!conn->send_frame(net::encode_rollout_request(backend_id, request))) {
     evict_backend(backend, "send to " + backend.label() + " failed");
     return ProxyOutcome::RetryDead;
   }
@@ -496,9 +488,8 @@ Router::ProxyOutcome Router::proxy_once(Session& session,
           return streamed ? ProxyOutcome::FatalStreamLost
                           : ProxyOutcome::RetryDead;
         }
-        if (!send_to_client(session,
-                            net::encode_rollout_chunk(
-                                client_request_id, chunk, client_version))) {
+        if (!send_to_client(session, net::encode_rollout_chunk(
+                                         client_request_id, chunk))) {
           // Nobody left to stream to. Closing the backend connection makes
           // the server cancel what it has not finished.
           conn->close();
@@ -517,10 +508,8 @@ Router::ProxyOutcome Router::proxy_once(Session& session,
         }
         backend.mark_healthy();
         backend.checkin(std::move(conn));
-        if (!send_to_client(session,
-                            net::encode_status_reply(client_request_id,
-                                                     wire_status,
-                                                     client_version)))
+        if (!send_to_client(session, net::encode_status_reply(
+                                         client_request_id, wire_status)))
           return ProxyOutcome::ClientLost;
         return ProxyOutcome::Done;
       }
@@ -547,10 +536,8 @@ Router::ProxyOutcome Router::proxy_once(Session& session,
         }
         // Any other backend-side rejection is this request's real answer.
         backend.checkin(std::move(conn));
-        if (!send_to_client(session,
-                            net::encode_error_reply(client_request_id,
-                                                    wire_error,
-                                                    client_version)))
+        if (!send_to_client(session, net::encode_error_reply(
+                                         client_request_id, wire_error)))
           return ProxyOutcome::ClientLost;
         return ProxyOutcome::Done;
       }
@@ -566,6 +553,7 @@ Router::ProxyOutcome Router::proxy_once(Session& session,
 Backend* Router::pick_backend(const std::string& model,
                               const std::vector<Backend*>& exclude,
                               PickOutcome& outcome) {
+  std::lock_guard<std::mutex> lock(placement_mutex_);
   Backend* best = nullptr;
   bool any_healthy = false;
   bool any_unavailable = false;  // capable but saturated or draining
@@ -591,6 +579,7 @@ Backend* Router::pick_backend(const std::string& model,
             : any_unavailable       ? PickOutcome::AllBusy
             : any_healthy           ? PickOutcome::NoBackendForModel
                                     : PickOutcome::AllDown;
+  if (best != nullptr) best->add_inflight(1);
   return best;
 }
 
@@ -660,36 +649,31 @@ void Router::probe_backend(Backend& backend) {
     return;
   }
   probes_.add();
-  const BackendCapabilities caps = backend.capabilities();
-  if (caps.wire_version >= 2) {
-    // The real probe: a StatsRequest with a deadline. Beyond liveness it
-    // refreshes the draining flag, so an independently draining backend
-    // stops receiving placements within one probe interval.
-    const std::uint64_t request_id = conn->next_request_id();
-    net::WireStatsRequest stats_request;
-    stats_request.format = net::WireStatsRequest::kJson;
-    if (!conn->send_frame(net::encode_stats_request(
-            request_id, stats_request, caps.wire_version))) {
-      evict_backend(backend, "probe send failed");
-      return;
-    }
-    net::FrameView frame;
-    const BackendConn::ReadStatus status =
-        conn->read_frame(frame, error, config_.probe_timeout_ms);
-    net::WireStatsReply reply;
-    std::string parse_error;
-    if (status != BackendConn::ReadStatus::Ok ||
-        frame.type != net::MessageType::StatsReply ||
-        frame.request_id != request_id ||
-        !net::decode_stats_reply(frame, reply, parse_error)) {
-      conn->close();
-      evict_backend(backend,
-                    "probe: " + (error.empty() ? parse_error : error));
-      return;
-    }
-    backend.set_draining(reply.draining != 0);
+  // A StatsRequest with a deadline. Beyond liveness it refreshes the
+  // draining flag, so an independently draining backend stops receiving
+  // placements within one probe interval.
+  const std::uint64_t request_id = conn->next_request_id();
+  net::WireStatsRequest stats_request;
+  stats_request.format = net::WireStatsRequest::kJson;
+  if (!conn->send_frame(
+          net::encode_stats_request(request_id, stats_request))) {
+    evict_backend(backend, "probe send failed");
+    return;
   }
-  // v1 peers predate stats; the fresh TCP connect above was the probe.
+  net::FrameView frame;
+  const BackendConn::ReadStatus status =
+      conn->read_frame(frame, error, config_.probe_timeout_ms);
+  net::WireStatsReply reply;
+  std::string parse_error;
+  if (status != BackendConn::ReadStatus::Ok ||
+      frame.type != net::MessageType::StatsReply ||
+      frame.request_id != request_id ||
+      !net::decode_stats_reply(frame, reply, parse_error)) {
+    conn->close();
+    evict_backend(backend, "probe: " + (error.empty() ? parse_error : error));
+    return;
+  }
+  backend.set_draining(reply.draining != 0);
   backend.mark_healthy();
   backend.checkin(std::move(conn));
 }
@@ -698,8 +682,8 @@ void Router::answer_stats(Session& session, const net::FrameView& frame) {
   net::WireStatsRequest request;
   std::string parse_error;
   if (!net::decode_stats_request(frame, request, parse_error)) {
-    send_error(session, frame.request_id, frame.version,
-               net::NetError::Malformed, parse_error);
+    send_error(session, frame.request_id, net::NetError::Malformed,
+               parse_error);
     return;
   }
   net::WireStatsReply reply;
@@ -714,41 +698,33 @@ void Router::answer_stats(Session& session, const net::FrameView& frame) {
   reply.body = request.format == net::WireStatsRequest::kPrometheus
                    ? obs::MetricsRegistry::global().to_prometheus()
                    : obs::MetricsRegistry::global().to_json();
-  (void)send_to_client(
-      session, net::encode_stats_reply(frame.request_id, reply,
-                                       frame.version));
+  (void)send_to_client(session,
+                       net::encode_stats_reply(frame.request_id, reply));
 }
 
 void Router::answer_hello(Session& session, const net::FrameView& frame) {
   net::WireHello hello;
   std::string parse_error;
   if (!net::decode_hello(frame, hello, parse_error)) {
-    send_error(session, frame.request_id, frame.version,
-               net::NetError::Malformed, parse_error);
+    send_error(session, frame.request_id, net::NetError::Malformed,
+               parse_error);
     return;
   }
   // Aggregate capability of the healthy fleet: union of models, summed
   // capacity. A router in front of routers works the same as one in front
   // of servers.
   net::WireHelloReply reply;
-  reply.protocol_version = net::kProtocolVersion;
   reply.draining = draining_.load(std::memory_order_acquire) ? 1 : 0;
   std::set<std::string> models;
   long capacity = 0;
   long workers = 0;
-  bool any_wildcard = false;
   for (const auto& backend : backends_) {
     if (backend->health() == BackendHealth::Evicted) continue;
     const BackendCapabilities caps = backend->capabilities();
-    if (caps.legacy) any_wildcard = true;
     for (const std::string& model : caps.models) models.insert(model);
     capacity += backend->placement_capacity();
     workers += caps.workers;
   }
-  // A legacy backend serves an unknown model set; advertising nothing
-  // would under-claim, so the aggregate only lists what is known and the
-  // capacity still counts the wildcard slots.
-  (void)any_wildcard;
   reply.max_inflight = static_cast<std::uint32_t>(
       std::min<long>(capacity, 1L << 20));
   reply.current_inflight = static_cast<std::uint32_t>(
@@ -758,9 +734,8 @@ void Router::answer_hello(Session& session, const net::FrameView& frame) {
   reply.models.assign(models.begin(), models.end());
   if (reply.models.size() > net::kMaxHelloModels)
     reply.models.resize(net::kMaxHelloModels);
-  (void)send_to_client(
-      session, net::encode_hello_reply(frame.request_id, reply,
-                                       frame.version));
+  (void)send_to_client(session,
+                       net::encode_hello_reply(frame.request_id, reply));
 }
 
 bool Router::send_to_client(Session& session,
@@ -771,11 +746,9 @@ bool Router::send_to_client(Session& session,
 }
 
 void Router::send_error(Session& session, std::uint64_t request_id,
-                        std::uint8_t version, net::NetError code,
-                        const std::string& message) {
-  (void)send_to_client(
-      session,
-      net::encode_error_reply(request_id, {code, message}, version));
+                        net::NetError code, const std::string& message) {
+  (void)send_to_client(session,
+                       net::encode_error_reply(request_id, {code, message}));
 }
 
 }  // namespace gns::router

@@ -7,12 +7,10 @@
 ///
 /// Placement needs no config file: backends are given as host:port pairs
 /// and everything else is learned over the wire. On first contact the
-/// router sends a v3 HELLO; the backend answers with its protocol version,
+/// router sends a HELLO; the backend answers with its protocol version,
 /// loaded model names, and in-flight capacity. Work goes to the
 /// least-in-flight healthy backend that serves the requested model and has
-/// a free slot. Pre-v3 backends (which greet the HELLO with a fatal
-/// BadVersion) are still usable under conservative defaults — see
-/// backend.hpp.
+/// a free slot.
 ///
 /// Failure semantics, the contract the fault-injection suite pins:
 ///  - a backend that dies BEFORE its first chunk is evicted and the
@@ -20,8 +18,7 @@
 ///    idempotent, the client sees one clean stream, bitwise identical to a
 ///    direct rollout;
 ///  - a backend that dies AFTER streaming began cannot be retried without
-///    duplicating frames: the client gets a typed ErrorReply{BackendLost}
-///    (Internal with an explanatory message for pre-v3 clients);
+///    duplicating frames: the client gets a typed ErrorReply{BackendLost};
 ///  - a Busy backend is skipped for a sibling; when every capable backend
 ///    is busy the Busy travels end-to-end so the client's backoff loop —
 ///    the fleet's real admission queue — takes over;
@@ -29,12 +26,11 @@
 ///    client, router, and backend logs.
 ///
 /// Health: a probe loop sends each backend a periodic StatsRequest with a
-/// deadline (plain TCP connect for v1 peers, which predate stats). A
-/// timeout or I/O failure — from the probe or from any proxied request —
-/// evicts the backend: its pool closes and placement skips it. Eviction
-/// starts an exponentially growing re-admission backoff; once due, the
-/// probe loop re-handshakes (HELLO again: the peer may have come back as a
-/// different binary) and a success re-admits.
+/// deadline. A timeout or I/O failure — from the probe or from any proxied
+/// request — evicts the backend: its pool closes and placement skips it.
+/// Eviction starts an exponentially growing re-admission backoff; once
+/// due, the probe loop re-handshakes (HELLO again: the peer may have come
+/// back as a different binary) and a success re-admits.
 ///
 /// The router answers StatsRequest with its OWN metrics (router.* —
 /// evictions, failovers, per-backend health) and HELLO with the aggregate
@@ -49,7 +45,9 @@
 ///
 /// Threading: one acceptor thread, one probe thread, one thread per client
 /// connection (blocking proxy loop — a router fronts few clients each
-/// issuing streams, not thousands of idle sockets). Backend connections
+/// issuing streams, not thousands of idle sockets). The acceptor joins
+/// finished client threads before it admits the next client, so a
+/// long-lived router holds only its live sessions. Backend connections
 /// are pooled per backend and exclusively checked out per request.
 
 #include <atomic>
@@ -84,7 +82,7 @@ struct RouterConfig {
   double client_idle_timeout_ms = 60'000.0;
   /// stop() waits at most this long for in-flight proxied requests.
   double drain_timeout_ms = 30'000.0;
-  BackendTuning tuning;  ///< timeouts, legacy capacity, eviction backoff
+  BackendTuning tuning;  ///< timeouts, eviction backoff
   std::string metrics_prefix = "router";
 };
 
@@ -123,10 +121,13 @@ class Router {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// One client connection, owned by its thread; registered so stop() can
-  /// shutdown() stragglers past the drain deadline.
+  /// One client connection and the thread serving it; registered so
+  /// stop() can shutdown() stragglers past the drain deadline. `done` is
+  /// the thread's last write: once it is set, a join returns at once.
   struct Session {
     std::atomic<int> fd{-1};
+    std::atomic<bool> done{false};
+    std::thread thread;
   };
 
   enum class ProxyOutcome {
@@ -156,12 +157,13 @@ class Router {
   bool dispatch_frame(Session& session, const net::FrameView& frame);
   bool proxy_rollout(Session& session, const net::FrameView& frame);
   ProxyOutcome proxy_once(Session& session, std::uint64_t client_request_id,
-                          std::uint8_t client_version,
                           const serve::RolloutRequest& request,
                           Backend& backend);
   void answer_stats(Session& session, const net::FrameView& frame);
   void answer_hello(Session& session, const net::FrameView& frame);
 
+  /// Picks the least-in-flight capable backend and reserves one in-flight
+  /// slot on it; the caller releases the slot with add_inflight(-1).
   Backend* pick_backend(const std::string& model,
                         const std::vector<Backend*>& exclude,
                         PickOutcome& outcome);
@@ -171,8 +173,7 @@ class Router {
   bool send_to_client(Session& session,
                       const std::vector<std::uint8_t>& frame);
   void send_error(Session& session, std::uint64_t request_id,
-                  std::uint8_t version, net::NetError code,
-                  const std::string& message);
+                  net::NetError code, const std::string& message);
 
   RouterConfig config_;
   std::vector<std::unique_ptr<Backend>> backends_;
@@ -185,11 +186,13 @@ class Router {
   std::atomic<int> active_clients_{0};
   std::atomic<int> inflight_{0};
   std::once_flag stop_once_;
+  /// Held across pick_backend's scan and reservation, so sessions placing
+  /// at the same time see each other's slots.
+  std::mutex placement_mutex_;
 
   std::thread acceptor_;
   std::thread prober_;
   std::mutex sessions_mutex_;
-  std::vector<std::thread> session_threads_;
   std::list<std::shared_ptr<Session>> sessions_;
 
   // router.* instruments (cached handles; registry owns them).

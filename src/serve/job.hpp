@@ -117,8 +117,8 @@ struct RolloutRequest {
   /// touches (scheduler, cache, batch execution, chunk writes) and echoed
   /// in the result, so one Perfetto trace shows the cross-layer life of a
   /// request. 0 means "unset" — spans then carry no trace_id arg. The net
-  /// front-end fills this from the wire (protocol v2); in-process callers
-  /// may set any nonzero value.
+  /// front-end fills this from the wire; in-process callers may set any
+  /// nonzero value.
   std::uint64_t trace_id = 0;
 
   /// Trace option bits from the wire (bit 0 = sampled). Reserved for

@@ -7,7 +7,8 @@
 // (tests/net_fault.hpp) between a real net::Client and the server —
 // scripted corruption/truncation instead of hand-mangled raw sockets — so
 // the same run also pins the CLIENT's behavior on a poisoned stream. Raw
-// sockets remain only where the test IS a foreign peer (the v1 client).
+// sockets remain only where the test IS a foreign peer (a client speaking
+// a retired protocol version).
 
 #include <gtest/gtest.h>
 
@@ -537,52 +538,39 @@ TEST(NetServer, StatsScrapeSnapshotsMetricsAndHealth) {
   h.server->stop();
 }
 
-TEST(NetServer, RawV1ClientGetsBitwiseIdenticalRollout) {
+TEST(NetServer, RetiredProtocolVersionGetsFatalBadVersion) {
   ServerConfig cfg;
   cfg.metrics_prefix = "net_t8";
-  cfg.chunk_frames = 2;
   Harness h(cfg);
   ASSERT_TRUE(h.start());
-  const auto want = direct_rollout(*h.sim, 5);
 
-  // A pre-v2 client: encodes its request as v1 and must get v1 replies
-  // carrying the exact same payload bytes a v1 server would have sent.
+  // A client still speaking v2: a well-formed request whose header names a
+  // retired version. The server must refuse it, not serve it.
+  auto wire = encode_rollout_request(77, small_request(*h.sim, 5));
+  wire[4] = 2;  // header version byte
   const int fd = raw_connect(h.server->port());
-  raw_send(fd, encode_rollout_request(77, small_request(*h.sim, 5),
-                                      /*version=*/1));
+  raw_send(fd, wire);
 
   std::vector<std::uint8_t> buf;
   FrameView frame;
-  std::vector<std::vector<double>> frames;
+  ASSERT_TRUE(raw_read_frame(fd, buf, frame));
+  EXPECT_EQ(buf[4], kProtocolVersion);  // the refusal speaks the one version
+  EXPECT_EQ(frame.type, MessageType::ErrorReply);
+  EXPECT_EQ(frame.request_id, 77u);
+  WireError error;
   std::string parse_error;
-  for (;;) {
-    ASSERT_TRUE(raw_read_frame(fd, buf, frame));
-    EXPECT_EQ(frame.request_id, 77u);
-    EXPECT_EQ(frame.version, 1) << "v1 request must get v1 replies";
-    if (frame.type == MessageType::RolloutChunk) {
-      WireChunk chunk;
-      ASSERT_TRUE(decode_rollout_chunk(frame, chunk, parse_error));
-      for (std::uint32_t f = 0; f < chunk.num_frames(); ++f) {
-        const auto begin = chunk.data.begin() +
-                           static_cast<std::ptrdiff_t>(f) * chunk.frame_len;
-        frames.emplace_back(begin, begin + chunk.frame_len);
-      }
-    } else {
-      ASSERT_EQ(frame.type, MessageType::StatusReply);
-      WireStatus status;
-      ASSERT_TRUE(decode_status_reply(frame, status, parse_error));
-      EXPECT_EQ(status.status, serve::JobStatus::Ok);
-      // The v2 appendix is absent from a v1 frame.
-      EXPECT_EQ(status.trace_id, 0u);
-      EXPECT_EQ(status.phases.total_us(), 0.0);
-      break;
-    }
-    buf.erase(buf.begin(),
-              buf.begin() + static_cast<std::ptrdiff_t>(frame.frame_bytes));
-  }
-  ::close(fd);
+  ASSERT_TRUE(decode_error_reply(frame, error, parse_error)) << parse_error;
+  EXPECT_EQ(error.code, NetError::BadVersion);
 
-  expect_bitwise_equal(frames, want);
+  // Fatal: that one reply is all the peer gets before the server closes.
+  buf.erase(buf.begin(),
+            buf.begin() + static_cast<std::ptrdiff_t>(frame.frame_bytes));
+  EXPECT_FALSE(raw_read_frame(fd, buf, frame));
+  ::close(fd);
+  EXPECT_EQ(obs::MetricsRegistry::global()
+                .counter("net_t8.reject.bad_version")
+                .value(),
+            1u);
   h.server->stop();
 }
 

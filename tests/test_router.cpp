@@ -3,8 +3,8 @@
 // killed before its first chunk fails over transparently (bitwise-identical
 // stream), one killed after streaming surfaces a typed BackendLost, slow
 // backends are evicted and re-admitted, a full fleet surfaces Busy, drain
-// loses zero accepted jobs, and pre-v3 backends run under conservative
-// defaults.
+// loses zero accepted jobs, and finished client sessions release their
+// threads.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -540,37 +541,35 @@ TEST(RouterFleet, DrainUnderLoadLosesZeroAcceptedJobs) {
   router.stop();  // idempotent
 }
 
-TEST(RouterFleet, LegacyV2BackendUsableWithConservativeDefaults) {
-  net::ServerConfig legacy_cfg = backend_cfg("rt8a");
-  legacy_cfg.max_protocol_version = 2;  // emulate a pre-HELLO binary
-  BackendHarness a(legacy_cfg);
+/// Lines of /proc/self/maps: one per memory mapping of this process.
+long mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  long lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(RouterFleet, FinishedClientSessionsAreReleased) {
+  BackendHarness a(backend_cfg("rt8a"));
   ASSERT_TRUE(a.start());
   Router router(router_cfg("rt8", {a.server->port()}));
   ASSERT_TRUE(router.start());
-  const auto want = direct_rollout(*a.sim, 4);
 
-  // The HELLO is answered with a fatal BadVersion; the router must fall
-  // back to v2 framing with wildcard models and legacy capacity — and the
-  // rollout still comes back bitwise-identical.
-  net::Client client(client_cfg(router));
-  const net::ClientResult r = client.rollout(small_request(*a.sim, 4));
-  ASSERT_TRUE(r.ok()) << r.transport_error << r.error;
-  expect_bitwise_equal(r.frames, want);
-
-  const std::vector<BackendSnapshot> snaps = router.snapshot();
-  ASSERT_EQ(snaps.size(), 1u);
-  EXPECT_TRUE(snaps[0].capabilities.legacy);
-  EXPECT_EQ(snaps[0].capabilities.wire_version, 2);
-  EXPECT_EQ(snaps[0].capabilities.capacity, 1);  // tuning.legacy_capacity
-  EXPECT_TRUE(snaps[0].capabilities.models.empty());
-
-  // The fleet aggregate over a legacy-only fleet still admits work:
-  // capacity counts the conservative slots, models stay unknown/empty.
-  net::WireHelloReply hello;
-  ASSERT_TRUE(raw_hello(router.port(), hello));
-  EXPECT_EQ(hello.protocol_version, net::kProtocolVersion);
-  EXPECT_GE(hello.max_inflight, 1u);
-  EXPECT_TRUE(hello.models.empty());
+  // Each client connection gets its own session thread. A thread that has
+  // exited but was never joined keeps its stack and guard page mapped, so
+  // 200 short-lived clients would leave ~400 mappings behind; a router
+  // that reaps its finished sessions holds on to almost none.
+  const long before = mapping_count();
+  for (int i = 0; i < 200; ++i) {
+    net::WireHelloReply hello;
+    ASSERT_TRUE(raw_hello(router.port(), hello)) << "connection " << i;
+  }
+  ASSERT_TRUE(eventually([] {
+    return obs::MetricsRegistry::global()
+               .gauge("rt8.active_connections")
+               .value() == 0.0;
+  }));
+  EXPECT_LT(mapping_count() - before, 50);
 
   router.stop();
   a.server->stop();
