@@ -1,12 +1,11 @@
 // Perf — steady-state rollout throughput. The tensor arena and the fused
-// linear kernels are always on; this sweeps the two remaining runtime
-// toggles, Verlet-skin neighbor reuse (GNS_SKIN) and SIMD graph/MPM
-// kernels (GNS_SIMD).
+// linear kernels are always on; this sweeps the one remaining runtime
+// toggle, SIMD graph/MPM kernels (GNS_SIMD).
 //
-// Runs all 4 on/off combinations on the Fig-3 columns configuration
-// (held-out friction angle), reports steps/sec for each, and verifies that
-// every combination produces bitwise-identical rollout frames — the
-// optimizations trade allocations and passes for speed, never results.
+// Runs SIMD off and on on the Fig-3 columns configuration (held-out
+// friction angle), reports steps/sec for each, and verifies that both
+// produce bitwise-identical rollout frames — the kernels trade passes for
+// speed, never results.
 // The timed rollouts run inside one ad::ArenaLifetime, so the pool
 // persists between them and arena_hit_rate (from the ad.arena.hit and
 // ad.arena.miss counters) measures steady-state pooling.
@@ -14,9 +13,9 @@
 // `--small` runs a scaled-down fixture (tiny model trained in seconds,
 // cached) for CI perf-smoke; the JSON then carries small=1.
 //
-// Output: BENCH_rollout.json in the bench cache with one
-// s{0,1}_v{0,1}_steps_per_sec field per combination plus speedup_all_on,
-// speedup_simd, arena_hit_rate, and identical_outputs.
+// Output: BENCH_rollout.json in the bench cache with v0_steps_per_sec and
+// v1_steps_per_sec (SIMD off/on) plus speedup_simd, arena_hit_rate, and
+// identical_outputs.
 
 #include <array>
 #include <cstring>
@@ -29,8 +28,6 @@ using namespace gns;
 using namespace gns::bench;
 
 namespace {
-
-constexpr double kSkinFraction = 0.25;
 
 /// Tiny fixture for --small: one short column collapse, a 16-latent model
 /// trained for a few seconds, cached like the big models.
@@ -84,33 +81,14 @@ LearnedSimulator small_simulator(const io::Dataset& ds) {
   return sim;
 }
 
-struct Combo {
-  bool skin;
-  bool simd;
-  explicit Combo(int mask) : skin((mask & 2) != 0), simd((mask & 1) != 0) {}
-  [[nodiscard]] std::string key() const {
-    std::string k = "s";
-    k += skin ? '1' : '0';
-    k += "_v";
-    k += simd ? '1' : '0';
-    return k;
-  }
-  void apply() const {
-    graph::set_default_skin_fraction(skin ? kSkinFraction : 0.0);
-    simd::set_enabled(simd);
-  }
-};
-
-constexpr int kCombos = 4;
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool small =
       argc > 1 && std::strcmp(argv[1], "--small") == 0;
   print_header(
-      "Rollout perf: Verlet-skin neighbor reuse / SIMD kernels",
-      "optimizations change cost, not results (bitwise-identical frames)");
+      "Rollout perf: SIMD kernels off / on",
+      "kernels change cost, not results (bitwise-identical frames)");
 
   io::Dataset test;
   LearnedSimulator sim = [&]() -> LearnedSimulator {
@@ -133,84 +111,55 @@ int main(int argc, char** argv) {
   const int reps = small ? 2 : 5;
   std::printf("\n%d particles, %d rollout steps, best of %d reps\n",
               traj.num_particles, steps, reps);
-  std::printf("%12s %14s %12s %10s\n", "combo", "steps/sec", "nbr reuse",
-              "identical");
+  std::printf("%12s %14s %10s\n", "GNS_SIMD", "steps/sec", "identical");
 
-  auto& rebuilds =
-      obs::MetricsRegistry::global().counter("graph.neighbor.rebuild");
-  auto& reuses =
-      obs::MetricsRegistry::global().counter("graph.neighbor.reuse");
   auto& arena_hits = obs::MetricsRegistry::global().counter("ad.arena.hit");
   auto& arena_misses =
       obs::MetricsRegistry::global().counter("ad.arena.miss");
 
-  // Reps are interleaved round-robin across the 4 combos (rather than
-  // timing each combo's reps back to back) so slow phases of a shared
-  // machine penalize every combo equally; best-of-reps then discards the
-  // noise floor.
+  // Reps alternate SIMD off and on (rather than timing each setting's reps
+  // back to back) so slow phases of a shared machine penalize both
+  // equally; best-of-reps then discards the noise floor.
   std::vector<std::vector<double>> baseline_frames;
-  std::array<double, kCombos> best{};
-  std::array<double, kCombos> reuse_frac{};
-  std::array<bool, kCombos> same{};
+  std::array<double, 2> best{};
+  std::array<bool, 2> same{};
   bool identical = true;
   const ad::ArenaLifetime pool_lifetime;
-  {
-    const Combo warmup(0);
-    warmup.apply();
-    (void)sim.rollout(win, steps, ctx);  // page in weights before timing
-  }
+  simd::set_enabled(false);
+  (void)sim.rollout(win, steps, ctx);  // page in weights before timing
   const std::uint64_t hits0 = arena_hits.value();
   const std::uint64_t misses0 = arena_misses.value();
   for (int rep = 0; rep < reps; ++rep) {
-    for (int mask = 0; mask < kCombos; ++mask) {
-      const Combo combo(mask);
-      combo.apply();
-      const std::uint64_t rb0 = rebuilds.value(), ru0 = reuses.value();
+    for (int v = 0; v < 2; ++v) {
+      simd::set_enabled(v == 1);
       Timer timer;
       const std::vector<std::vector<double>> frames =
           sim.rollout(win, steps, ctx);
-      best[mask] = std::max(best[mask], steps / timer.seconds());
-      const std::uint64_t rb = rebuilds.value() - rb0;
-      const std::uint64_t ru = reuses.value() - ru0;
-      reuse_frac[mask] =
-          rb + ru > 0
-              ? static_cast<double>(ru) / static_cast<double>(rb + ru)
-              : 0.0;
-      if (rep == 0 && mask == 0) baseline_frames = frames;
-      same[mask] = frames == baseline_frames;
-      identical = identical && same[mask];
+      best[v] = std::max(best[v], steps / timer.seconds());
+      if (rep == 0 && v == 0) baseline_frames = frames;
+      same[v] = frames == baseline_frames;
+      identical = identical && same[v];
     }
   }
+  simd::set_enabled(true);
   const double hits = static_cast<double>(arena_hits.value() - hits0);
   const double misses = static_cast<double>(arena_misses.value() - misses0);
   const double hit_rate = hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
   std::vector<std::pair<std::string, double>> fields;
-  for (int mask = 0; mask < kCombos; ++mask) {
-    const Combo combo(mask);
-    std::printf("%12s %14.2f %11.0f%% %10s\n", combo.key().c_str(),
-                best[mask], 100.0 * reuse_frac[mask],
-                same[mask] ? "yes" : "NO");
-    fields.emplace_back(combo.key() + "_steps_per_sec", best[mask]);
+  for (int v = 0; v < 2; ++v) {
+    std::printf("%12s %14.2f %10s\n", v == 1 ? "on" : "off", best[v],
+                same[v] ? "yes" : "NO");
+    fields.emplace_back("v" + std::to_string(v) + "_steps_per_sec", best[v]);
   }
-  const double baseline_sps = best[0];
-  const double all_on_sps = best[kCombos - 1];
-  // speedup_simd isolates GNS_SIMD: skin on, simd on vs off.
-  const double simd_off_sps = best[kCombos - 2];
-  graph::set_default_skin_fraction(0.0);
-  simd::set_enabled(true);
-
-  const double speedup = baseline_sps > 0.0 ? all_on_sps / baseline_sps : 0.0;
-  const double speedup_simd =
-      simd_off_sps > 0.0 ? all_on_sps / simd_off_sps : 0.0;
+  const double speedup_simd = best[0] > 0.0 ? best[1] / best[0] : 0.0;
   print_rule();
   std::printf(
-      "all-on speedup over all-off: %.2fx   simd on/off (skin on): %.2fx\n"
+      "simd on/off speedup: %.2fx\n"
       "arena hit rate: %.4f\n"
       "outputs %s\n",
-      speedup, speedup_simd, hit_rate,
-      identical ? "bitwise identical across all 4 combos"
-                : "DIVERGED — optimization bug");
-  fields.emplace_back("speedup_all_on", speedup);
+      speedup_simd, hit_rate,
+      identical ? "bitwise identical with SIMD off and on"
+                : "DIVERGED — kernel bug");
   fields.emplace_back("speedup_simd", speedup_simd);
   fields.emplace_back("arena_hit_rate", hit_rate);
   fields.emplace_back("identical_outputs", identical ? 1.0 : 0.0);

@@ -8,7 +8,35 @@ namespace gns::ad {
 
 namespace {
 thread_local bool t_grad_enabled = true;
+// Parents parked by tape nodes freed on this thread, drained by the
+// outermost ~TensorImpl; null while no tape is being freed.
+thread_local std::vector<TensorImplPtr>* t_release = nullptr;
 }  // namespace
+
+TensorImpl::~TensorImpl() {
+  arena::recycle(data);
+  arena::recycle(grad);
+  if (parents.empty()) return;
+  // Plain member destruction would free the tape recursively, one stack
+  // frame chain per node (parents and the closure's captures both release
+  // the next node). Instead nested destructors park their parents and the
+  // outermost one drains them in a loop. Parking before the closure dies
+  // leaves its captures holding no last reference.
+  if (t_release != nullptr) {
+    for (auto& p : parents) t_release->push_back(std::move(p));
+    backward_fn = nullptr;
+    return;
+  }
+  std::vector<TensorImplPtr> pending = std::move(parents);
+  t_release = &pending;
+  backward_fn = nullptr;
+  while (!pending.empty()) {
+    TensorImplPtr next = std::move(pending.back());
+    pending.pop_back();
+    next.reset();  // may run a nested ~TensorImpl, which parks its parents
+  }
+  t_release = nullptr;
+}
 
 NoGradGuard::NoGradGuard() : previous_(t_grad_enabled) {
   t_grad_enabled = false;

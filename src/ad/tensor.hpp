@@ -46,7 +46,8 @@ using TensorImplPtr = std::shared_ptr<TensorImpl>;
 /// Node of the autograd tape. On destruction the data/grad storage is
 /// donated to the thread-local tensor arena when one is active (see
 /// arena.hpp), so steady-state rollouts recycle buffers instead of hitting
-/// the allocator every op.
+/// the allocator every op. Freeing a tape releases its nodes iteratively,
+/// so tape length is not bounded by the thread's stack.
 struct TensorImpl {
   int rows = 0;
   int cols = 0;
@@ -55,10 +56,7 @@ struct TensorImpl {
   bool requires_grad = false;
 
   TensorImpl() = default;
-  ~TensorImpl() {
-    arena::recycle(data);
-    arena::recycle(grad);
-  }
+  ~TensorImpl();
   TensorImpl(const TensorImpl&) = delete;
   TensorImpl& operator=(const TensorImpl&) = delete;
 

@@ -14,8 +14,8 @@ BatchedSimulator::BatchedSimulator(
 
 std::vector<ad::Tensor> BatchedSimulator::step(
     const std::vector<Window>& windows,
-    const std::vector<SceneContext>& contexts, graph::GraphBatch* out_batch,
-    const std::vector<graph::CellList*>& neighbor_caches) const {
+    const std::vector<SceneContext>& contexts,
+    graph::GraphBatch* out_batch) const {
   GNS_TRACE_SCOPE("core.batched.step");
   static auto& step_ms =
       obs::MetricsRegistry::global().histogram("core.batched.step_ms");
@@ -28,9 +28,6 @@ std::vector<ad::Tensor> BatchedSimulator::step(
   GNS_CHECK_MSG(static_cast<int>(contexts.size()) == b,
                 "need one scene context per member");
   steps_total.add(static_cast<std::uint64_t>(b));
-  GNS_CHECK_MSG(neighbor_caches.empty() ||
-                    static_cast<int>(neighbor_caches.size()) == b,
-                "need one neighbor cache entry per member (or none)");
   const FeatureConfig& fc = sim_->features();
   const Normalizer& norm = sim_->normalizer();
 
@@ -42,11 +39,7 @@ std::vector<ad::Tensor> BatchedSimulator::step(
     GNS_CHECK_MSG(static_cast<int>(windows[g].size()) == fc.window_size(),
                   "batch member " << g << " window needs "
                                   << fc.window_size() << " frames");
-    graph::CellList* cache =
-        neighbor_caches.empty() ? nullptr : neighbor_caches[g];
-    graphs.push_back(cache != nullptr
-                         ? build_graph_cached(fc, windows[g].back(), *cache)
-                         : build_graph(fc, windows[g].back()));
+    graphs.push_back(build_graph(fc, windows[g].back()));
     GNS_CHECK_MSG(graphs.back().num_edges() > 0,
                   "batch member " << g
                                   << " has no edges — connectivity radius "
@@ -126,16 +119,6 @@ BatchedRollout::BatchedRollout(
       windows_[g].push_back(t.detach());
   }
 
-  // One Verlet skin list per member, persisting across steps (members are
-  // compacted out of the batch but their caches stay put).
-  const FeatureConfig& fc = batched_.simulator().features();
-  const double skin =
-      graph::default_skin_fraction() * fc.connectivity_radius;
-  caches_.reserve(initial_windows.size());
-  for (int g = 0; g < b; ++g)
-    caches_.push_back(
-        std::make_unique<graph::CellList>(make_rollout_cells(fc, skin)));
-
   frames_.resize(initial_windows.size());
   for (int g = 0; g < b; ++g)
     frames_[g].reserve(static_cast<std::size_t>(steps[g]));
@@ -156,14 +139,11 @@ bool BatchedRollout::step_once(const BatchedSimulator::StepGate& gate) {
 
   step_windows_.clear();
   step_contexts_.clear();
-  step_caches_.clear();
   for (int g : active_) {
     step_windows_.push_back(windows_[g]);
     step_contexts_.push_back(contexts_[g]);
-    step_caches_.push_back(caches_[g].get());
   }
-  std::vector<ad::Tensor> next =
-      batched_.step(step_windows_, step_contexts_, nullptr, step_caches_);
+  std::vector<ad::Tensor> next = batched_.step(step_windows_, step_contexts_);
 
   std::vector<int> still_active;
   still_active.reserve(active_.size());

@@ -3,10 +3,11 @@
 /// \file batched_simulator.hpp
 /// BatchedSimulator: steps B independent particle systems through ONE GNS
 /// forward pass per step by merging their graphs block-diagonally
-/// (graph/batch.hpp). Each member keeps its own neighbor list, window, and
-/// scene context; only the model evaluation is shared, so the per-step
-/// matmuls/gathers run over sum_g N_g nodes instead of B small tensors —
-/// the batching layer behind the serving subsystem's coalesced dispatch.
+/// (graph/batch.hpp). Each member keeps its own window and scene context
+/// and gets its own neighbor graph (core::build_graph) every step; only
+/// the model evaluation is shared, so the per-step matmuls/gathers run
+/// over sum_g N_g nodes instead of B small tensors — the batching layer
+/// behind the serving subsystem's coalesced dispatch.
 ///
 /// Equivalence contract: every op in the batched forward (MLPs, layer norm,
 /// gather/scatter, segment softmax, integration) is row- or segment-local,
@@ -20,7 +21,6 @@
 
 #include "core/simulator.hpp"
 #include "graph/batch.hpp"
-#include "graph/neighbor_search.hpp"
 
 namespace gns::core {
 
@@ -35,14 +35,11 @@ class BatchedSimulator {
   /// forward. windows[g] holds window_size() frames (oldest first) of
   /// member g; members may differ in particle count. Returns x_{t+1} per
   /// member. `out_batch` (optional) receives the merged graph built for
-  /// the step. `neighbor_caches` (optional; one entry per member, entries
-  /// may be null) supplies per-member Verlet skin lists reused across
-  /// steps — edges stay identical to fresh builds.
+  /// the step.
   [[nodiscard]] std::vector<ad::Tensor> step(
       const std::vector<Window>& windows,
       const std::vector<SceneContext>& contexts,
-      graph::GraphBatch* out_batch = nullptr,
-      const std::vector<graph::CellList*>& neighbor_caches = {}) const;
+      graph::GraphBatch* out_batch = nullptr) const;
 
   /// Gate polled before every batched step for each still-active member.
   /// Return false to drop the member immediately: it keeps the frames
@@ -67,7 +64,7 @@ class BatchedSimulator {
 };
 
 /// Incremental form of BatchedSimulator::rollout: holds the rolling
-/// windows, Verlet caches, and per-member frame buffers between steps so a
+/// windows and per-member frame buffers between steps so a
 /// caller can advance the batch one step at a time — the serving layer
 /// runs each step as one executor task (a continuation chain) instead of
 /// blocking a thread for the whole rollout. rollout() is implemented on
@@ -100,13 +97,11 @@ class BatchedRollout {
   std::vector<Window> windows_;
   std::vector<int> steps_;
   std::vector<SceneContext> contexts_;
-  std::vector<std::unique_ptr<graph::CellList>> caches_;
   std::vector<std::vector<std::vector<double>>> frames_;
   std::vector<int> active_;  ///< member indices still rolling
   // Per-step scratch, kept across steps to avoid reallocation.
   std::vector<Window> step_windows_;
   std::vector<SceneContext> step_contexts_;
-  std::vector<graph::CellList*> step_caches_;
 };
 
 }  // namespace gns::core

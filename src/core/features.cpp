@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "obs/obs.hpp"
+
 namespace gns::core {
 
 SceneContext SceneContext::from_trajectory(const FeatureConfig& config,
@@ -38,21 +40,24 @@ std::vector<double> tensor_to_frame(const ad::Tensor& t) {
 
 namespace {
 
-/// Fills `pts` in place (resizing as needed) so rollout-path callers can
-/// reuse one buffer across steps instead of allocating per call.
-void positions_to_points(const FeatureConfig& config,
-                         const ad::Tensor& positions,
-                         std::vector<graph::Vec2>& pts) {
+void check_domain(const FeatureConfig& config) {
+  GNS_CHECK_MSG(static_cast<int>(config.domain_lo.size()) >= config.dim &&
+                    static_cast<int>(config.domain_hi.size()) >= config.dim,
+                "feature config domain bounds missing");
+}
+
+std::vector<graph::Vec2> positions_to_points(const FeatureConfig& config,
+                                             const ad::Tensor& positions) {
   GNS_CHECK_MSG(positions.cols() == config.dim, "positions dim mismatch");
   const int n = positions.rows();
-  pts.resize(n);
+  std::vector<graph::Vec2> pts(n);
   const ad::Real* pv = positions.data();
   if (config.dim == 2) {
     for (int i = 0; i < n; ++i) {
       pts[i].x = pv[static_cast<std::size_t>(i) * 2];
       pts[i].y = pv[static_cast<std::size_t>(i) * 2 + 1];
     }
-    return;
+    return pts;
   }
   for (int i = 0; i < n; ++i) {
     pts[i].x = pv[static_cast<std::size_t>(i) * config.dim];
@@ -60,12 +65,6 @@ void positions_to_points(const FeatureConfig& config,
                    ? pv[static_cast<std::size_t>(i) * config.dim + 1]
                    : 0.0;
   }
-}
-
-std::vector<graph::Vec2> positions_to_points(const FeatureConfig& config,
-                                             const ad::Tensor& positions) {
-  std::vector<graph::Vec2> pts;
-  positions_to_points(config, positions, pts);
   return pts;
 }
 
@@ -73,36 +72,39 @@ std::vector<graph::Vec2> positions_to_points(const FeatureConfig& config,
 
 graph::Graph build_graph(const FeatureConfig& config,
                          const ad::Tensor& positions) {
-  return graph::build_radius_graph(positions_to_points(config, positions),
-                                   config.connectivity_radius);
+  graph::CellList cells = make_rollout_cells(config, 0.0);
+  return build_graph_cached(config, positions, cells);
 }
 
 graph::CellList make_rollout_cells(const FeatureConfig& config, double skin) {
+  GNS_CHECK_MSG(skin == 0.0, "neighbor lists are rebuilt every step; skin "
+                                 << skin << " must be 0");
+  check_domain(config);
   const double r = config.connectivity_radius;
-  const double cell = r + std::max(skin, 0.0);
-  graph::Vec2 lo{config.domain_lo[0] - cell, 0.0};
-  graph::Vec2 hi{config.domain_hi[0] + cell, 0.0};
+  graph::Vec2 lo{config.domain_lo[0] - r, 0.0};
+  graph::Vec2 hi{config.domain_hi[0] + r, 0.0};
   if (config.dim > 1) {
-    lo.y = config.domain_lo[1] - cell;
-    hi.y = config.domain_hi[1] + cell;
+    lo.y = config.domain_lo[1] - r;
+    hi.y = config.domain_hi[1] + r;
   } else {
     // 1-D positions carry y = 0; give the grid one cell of y extent.
-    lo.y = -cell;
-    hi.y = cell;
+    lo.y = -r;
+    hi.y = r;
   }
-  return graph::CellList(r, lo, hi, skin);
+  return graph::CellList(r, lo, hi);
 }
 
 graph::Graph build_graph_cached(const FeatureConfig& config,
                                 const ad::Tensor& positions,
                                 graph::CellList& cells) {
+  GNS_TRACE_SCOPE("graph.neighbor_search.total");
+  static auto& total_ms =
+      obs::MetricsRegistry::global().histogram("graph.neighbor_search_ms");
+  const obs::ScopedHistogramTimer phase_timer(total_ms);
   GNS_CHECK_MSG(cells.radius() == config.connectivity_radius,
-                "cached CellList radius does not match feature config");
-  // The scratch lives on the CellList, which rollout callers keep across
-  // steps — no per-step allocation.
-  std::vector<graph::Vec2>& pts = cells.points_scratch();
-  positions_to_points(config, positions, pts);
-  cells.maybe_rebuild(pts);
+                "CellList radius does not match feature config");
+  const std::vector<graph::Vec2> pts = positions_to_points(config, positions);
+  cells.build(pts);
   return cells.radius_graph(pts);
 }
 
@@ -121,9 +123,7 @@ void append_motion_features(const FeatureConfig& config, const Normalizer& norm,
                                 << position_window.size());
   const ad::Tensor& newest = position_window.back();
   GNS_CHECK_MSG(newest.cols() == config.dim, "position dim mismatch");
-  GNS_CHECK_MSG(static_cast<int>(config.domain_lo.size()) >= config.dim &&
-                    static_cast<int>(config.domain_hi.size()) >= config.dim,
-                "feature config domain bounds missing");
+  check_domain(config);
 
   // C velocity frames, oldest first, each whitened by dataset stats.
   for (int c = 0; c < config.history; ++c) {

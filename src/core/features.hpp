@@ -15,8 +15,11 @@
 /// connectivity radius and its norm (translation invariance — interactions
 /// depend on relative geometry only).
 ///
-/// Everything except graph topology is built from ad::Tensors, so gradients
-/// flow from a rollout loss back to positions and the material parameter.
+/// Graph topology comes from one exact radius search per step over the
+/// config domain (build_graph): a pure function of (config, positions),
+/// with no neighbor state kept between steps. Everything else is built
+/// from ad::Tensors, so gradients flow from a rollout loss back to
+/// positions and the material parameter.
 
 #include <vector>
 
@@ -65,21 +68,24 @@ struct SceneContext {
 /// Inverse of frame_to_tensor.
 [[nodiscard]] std::vector<double> tensor_to_frame(const ad::Tensor& t);
 
-/// Builds the connectivity-radius graph from a (detached) position tensor.
-/// Works for dim 1 and 2 (1-D positions get a zero y coordinate).
+/// Builds the connectivity-radius graph from a (detached) position tensor:
+/// the one neighbor search every GNS step runs. A fresh CellList over the
+/// config domain (make_rollout_cells) indexes the positions, so the grid
+/// is bounded by the config, never by the coordinates. Works for dim 1 and
+/// 2 (1-D positions get a zero y coordinate).
 [[nodiscard]] graph::Graph build_graph(const FeatureConfig& config,
                                        const ad::Tensor& positions);
 
-/// A CellList sized for rollouts under `config`: domain from the feature
-/// config padded by one cell so slightly escaping particles keep indexing
-/// cheaply, `skin` in absolute units (0 = rebuild every step). Pass the
-/// result to build_graph_cached across consecutive steps.
+/// First half of build_graph: a CellList over the config domain padded by
+/// one cell, so slightly escaping particles keep indexing cheaply (farther
+/// ones clamp into the boundary cells). Neighbor lists are rebuilt every
+/// step, so `skin` must be 0.
 [[nodiscard]] graph::CellList make_rollout_cells(const FeatureConfig& config,
                                                  double skin);
 
-/// Like build_graph but reuses `cells` across calls via maybe_rebuild:
-/// identical edges, amortized build cost. The CellList must come from
-/// make_rollout_cells (or otherwise have radius == connectivity_radius).
+/// Second half of build_graph: rebuilds `cells` (from make_rollout_cells)
+/// over `positions` and returns their radius graph. Nothing carries over
+/// between calls; the edges equal build_graph's element for element.
 [[nodiscard]] graph::Graph build_graph_cached(const FeatureConfig& config,
                                               const ad::Tensor& positions,
                                               graph::CellList& cells);

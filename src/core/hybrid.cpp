@@ -60,13 +60,6 @@ HybridResult run_hybrid(const LearnedSimulator& sim, mpm::MpmSolver solver,
     context.material = ad::Tensor::scalar(material_param);
   }
 
-  // One Verlet skin list shared by every GNS leg: the particle set never
-  // changes, so reuse can carry across legs (the first step after an MPM
-  // leg triggers a rebuild only if particles drifted past skin/2).
-  const double skin = graph::default_skin_fraction() *
-                      sim.features().connectivity_radius;
-  graph::CellList neighbor_cache = make_rollout_cells(sim.features(), skin);
-
   // Frame 0 + warm-up: window_size frames total from MPM.
   result.frames.push_back(solver_frame(solver));
   result.sources.push_back(FrameSource::MpmWarmup);
@@ -99,7 +92,7 @@ HybridResult run_hybrid(const LearnedSimulator& sim, mpm::MpmSolver solver,
       const int want_gns =
           std::min(config.gns_frames,
                    total_frames - static_cast<int>(result.frames.size()));
-      auto gns_frames = sim.rollout(win, want_gns, context, &neighbor_cache);
+      auto gns_frames = sim.rollout(win, want_gns, context);
       for (auto& f : gns_frames) {
         result.frames.push_back(std::move(f));
         result.sources.push_back(FrameSource::Gns);

@@ -27,16 +27,12 @@ LearnedSimulator::LearnedSimulator(std::shared_ptr<GnsModel> model,
 
 GnsOutput LearnedSimulator::forward_raw(const Window& window,
                                         const SceneContext& context,
-                                        graph::Graph* out_graph,
-                                        graph::CellList* neighbor_cache) const {
+                                        graph::Graph* out_graph) const {
   GNS_TRACE_SCOPE("core.simulator.forward");
   static auto& features_ms =
       obs::MetricsRegistry::global().histogram("core.simulator.features_ms");
   const ad::Tensor& newest = window.back();
-  graph::Graph graph =
-      neighbor_cache != nullptr
-          ? build_graph_cached(features_, newest, *neighbor_cache)
-          : build_graph(features_, newest);
+  graph::Graph graph = build_graph(features_, newest);
   // One validated CSR index per step, shared by the edge-feature builder
   // and every message round of the forward.
   const GraphIndex index(graph);
@@ -53,15 +49,13 @@ GnsOutput LearnedSimulator::forward_raw(const Window& window,
 }
 
 ad::Tensor LearnedSimulator::predict_acceleration(
-    const Window& window, const SceneContext& context,
-    graph::CellList* neighbor_cache) const {
-  GnsOutput out = forward_raw(window, context, nullptr, neighbor_cache);
+    const Window& window, const SceneContext& context) const {
+  GnsOutput out = forward_raw(window, context);
   return normalizer_.denormalize_acceleration(out.acceleration);
 }
 
 ad::Tensor LearnedSimulator::step(const Window& window,
-                                  const SceneContext& context,
-                                  graph::CellList* neighbor_cache) const {
+                                  const SceneContext& context) const {
   GNS_TRACE_SCOPE("core.simulator.step");
   static auto& step_ms =
       obs::MetricsRegistry::global().histogram("core.simulator.step_ms");
@@ -71,7 +65,7 @@ ad::Tensor LearnedSimulator::step(const Window& window,
       obs::MetricsRegistry::global().counter("core.simulator.steps");
   const obs::ScopedHistogramTimer step_timer(step_ms);
   steps.add();
-  ad::Tensor accel = predict_acceleration(window, context, neighbor_cache);
+  ad::Tensor accel = predict_acceleration(window, context);
   GNS_TRACE_SCOPE("core.simulator.integrate");
   const obs::ScopedHistogramTimer phase_timer(integrate_ms);
   const ad::Tensor& xt = window.back();
@@ -84,15 +78,6 @@ ad::Tensor LearnedSimulator::step(const Window& window,
 std::vector<std::vector<double>> LearnedSimulator::rollout(
     const Window& initial_window, int steps,
     const SceneContext& context) const {
-  const double skin =
-      graph::default_skin_fraction() * features_.connectivity_radius;
-  graph::CellList cells = make_rollout_cells(features_, skin);
-  return rollout(initial_window, steps, context, &cells);
-}
-
-std::vector<std::vector<double>> LearnedSimulator::rollout(
-    const Window& initial_window, int steps, const SceneContext& context,
-    graph::CellList* neighbor_cache) const {
   GNS_CHECK(steps > 0);
   GNS_TRACE_SCOPE("core.simulator.rollout");
   // Declared first, destroyed last: the pool this rollout fills is freed
@@ -108,7 +93,7 @@ std::vector<std::vector<double>> LearnedSimulator::rollout(
     // Per-step arena frame: every tensor this step allocates is recycled
     // for the next step once the window slides past it.
     ad::ArenaScope arena_frame;
-    ad::Tensor next = step(window, context, neighbor_cache);
+    ad::Tensor next = step(window, context);
     frames.push_back(tensor_to_frame(next));
     window.erase(window.begin());
     window.push_back(next);
@@ -120,14 +105,11 @@ std::vector<ad::Tensor> LearnedSimulator::rollout_diff(
     const Window& initial_window, int steps,
     const SceneContext& context) const {
   GNS_CHECK(steps > 0);
-  const double skin =
-      graph::default_skin_fraction() * features_.connectivity_radius;
-  graph::CellList cells = make_rollout_cells(features_, skin);
   Window window = initial_window;
   std::vector<ad::Tensor> frames;
   frames.reserve(steps);
   for (int s = 0; s < steps; ++s) {
-    ad::Tensor next = step(window, context, &cells);
+    ad::Tensor next = step(window, context);
     frames.push_back(next);
     window.erase(window.begin());
     window.push_back(next);

@@ -10,7 +10,9 @@
 /// Positions are in frame units: one GNS step spans `substeps` MPM steps of
 /// the generating simulation, and velocity/acceleration are first/second
 /// position differences per frame (the frame dt is folded into the learned
-/// quantities, as in the reference GNS).
+/// quantities, as in the reference GNS). Every step rebuilds its neighbor
+/// graph from the newest frame (core::build_graph), so a step depends on
+/// its window and scene context alone.
 
 #include <memory>
 
@@ -31,42 +33,28 @@ class LearnedSimulator {
 
   /// Raw model output (normalized acceleration + edge messages) for one
   /// window; exposes the graph when the caller needs edge endpoints (the
-  /// §6 interpretability pipeline does). When `neighbor_cache` is given it
-  /// is reused across calls (Verlet skin list, see
-  /// graph/neighbor_search.hpp) — edges are identical to a fresh build.
+  /// §6 interpretability pipeline does). The graph is built afresh from
+  /// the newest frame (core::build_graph).
   [[nodiscard]] GnsOutput forward_raw(
       const Window& window, const SceneContext& context,
-      graph::Graph* out_graph = nullptr,
-      graph::CellList* neighbor_cache = nullptr) const;
+      graph::Graph* out_graph = nullptr) const;
 
   /// Predicted acceleration in frame units (denormalized), differentiable
   /// through positions and the scene context.
   [[nodiscard]] ad::Tensor predict_acceleration(
-      const Window& window, const SceneContext& context,
-      graph::CellList* neighbor_cache = nullptr) const;
+      const Window& window, const SceneContext& context) const;
 
   /// One integrator step: returns x_{t+1} = x_t + (x_t − x_{t−1}) + a.
   [[nodiscard]] ad::Tensor step(const Window& window,
-                                const SceneContext& context,
-                                graph::CellList* neighbor_cache = nullptr)
-      const;
+                                const SceneContext& context) const;
 
   /// Fast inference rollout: taping disabled, window slides in place.
   /// Returns all predicted frames (not including the seed window). Runs
-  /// each step inside an ad::ArenaScope (the pool is freed on return) and
-  /// reuses a Verlet-skin neighbor list (skin =
-  /// graph::default_skin_fraction() * connectivity radius); results are
-  /// bitwise identical to the naive per-step path.
+  /// each step inside an ad::ArenaScope (the pool is freed on return);
+  /// results are bitwise identical to the naive per-step path.
   [[nodiscard]] std::vector<std::vector<double>> rollout(
       const Window& initial_window, int steps,
       const SceneContext& context) const;
-
-  /// Same, but with a caller-owned neighbor cache so reuse persists across
-  /// multiple rollout legs over the same particle set (the hybrid
-  /// MPM-GNS driver alternates legs and keeps one cache alive).
-  [[nodiscard]] std::vector<std::vector<double>> rollout(
-      const Window& initial_window, int steps, const SceneContext& context,
-      graph::CellList* neighbor_cache) const;
 
   /// Differentiable rollout used by the inverse solver: keeps the whole
   /// tape alive and returns every predicted position tensor. Memory grows

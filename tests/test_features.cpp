@@ -218,21 +218,46 @@ TEST(Features, EdgeFeaturesBitwiseMatchOpChain) {
   EXPECT_EQ(fused.vec(), ref.vec());
 }
 
-TEST(Features, CachedGraphMatchesDirectBuild) {
+TEST(Features, GraphMatchesBruteForceIncludingEscapedParticles) {
+  // build_graph indexes a grid fixed by the config domain (padded by one
+  // cell); particles outside it clamp into the boundary cells. Edges must
+  // still equal the brute-force radius graph element for element, for
+  // build_graph and for one reused make_rollout_cells grid alike.
   FeatureConfig fc = small_config();
-  fc.connectivity_radius = 0.3;
+  fc.connectivity_radius = 0.15;
   Rng rng(103);
-  graph::CellList cells = make_rollout_cells(fc, /*skin=*/0.1);
-  for (int step = 0; step < 3; ++step) {
-    std::vector<ad::Real> pv(20);
-    for (auto& v : pv) v = rng.uniform(0.1, 0.9);
-    ad::Tensor pos = ad::Tensor::from_vector(10, 2, std::move(pv));
-    graph::Graph direct = build_graph(fc, pos);
-    graph::Graph cached = build_graph_cached(fc, pos, cells);
-    EXPECT_EQ(cached.num_nodes, direct.num_nodes);
-    EXPECT_EQ(cached.senders, direct.senders);
-    EXPECT_EQ(cached.receivers, direct.receivers);
+  graph::CellList cells = make_rollout_cells(fc, 0.0);
+  for (int window = 0; window < 5; ++window) {
+    std::vector<graph::Vec2> pts(40);
+    // [-0.6, 1.6] spans well past the padded domain [-0.15, 1.15].
+    for (auto& p : pts) p = {rng.uniform(-0.6, 1.6), rng.uniform(-0.6, 1.6)};
+    pts.push_back({1e4, 1e4});
+    if (window % 2 == 1) pts.push_back({1e4 + 0.1, 1e4});  // a far pair
+    std::vector<ad::Real> pv;
+    for (const auto& p : pts) {
+      pv.push_back(p.x);
+      pv.push_back(p.y);
+    }
+    const int n = static_cast<int>(pts.size());
+    ad::Tensor pos = ad::Tensor::from_vector(n, 2, std::move(pv));
+    const graph::Graph ref =
+        graph::brute_force_radius_graph(pts, fc.connectivity_radius);
+    const graph::Graph direct = build_graph(fc, pos);
+    const graph::Graph reused = build_graph_cached(fc, pos, cells);
+    for (const graph::Graph* g : {&direct, &reused}) {
+      EXPECT_EQ(g->num_nodes, n);
+      EXPECT_EQ(g->senders, ref.senders) << "window " << window;
+      EXPECT_EQ(g->receivers, ref.receivers) << "window " << window;
+    }
   }
+}
+
+TEST(Features, RolloutCellsRejectSkinAndMissingDomain) {
+  FeatureConfig fc = small_config();
+  EXPECT_THROW((void)make_rollout_cells(fc, 0.1), CheckError);
+  fc.domain_hi = {1.0};  // fewer bounds than dims
+  EXPECT_THROW((void)make_rollout_cells(fc, 0.0), CheckError);
+  EXPECT_THROW((void)build_graph(fc, ad::Tensor::zeros(2, 2)), CheckError);
 }
 
 TEST(Features, NodeFeaturesDifferentiableThroughPositions) {

@@ -178,20 +178,6 @@ TEST(RadiusGraph, RadiusLargerThanDomain) {
   EXPECT_EQ(edge_set(g), edge_set(brute_force_radius_graph(pts, 5.0)));
 }
 
-TEST(CellList, NeighborsQueryMatchesGraph) {
-  Rng rng(14);
-  const auto pts = random_points(40, rng);
-  CellList cells(0.2, {0.0, 0.0}, {1.0, 1.0});
-  cells.build(pts);
-  const Graph g = cells.radius_graph(pts);
-  for (int q = 0; q < 40; ++q) {
-    std::vector<int> from_graph;
-    for (int e = 0; e < g.num_edges(); ++e)
-      if (g.receivers[e] == q) from_graph.push_back(g.senders[e]);
-    EXPECT_EQ(cells.neighbors(pts, q), from_graph);
-  }
-}
-
 TEST(CellList, InvalidConstructionThrows) {
   EXPECT_THROW(CellList(0.0, {0, 0}, {1, 1}), CheckError);
   EXPECT_THROW(CellList(0.1, {1, 1}, {0, 0}), CheckError);
@@ -201,83 +187,6 @@ TEST(RadiusGraph, BoundaryDistanceExactlyRadiusIncluded) {
   std::vector<Vec2> pts = {{0.0, 0.0}, {0.1, 0.0}};
   const Graph g = build_radius_graph(pts, 0.1);
   EXPECT_EQ(g.num_edges(), 2);
-}
-
-// ---- Verlet skin lists ------------------------------------------------------
-
-TEST(VerletSkin, ZeroSkinAlwaysRebuilds) {
-  Rng rng(20);
-  auto pts = random_points(30, rng);
-  CellList cells(0.1, {0, 0}, {1, 1}, /*skin=*/0.0);
-  EXPECT_TRUE(cells.maybe_rebuild(pts));
-  EXPECT_TRUE(cells.maybe_rebuild(pts));  // no reuse without a skin
-}
-
-TEST(VerletSkin, ReusesWhileWithinHalfSkin) {
-  Rng rng(21);
-  auto pts = random_points(40, rng);
-  const double skin = 0.04;
-  CellList cells(0.1, {0, 0}, {1, 1}, skin);
-  EXPECT_TRUE(cells.maybe_rebuild(pts));  // first use builds
-  // Displacements strictly inside skin/2: reuse.
-  for (auto& p : pts) p.x += 0.4 * skin;
-  EXPECT_FALSE(cells.maybe_rebuild(pts));
-  // One particle crosses the skin/2 threshold: rebuild.
-  // (0.4^2 + 0.4^2)^0.5 = 0.57 skin > skin/2 for particle 7.
-  pts[7].y += 0.4 * skin;
-  EXPECT_TRUE(cells.maybe_rebuild(pts));
-}
-
-TEST(VerletSkin, ParticleCountChangeForcesRebuild) {
-  Rng rng(22);
-  auto pts = random_points(25, rng);
-  CellList cells(0.1, {0, 0}, {1, 1}, 0.03);
-  EXPECT_TRUE(cells.maybe_rebuild(pts));
-  pts.push_back({0.5, 0.5});
-  EXPECT_TRUE(cells.maybe_rebuild(pts));
-}
-
-TEST(VerletSkin, EdgesIdenticalToFreshBuildAcrossJitteredTrajectory) {
-  // The load-bearing property: across a 200-step jittered trajectory —
-  // including steps that cross the skin/2 rebuild threshold and particles
-  // that drift out of the domain — the cached graph must equal a fresh
-  // brute-force build exactly (same edges, same order), every step.
-  Rng rng(23);
-  const double radius = 0.12;
-  const double skin = 0.25 * radius;
-  const int n = 50;
-  auto pts = random_points(n, rng, 0.1, 0.9);
-  CellList cells(radius, {0, 0}, {1, 1}, skin);
-  int rebuilds = 0, reuses = 0;
-  for (int step = 0; step < 200; ++step) {
-    // Small per-step drift, so several steps fit inside one skin...
-    for (auto& p : pts) {
-      p.x += rng.uniform(-2.5e-3, 2.5e-3);
-      p.y += rng.uniform(-2.5e-3, 2.5e-3);
-    }
-    // ...plus an occasional kick that immediately crosses the threshold
-    // (and periodically pushes a particle outside the domain).
-    if (step % 23 == 11) pts[step % n].x += 0.6 * skin;
-    if (step % 41 == 5) pts[step % n].y = 1.02;
-    cells.maybe_rebuild(pts) ? ++rebuilds : ++reuses;
-    const Graph cached = cells.radius_graph(pts);
-    const Graph fresh = brute_force_radius_graph(pts, radius);
-    ASSERT_EQ(cached.senders, fresh.senders) << "step " << step;
-    ASSERT_EQ(cached.receivers, fresh.receivers) << "step " << step;
-  }
-  // The trajectory must exercise both paths for the property to mean
-  // anything.
-  EXPECT_GT(rebuilds, 0);
-  EXPECT_GT(reuses, 0);
-}
-
-TEST(VerletSkin, DefaultSkinFractionSetterRoundTrip) {
-  const double before = default_skin_fraction();
-  set_default_skin_fraction(0.3);
-  EXPECT_DOUBLE_EQ(default_skin_fraction(), 0.3);
-  set_default_skin_fraction(-1.0);  // negative clamps to off
-  EXPECT_DOUBLE_EQ(default_skin_fraction(), 0.0);
-  set_default_skin_fraction(before);
 }
 
 }  // namespace

@@ -354,6 +354,38 @@ TEST_F(ServeTest, MalformedRequestIsExecutionErrorAndSchedulerSurvives) {
   EXPECT_EQ(scheduler.stats().snapshot().failed, 2u);
 }
 
+TEST_F(ServeTest, FarParticleDoesNotSizeTheNeighborGrid) {
+  // Request coordinates must not size what a step allocates: the neighbor
+  // grid covers the model's configured domain, and a particle far outside
+  // it clamps into a boundary cell. A grid sized by the newest frame's
+  // bounding box would ask for 25,000 x 25,000 cells here. Both the
+  // unbatched chain (max_batch 1) and the batched one (max_batch 2) must
+  // serve it, bitwise alike.
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->put("m", make_small_sim());
+  ModelRegistry::Handle sim = registry->get("m");
+  RolloutRequest far = small_request(*sim, 3);
+  for (auto& frame : far.window) {
+    frame.push_back(1e4);
+    frame.push_back(1e4);
+  }
+
+  std::vector<std::vector<std::vector<double>>> frames;
+  for (int max_batch : {1, 2}) {
+    SchedulerConfig cfg;
+    cfg.workers = 1;
+    cfg.queue_capacity = 4;
+    cfg.max_batch = max_batch;
+    JobScheduler scheduler(registry, cfg);
+    RolloutResult result = scheduler.submit(RolloutRequest(far)).result.get();
+    ASSERT_EQ(result.status, JobStatus::Ok)
+        << "max_batch " << max_batch << ": " << result.error;
+    ASSERT_EQ(result.frames.size(), 3u);
+    frames.push_back(std::move(result.frames));
+  }
+  EXPECT_EQ(frames[0], frames[1]);
+}
+
 // ---------- Batched dispatch (max_batch > 1) ----------
 
 TEST_F(ServeTest, BatchedSchedulerMatchesSequentialBitwise) {

@@ -1,6 +1,7 @@
 // Tensor core: factories, shapes, autograd plumbing, guards.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include "ad/ops.hpp"
 #include "ad/tensor.hpp"
@@ -140,12 +141,31 @@ TEST(Tensor, OpsWithoutGradLeavesRecordNothing) {
 }
 
 TEST(Tensor, LongChainBackwardDoesNotOverflowStack) {
-  // Iterative DFS must survive rollout-length tapes (thousands of nodes).
-  Tensor x = Tensor::scalar(1.0, true);
-  Tensor y = x;
-  for (int i = 0; i < 20000; ++i) y = add_scalar(y, 1e-6);
-  sum(y).backward();
-  EXPECT_DOUBLE_EQ(x.grad()[0], 1.0);
+  // Neither the backward walk nor freeing the tape may recurse once per
+  // node: build, differentiate and free a 20,000-node chain on a thread
+  // with a 256 KiB stack.
+  struct Chain {
+    static void* run(void* grad_out) {
+      Tensor x = Tensor::scalar(1.0, true);
+      {
+        Tensor y = x;
+        for (int i = 0; i < 20000; ++i) y = add_scalar(y, 1e-6);
+        sum(y).backward();
+      }  // the whole chain is freed here
+      *static_cast<Real*>(grad_out) = x.grad()[0];
+      return nullptr;
+    }
+  };
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 * 1024), 0);
+  Real grad = 0.0;
+  pthread_t thread;
+  const int created = pthread_create(&thread, &attr, &Chain::run, &grad);
+  pthread_attr_destroy(&attr);
+  ASSERT_EQ(created, 0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  EXPECT_DOUBLE_EQ(grad, 1.0);
 }
 
 TEST(Tensor, ToStringMentionsShape) {
