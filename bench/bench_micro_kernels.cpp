@@ -61,7 +61,11 @@ void BM_RadiusGraph(benchmark::State& state) {
     p.y = rng.uniform(0.0, 0.5);
   }
   for (auto _ : state) {
-    graph::Graph g = graph::build_radius_graph(pts, 0.04);
+    // A fresh grid over the Fig-3 domain per build, as core::build_graph
+    // makes one per step.
+    graph::CellList cells(0.04, {0.0, 0.0}, {1.0, 0.5});
+    cells.build(pts);
+    graph::Graph g = cells.radius_graph(pts);
     benchmark::DoNotOptimize(g.senders.data());
   }
   state.counters["particles/s"] = benchmark::Counter(

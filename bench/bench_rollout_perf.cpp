@@ -5,7 +5,9 @@
 // Runs SIMD off and on on the Fig-3 columns configuration (held-out
 // friction angle), reports steps/sec for each, and verifies that both
 // produce bitwise-identical rollout frames — the kernels trade passes for
-// speed, never results.
+// speed, never results. It also steps the same rollout with grad mode on,
+// detaching each new frame: that runs the taped op chain instead of the
+// untaped row kernels rollouts use, and its frames must be identical too.
 // The timed rollouts run inside one ad::ArenaLifetime, so the pool
 // persists between them and arena_hit_rate (from the ad.arena.hit and
 // ad.arena.miss counters) measures steady-state pooling.
@@ -15,7 +17,7 @@
 //
 // Output: BENCH_rollout.json in the bench cache with v0_steps_per_sec and
 // v1_steps_per_sec (SIMD off/on) plus speedup_simd, arena_hit_rate, and
-// identical_outputs.
+// identical_outputs (SIMD off, SIMD on and the op chain all agree).
 
 #include <array>
 #include <cstring>
@@ -145,6 +147,21 @@ int main(int argc, char** argv) {
   const double hits = static_cast<double>(arena_hits.value() - hits0);
   const double misses = static_cast<double>(arena_misses.value() - misses0);
   const double hit_rate = hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
+
+  // The op chain: grad mode is on here and the weights require grad, so
+  // each step tapes; detaching the new frame drops its tape.
+  bool same_taped = true;
+  {
+    Window window;
+    for (const auto& t : win) window.push_back(t.detach());
+    for (int s = 0; s < steps && same_taped; ++s) {
+      ad::Tensor next = sim.step(window, ctx).detach();
+      same_taped = core::tensor_to_frame(next) == baseline_frames[s];
+      window.erase(window.begin());
+      window.push_back(next);
+    }
+  }
+  identical = identical && same_taped;
   std::vector<std::pair<std::string, double>> fields;
   for (int v = 0; v < 2; ++v) {
     std::printf("%12s %14.2f %10s\n", v == 1 ? "on" : "off", best[v],
@@ -152,13 +169,14 @@ int main(int argc, char** argv) {
     fields.emplace_back("v" + std::to_string(v) + "_steps_per_sec", best[v]);
   }
   const double speedup_simd = best[0] > 0.0 ? best[1] / best[0] : 0.0;
+  std::printf("%12s %14s %10s\n", "taped", "-", same_taped ? "yes" : "NO");
   print_rule();
   std::printf(
       "simd on/off speedup: %.2fx\n"
       "arena hit rate: %.4f\n"
       "outputs %s\n",
       speedup_simd, hit_rate,
-      identical ? "bitwise identical with SIMD off and on"
+      identical ? "bitwise identical with SIMD off and on and taped"
                 : "DIVERGED — kernel bug");
   fields.emplace_back("speedup_simd", speedup_simd);
   fields.emplace_back("arena_hit_rate", hit_rate);

@@ -1,6 +1,9 @@
 #include "ad/nn.hpp"
 
+#include <algorithm>
 #include <cmath>
+
+#include "exec/parallel_for.hpp"
 
 namespace gns::ad {
 
@@ -70,7 +73,11 @@ std::vector<Tensor> LayerNorm::parameters() const { return {gamma_, beta_}; }
 Mlp::Mlp(int in_features, int hidden_size, int hidden_layers,
          int out_features, Rng& rng, bool output_layer_norm,
          Activation activation)
-    : in_(in_features), out_(out_features), activation_(activation) {
+    : in_(in_features),
+      out_(out_features),
+      max_width_(hidden_layers > 0 ? std::max(hidden_size, out_features)
+                                   : out_features),
+      activation_(activation) {
   GNS_CHECK(hidden_layers >= 0);
   int prev = in_features;
   for (int i = 0; i < hidden_layers; ++i) {
@@ -81,7 +88,51 @@ Mlp::Mlp(int in_features, int hidden_size, int hidden_layers,
   if (output_layer_norm) norm_ = std::make_unique<LayerNorm>(out_features);
 }
 
+std::int64_t Mlp::row_macs() const {
+  std::int64_t macs = 0;
+  for (const Linear& layer : layers_)
+    macs += static_cast<std::int64_t>(layer.in_features()) *
+            layer.out_features();
+  return macs;
+}
+
+void Mlp::forward_row(const Real* x, Real* y) const {
+  // Layer outputs alternate between two stack rows; the last one goes
+  // straight to y unless the LayerNorm still has to read it.
+  alignas(32) Real scratch[2][kMaxRowWidth];
+  const FusedAct hidden_act =
+      (activation_ == Activation::ReLU) ? FusedAct::ReLU : FusedAct::Tanh;
+  const std::size_t last = layers_.size() - 1;
+  const Real* in = x;
+  for (std::size_t i = 0; i <= last; ++i) {
+    const Linear& layer = layers_[i];
+    Real* out = (i == last && !norm_) ? y : scratch[i % 2];
+    linear_act_row(in, layer.weight().data(),
+                   layer.bias().defined() ? layer.bias().data() : nullptr,
+                   out, layer.in_features(), layer.out_features(),
+                   i == last ? FusedAct::Identity : hidden_act);
+    in = out;
+  }
+  if (norm_)
+    layer_norm_row(in, norm_->gamma().data(), norm_->beta().data(),
+                   norm_->eps(), y, out_);
+}
+
 Tensor Mlp::forward(const Tensor& x) const {
+  if (!grad_enabled() && fits_row_path()) {
+    GNS_CHECK_MSG(x.cols() == in_, "Mlp expects " << in_
+                                                  << " features, got "
+                                                  << x.cols());
+    const int n = x.rows();
+    Tensor out = make_op_result(n, out_, {}, {});
+    const Real* xv = x.data();
+    Real* yv = out.data();
+    exec::parallel_for(n, n * row_macs() > 1 << 16, [&](std::int64_t i) {
+      forward_row(xv + static_cast<std::size_t>(i) * in_,
+                  yv + static_cast<std::size_t>(i) * out_);
+    });
+    return out;
+  }
   // One fused kernel per layer instead of matmul/add/act tensors; bitwise
   // identical to the Linear::forward -> relu/tanh_op chain (see ops.hpp).
   const FusedAct hidden_act =

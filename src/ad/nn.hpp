@@ -5,6 +5,13 @@
 /// LayerNorm, and the MLP used uniformly by the GNS encoder, processor and
 /// decoder (per Sanchez-Gonzalez et al. 2020: hidden layers with ReLU, an
 /// optional LayerNorm on the output).
+///
+/// Mlp::forward has two paths. With grad mode on it builds the op chain
+/// (one linear_act per layer, then layer_norm), which the backward needs.
+/// With grad mode off (ad::NoGradGuard, as every inference caller holds)
+/// it runs forward_row on each row in one parallel region: every layer and
+/// the LayerNorm on stack scratch, with no tensor per layer. Both paths
+/// call the same row kernels (ops.hpp), so their outputs are bitwise equal.
 
 #include <memory>
 #include <string>
@@ -70,6 +77,10 @@ class LayerNorm : public Module {
   [[nodiscard]] Tensor forward(const Tensor& x) const;
   [[nodiscard]] std::vector<Tensor> parameters() const override;
 
+  [[nodiscard]] const Tensor& gamma() const { return gamma_; }
+  [[nodiscard]] const Tensor& beta() const { return beta_; }
+  [[nodiscard]] Real eps() const { return eps_; }
+
  private:
   Tensor gamma_;
   Tensor beta_;
@@ -78,6 +89,11 @@ class LayerNorm : public Module {
 
 /// Activation used between MLP layers.
 enum class Activation { ReLU, Tanh };
+
+/// Widest row, in values, that the untaped row path keeps on the stack: an
+/// MLP layer's output, or a GNS processor MLP's concatenated input. Models
+/// with a wider row run the op chain with grad mode off as well.
+inline constexpr int kMaxRowWidth = 512;
 
 /// Multilayer perceptron: `hidden_layers` hidden layers of `hidden_size`
 /// with the chosen activation, a linear output layer, and an optional
@@ -89,8 +105,23 @@ class Mlp : public Module {
       Rng& rng, bool output_layer_norm = false,
       Activation activation = Activation::ReLU);
 
+  /// Op chain with grad mode on; forward_row per row, in one parallel
+  /// region, with grad mode off (see the file comment).
   [[nodiscard]] Tensor forward(const Tensor& x) const;
   [[nodiscard]] std::vector<Tensor> parameters() const override;
+
+  /// True when every layer's output fits the row path's stack scratch
+  /// (at most kMaxRowWidth values).
+  [[nodiscard]] bool fits_row_path() const {
+    return max_width_ <= kMaxRowWidth;
+  }
+  /// One row through every layer and the optional LayerNorm, untaped:
+  /// y[0..out_features) from x[0..in_features). Bitwise equal to that row
+  /// of forward(). Allocates nothing; requires fits_row_path(). y must not
+  /// alias x.
+  void forward_row(const Real* x, Real* y) const;
+  /// Multiply-adds per row over all layers (sizes parallel regions).
+  [[nodiscard]] std::int64_t row_macs() const;
 
   [[nodiscard]] int in_features() const { return in_; }
   [[nodiscard]] int out_features() const { return out_; }
@@ -98,6 +129,7 @@ class Mlp : public Module {
  private:
   int in_;
   int out_;
+  int max_width_;  // widest layer output
   Activation activation_;
   std::vector<Linear> layers_;
   std::unique_ptr<LayerNorm> norm_;  // null unless output_layer_norm

@@ -12,6 +12,13 @@
 /// reads per-edge endpoint features, scatter-add aggregates messages onto
 /// receiver nodes, segment_softmax normalizes attention scores over each
 /// node's incoming edges.
+///
+/// Two row kernels sit beside the ops: linear_act_row and layer_norm_row
+/// compute one output row of linear_act and layer_norm from raw pointers.
+/// The ops call them per row, and so does the untaped forward
+/// (Mlp::forward and GnsModel::forward with grad mode off), which chains
+/// them on stack scratch instead of building a tensor per op. One copy of
+/// each kernel serves both, which is what keeps the two paths bitwise equal.
 
 #include <vector>
 
@@ -86,6 +93,13 @@ enum class FusedAct { Identity, ReLU, Tanh };
 Tensor linear_act(const Tensor& x, const Tensor& w, const Tensor& b,
                   FusedAct act);
 
+/// One output row of linear_act: y[0..m) = act(x[0..k)·W + b) with W
+/// row-major [k,m] and b [m] (or null: no bias). Overwrites y, which must
+/// not alias x. Dispatches to the AVX2 or scalar row kernel, whichever the
+/// CPU runs; linear_act calls it for each of its rows.
+void linear_act_row(const Real* x, const Real* w, const Real* b, Real* y,
+                    int k, int m, FusedAct act);
+
 /// Always true: linear_act is Mlp's only forward path. Kept as a query so
 /// configuration stamps can report it.
 [[nodiscard]] inline bool fused_linear_enabled() { return true; }
@@ -153,5 +167,12 @@ Tensor radius_edge_features(const Tensor& positions, const IndexMap& senders,
 /// Per-row layer normalization with learnable gain/bias [1,C].
 Tensor layer_norm(const Tensor& a, const Tensor& gamma, const Tensor& beta,
                   Real eps = Real(1e-5));
+
+/// One row of layer_norm's forward: y[0..m) = γ·(x − μ)·s + β with
+/// s = 1/√(σ² + eps), where μ and σ² = mean((x − μ)²) are scalar sums in
+/// ascending column order. y may alias x. layer_norm calls it for each of
+/// its rows.
+void layer_norm_row(const Real* x, const Real* gamma, const Real* beta,
+                    Real eps, Real* y, int m);
 
 }  // namespace gns::ad

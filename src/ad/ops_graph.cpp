@@ -530,20 +530,24 @@ Tensor layer_norm(const Tensor& a, const Tensor& gamma, const Tensor& beta,
   const Real* bv = beta.data();
   Real* ov = out.data();
   exec::parallel_for(n, parallel_worthwhile(n, m), [&](std::int64_t i) {
-    const Real* x = av + static_cast<std::size_t>(i) * m;
-    Real* y = ov + static_cast<std::size_t>(i) * m;
-    // The mu/var reductions stay scalar — vectorizing a sum reassociates
-    // it; only the per-element affine pass below is SIMD.
-    Real mu = Real(0);
-    for (int j = 0; j < m; ++j) mu += x[j];
-    mu /= m;
-    Real var = Real(0);
-    for (int j = 0; j < m; ++j) var += (x[j] - mu) * (x[j] - mu);
-    var /= m;
-    const Real inv_s = Real(1) / std::sqrt(var + eps);
-    simd::norm_affine(y, x, gv, bv, mu, inv_s, static_cast<std::size_t>(m));
+    layer_norm_row(av + static_cast<std::size_t>(i) * m, gv, bv, eps,
+                   ov + static_cast<std::size_t>(i) * m, m);
   });
   return out;
+}
+
+void layer_norm_row(const Real* x, const Real* gamma, const Real* beta,
+                    Real eps, Real* y, int m) {
+  // The mu/var reductions stay scalar — vectorizing a sum reassociates
+  // it; only the per-element affine pass below is SIMD.
+  Real mu = Real(0);
+  for (int j = 0; j < m; ++j) mu += x[j];
+  mu /= m;
+  Real var = Real(0);
+  for (int j = 0; j < m; ++j) var += (x[j] - mu) * (x[j] - mu);
+  var /= m;
+  const Real inv_s = Real(1) / std::sqrt(var + eps);
+  simd::norm_affine(y, x, gamma, beta, mu, inv_s, static_cast<std::size_t>(m));
 }
 
 }  // namespace gns::ad

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -8,6 +9,7 @@
 #include "ad/ops.hpp"
 #include "exec/parallel_for.hpp"
 #include "obs/trace.hpp"
+#include "util/simd.hpp"
 
 namespace gns::ad {
 
@@ -66,12 +68,13 @@ void gemm_tn_acc(const Real* a, const Real* go, Real* gb, int n, int k,
 }
 
 /// One fused output row, portable path: the exact gemm_acc accumulation
-/// (same ascending-p order, same zero-skip) followed by bias add and
-/// activation while the row is still cache-hot. Element-for-element this
-/// performs the identical FP operation sequence as matmul -> add -> act,
-/// so results are bitwise equal to the unfused chain.
+/// from a +0.0 row (same ascending-p order, same zero-skip) followed by
+/// bias add and activation while the row is still cache-hot. Element-for-
+/// element this performs the identical FP operation sequence as matmul ->
+/// add -> act, so results are bitwise equal to the unfused chain.
 void fused_row_scalar(const Real* arow, const Real* w, const Real* bias,
                       Real* crow, int k, int m, FusedAct act) {
+  std::fill(crow, crow + m, Real(0));
   for (int p = 0; p < k; ++p) {
     const Real av = arow[p];
     if (av == Real(0)) continue;
@@ -119,7 +122,7 @@ __attribute__((target("avx2"))) void fused_avx2_block(const Real* arow,
                                                       Real* cblk, int k,
                                                       int m, FusedAct act) {
   __m256d acc[NV];
-  for (int u = 0; u < NV; ++u) acc[u] = _mm256_loadu_pd(cblk + 4 * u);
+  for (int u = 0; u < NV; ++u) acc[u] = _mm256_setzero_pd();
   for (int p = 0; p < k; ++p) {
     const Real av = arow[p];
     if (av == Real(0)) continue;
@@ -165,7 +168,7 @@ __attribute__((target("avx2"))) void fused_row_avx2(const Real* arow,
   // Columns past the last multiple of 4: scalar, one accumulator per
   // column, same op order as above.
   for (; j < m; ++j) {
-    Real acc = crow[j];
+    Real acc = Real(0);
     for (int p = 0; p < k; ++p) {
       const Real av = arow[p];
       if (av == Real(0)) continue;
@@ -180,10 +183,6 @@ __attribute__((target("avx2"))) void fused_row_avx2(const Real* arow,
   }
 }
 
-bool cpu_has_avx2() {
-  static const bool has = __builtin_cpu_supports("avx2") != 0;
-  return has;
-}
 #endif  // GNS_LINEAR_ACT_AVX2_KERNEL
 
 /// Fused forward: per output row, gemm accumulation + bias + activation in
@@ -191,20 +190,10 @@ bool cpu_has_avx2() {
 void fused_linear_fwd(const Real* a, const Real* w, const Real* bias, Real* c,
                       int n, int k, int m, FusedAct act) {
   const std::int64_t work = static_cast<std::int64_t>(n) * k * m;
-#ifdef GNS_LINEAR_ACT_AVX2_KERNEL
-  if (cpu_has_avx2()) {
-    exec::parallel_for(n, work > 1 << 16, [&](std::int64_t row) {
-      const int i = static_cast<int>(row);
-      fused_row_avx2(a + static_cast<std::size_t>(i) * k, w, bias,
-                     c + static_cast<std::size_t>(i) * m, k, m, act);
-    });
-    return;
-  }
-#endif
   exec::parallel_for(n, work > 1 << 16, [&](std::int64_t row) {
     const int i = static_cast<int>(row);
-    fused_row_scalar(a + static_cast<std::size_t>(i) * k, w, bias,
-                     c + static_cast<std::size_t>(i) * m, k, m, act);
+    linear_act_row(a + static_cast<std::size_t>(i) * k, w, bias,
+                   c + static_cast<std::size_t>(i) * m, k, m, act);
   });
 }
 
@@ -224,6 +213,17 @@ Real act_grad_from_output(FusedAct act, Real out) {
 }
 
 }  // namespace
+
+void linear_act_row(const Real* x, const Real* w, const Real* b, Real* y,
+                    int k, int m, FusedAct act) {
+#ifdef GNS_LINEAR_ACT_AVX2_KERNEL
+  if (simd::cpu_has_avx2()) {
+    fused_row_avx2(x, w, b, y, k, m, act);
+    return;
+  }
+#endif
+  fused_row_scalar(x, w, b, y, k, m, act);
+}
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   GNS_TRACE_SCOPE("ad.ops.matmul");

@@ -1,6 +1,12 @@
 #include "core/gns.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
+#include "exec/parallel_for.hpp"
 #include "obs/obs.hpp"
+#include "util/simd.hpp"
 
 namespace gns::core {
 
@@ -37,6 +43,12 @@ GnsModel::GnsModel(GnsConfig config, Rng& rng)
     }
     layers_.push_back(std::move(layer));
   }
+  // Every round has the first one's shapes.
+  const ProcessorLayer& first = layers_.front();
+  row_rounds_ = 3 * config.latent <= ad::kMaxRowWidth &&
+                first.edge_mlp.fits_row_path() &&
+                first.node_mlp.fits_row_path() &&
+                (!first.attention_mlp || first.attention_mlp->fits_row_path());
 }
 
 GnsOutput GnsModel::forward(const ad::Tensor& node_features,
@@ -60,7 +72,9 @@ GnsOutput GnsModel::forward(const ad::Tensor& node_features,
                 "graph/edge count mismatch");
   GNS_CHECK_MSG(index.defined(), "GnsModel::forward with undefined index");
   GNS_CHECK_MSG(index.senders.size() == graph.num_edges() &&
-                    index.senders.num_buckets() == graph.num_nodes,
+                    index.senders.num_buckets() == graph.num_nodes &&
+                    index.receivers.size() == graph.num_edges() &&
+                    index.receivers.num_buckets() == graph.num_nodes,
                 "GraphIndex does not match graph");
 
   GNS_TRACE_SCOPE("core.gns.forward");
@@ -81,30 +95,14 @@ GnsOutput GnsModel::forward(const ad::Tensor& node_features,
 
   {
     const obs::ScopedHistogramTimer phase_timer(process_ms);
+    const bool untaped = !ad::grad_enabled() && row_rounds_;
     int round = 0;
     for (const auto& layer : layers_) {
       GNS_TRACE_SCOPE_I("core.gns.round", round++);
-      // Edge update: φ^e(e_k, v_sender, v_receiver) + residual.
-      ad::Tensor vs = ad::gather_rows(v, index.senders);
-      ad::Tensor vr = ad::gather_rows(v, index.receivers);
-      ad::Tensor e_in = ad::concat_cols({e, vs, vr});
-      ad::Tensor e_new = ad::add(layer.edge_mlp.forward(e_in), e);
-
-      // Optional attention: per-receiver softmax over incoming messages.
-      ad::Tensor weighted = e_new;
-      if (layer.attention_mlp) {
-        ad::Tensor score = layer.attention_mlp->forward(e_in);
-        ad::Tensor alpha = ad::segment_softmax(score, index.receivers);
-        weighted = ad::mul(e_new, alpha);  // [E,L] * [E,1] broadcast
-      }
-
-      // Node update: φ^v(v_i, Σ incoming messages) + residual.
-      ad::Tensor agg = ad::scatter_add_rows(weighted, index.receivers);
-      ad::Tensor v_in = ad::concat_cols({v, agg});
-      ad::Tensor v_new = ad::add(layer.node_mlp.forward(v_in), v);
-
-      v = v_new;
-      e = e_new;
+      if (untaped)
+        layer.forward_rows(index, v, e);
+      else
+        layer.forward_ops(index, v, e);
     }
   }
 
@@ -116,6 +114,125 @@ GnsOutput GnsModel::forward(const ad::Tensor& node_features,
   }
   out.messages = e;
   return out;
+}
+
+void GnsModel::ProcessorLayer::forward_ops(const GraphIndex& index,
+                                           ad::Tensor& v,
+                                           ad::Tensor& e) const {
+  ad::Tensor e_new, score;
+  {
+    GNS_TRACE_SCOPE("core.gns.round.edge");
+    // Edge update: φ^e(e_k, v_sender, v_receiver) + residual.
+    ad::Tensor vs = ad::gather_rows(v, index.senders);
+    ad::Tensor vr = ad::gather_rows(v, index.receivers);
+    ad::Tensor e_in = ad::concat_cols({e, vs, vr});
+    e_new = ad::add(edge_mlp.forward(e_in), e);
+    if (attention_mlp) score = attention_mlp->forward(e_in);
+  }
+  GNS_TRACE_SCOPE("core.gns.round.node");
+  // Optional attention: per-receiver softmax over incoming messages.
+  ad::Tensor weighted = e_new;
+  if (attention_mlp) {
+    ad::Tensor alpha = ad::segment_softmax(score, index.receivers);
+    weighted = ad::mul(e_new, alpha);  // [E,L] * [E,1] broadcast
+  }
+  // Node update: φ^v(v_i, Σ incoming messages) + residual.
+  ad::Tensor agg = ad::scatter_add_rows(weighted, index.receivers);
+  ad::Tensor v_in = ad::concat_cols({v, agg});
+  v = ad::add(node_mlp.forward(v_in), v);
+  e = e_new;
+}
+
+// Per element, forward_rows performs the float operations of forward_ops
+// in the same order: the MLP rows run the kernels linear_act and
+// layer_norm run per row; the residual is one add; the aggregate starts
+// at +0.0 and adds each incoming edge row in ascending edge index, as
+// scatter_add_rows does; the attention softmax takes the max, the exp-sum
+// and the divide over the same CSR order as segment_softmax, and each
+// weighted row is one rounded multiply before its add, as mul then
+// scatter_add_rows. Every output row has exactly one writer, so the
+// result does not depend on the worker count.
+void GnsModel::ProcessorLayer::forward_rows(const GraphIndex& index,
+                                            ad::Tensor& v,
+                                            ad::Tensor& e) const {
+  GNS_CHECK_MSG(index.senders.size() > 0, "gather_rows with empty index");
+  index.senders.dcheck_valid();
+  index.receivers.dcheck_valid();
+  const int num_nodes = v.rows();
+  const int num_edges = e.rows();
+  const int latent = e.cols();
+  const auto l = static_cast<std::size_t>(latent);
+  const ad::Real* vv = v.data();
+  const ad::Real* ev = e.data();
+  const int* senders = index.senders.index().data();
+  const int* receivers = index.receivers.index().data();
+
+  // Attention scores from the edge kernel, turned in place into softmax
+  // weights by the node kernel; each edge has one receiver, so each entry
+  // has one writer.
+  std::vector<ad::Real> alpha;
+  if (attention_mlp) ad::arena::acquire(alpha, num_edges);
+
+  ad::Tensor e_new = ad::make_op_result(num_edges, latent, {}, {});
+  ad::Real* env = e_new.data();
+  {
+    GNS_TRACE_SCOPE("core.gns.round.edge");
+    const std::int64_t macs =
+        edge_mlp.row_macs() + (attention_mlp ? attention_mlp->row_macs() : 0);
+    exec::parallel_for(num_edges, num_edges * macs > 1 << 16,
+                       [&](std::int64_t i) {
+      // φᵉ's input row [e_i, v_s, v_r], in concat_cols' column order.
+      alignas(32) ad::Real in[ad::kMaxRowWidth];
+      std::copy_n(ev + i * l, l, in);
+      std::copy_n(vv + senders[i] * l, l, in + l);
+      std::copy_n(vv + receivers[i] * l, l, in + 2 * l);
+      ad::Real* out = env + i * l;
+      edge_mlp.forward_row(in, out);
+      simd::accumulate(out, ev + i * l, l);  // residual
+      if (attention_mlp) attention_mlp->forward_row(in, &alpha[i]);
+    });
+  }
+
+  ad::Tensor v_new = ad::make_op_result(num_nodes, latent, {}, {});
+  ad::Real* vnv = v_new.data();
+  {
+    GNS_TRACE_SCOPE("core.gns.round.node");
+    const int* off = index.receivers.offsets();
+    const int* pos = index.receivers.positions();
+    exec::parallel_for(num_nodes, num_nodes * node_mlp.row_macs() > 1 << 16,
+                       [&](std::int64_t b) {
+      // φᵛ's input row [v_b, Σ incoming e_new].
+      alignas(32) ad::Real in[ad::kMaxRowWidth];
+      std::copy_n(vv + b * l, l, in);
+      ad::Real* agg = in + l;
+      std::fill_n(agg, l, ad::Real(0));
+      if (attention_mlp) {
+        ad::Real seg_max = -std::numeric_limits<ad::Real>::infinity();
+        for (int p = off[b]; p < off[b + 1]; ++p)
+          seg_max = std::max(seg_max, alpha[pos[p]]);
+        ad::Real seg_sum = ad::Real(0);
+        for (int p = off[b]; p < off[b + 1]; ++p) {
+          const int i = pos[p];
+          alpha[i] = std::exp(alpha[i] - seg_max);
+          seg_sum += alpha[i];
+        }
+        for (int p = off[b]; p < off[b + 1]; ++p) {
+          const int i = pos[p];
+          alpha[i] /= seg_sum;
+          simd::accumulate_scaled(agg, env + i * l, alpha[i], l);
+        }
+      } else {
+        for (int p = off[b]; p < off[b + 1]; ++p)
+          simd::accumulate(agg, env + pos[p] * l, l);
+      }
+      ad::Real* out = vnv + b * l;
+      node_mlp.forward_row(in, out);
+      simd::accumulate(out, vv + b * l, l);  // residual
+    });
+  }
+  ad::arena::recycle(alpha);
+  v = v_new;
+  e = e_new;
 }
 
 std::vector<ad::Tensor> GnsModel::parameters() const {

@@ -19,6 +19,19 @@
 /// the §6 interpretability study: with L1 sparsity during training they
 /// become a learned linear combination of the true pairwise forces, which
 /// symbolic regression then converts back to a closed-form law.
+///
+/// A processor round runs one of two ways, bitwise equal:
+///  * grad mode on (training, rollout_diff, the inverse): the op chain
+///    gather_rows → concat_cols → edge MLP → add, then segment_softmax →
+///    mul (attention only) → scatter_add_rows → concat_cols → node MLP →
+///    add. The backward needs its intermediate tensors;
+///  * grad mode off (every rollout, serving, hybrid GNS legs, §6
+///    collect_messages, MeshNet): two row kernels. The edge kernel reads
+///    e, v[s] and v[r] in place and writes e + φᵉ(e, v_s, v_r) per edge;
+///    the node kernel sums each receiver's new edges in IndexMap CSR order
+///    and writes v + φᵛ(v, Σe) per node. No intermediate tensor exists.
+/// Each output element goes through the same float operations in the same
+/// order on both paths (DESIGN.md "Untaped forward").
 
 #include <memory>
 #include <vector>
@@ -75,6 +88,13 @@ class GnsModel : public ad::Module {
     ad::Mlp edge_mlp;
     ad::Mlp node_mlp;
     std::unique_ptr<ad::Mlp> attention_mlp;  // scores, only if attention
+
+    /// One round as the op chain: the taped path and the test oracle.
+    void forward_ops(const GraphIndex& index, ad::Tensor& v,
+                     ad::Tensor& e) const;
+    /// The same round untaped, as an edge kernel and a node kernel.
+    void forward_rows(const GraphIndex& index, ad::Tensor& v,
+                      ad::Tensor& e) const;
   };
 
   GnsConfig config_;
@@ -82,6 +102,7 @@ class GnsModel : public ad::Module {
   ad::Mlp edge_encoder_;
   std::vector<ProcessorLayer> layers_;
   ad::Mlp decoder_;
+  bool row_rounds_ = false;  // processor rows fit forward_rows' stack
 };
 
 }  // namespace gns::core

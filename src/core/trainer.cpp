@@ -15,8 +15,11 @@ LearnedSimulator make_simulator(const io::Dataset& dataset,
   GNS_CHECK_MSG(first.dim == features.dim,
                 "dataset dim " << first.dim << " vs feature dim "
                                << features.dim);
-  // Default domain bounds from the data when the caller left them empty.
-  if (static_cast<int>(features.domain_lo.size()) < features.dim &&
+  // Domain bounds from the data unless the caller gave one of this dim
+  // (FeatureConfig's default is 2-D, so a dim-1 config takes the data's).
+  const auto dim = static_cast<std::size_t>(features.dim);
+  if ((features.domain_lo.size() != dim ||
+       features.domain_hi.size() != dim) &&
       !first.domain_lo.empty()) {
     features.domain_lo = first.domain_lo;
     features.domain_hi = first.domain_hi;

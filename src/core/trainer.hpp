@@ -44,7 +44,9 @@ TrainReport train_gns(
 
 /// Builds a GNS + simulator pair wired to a dataset: computes
 /// normalization stats, sizes the model's input widths from the feature
-/// config, and returns the ready-to-train simulator.
+/// config, and returns the ready-to-train simulator. The feature domain is
+/// the dataset's unless `features.domain_lo`/`domain_hi` hold exactly
+/// `features.dim` entries each.
 [[nodiscard]] LearnedSimulator make_simulator(const io::Dataset& dataset,
                                               FeatureConfig features,
                                               GnsConfig model_config,

@@ -1,5 +1,10 @@
 #include "exec/executor.hpp"
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -53,6 +58,39 @@ obs::Counter& busy_counter() {
   return c;
 }
 
+/// One CPU per worker: the first `workers` CPUs this thread may run on
+/// (sched_getaffinity, so taskset and cpuset limits hold). Empty, and the
+/// kernel places the workers, when there is one worker or fewer allowed
+/// CPUs than workers.
+std::vector<int> worker_cpus(int workers) {
+  std::vector<int> cpus;
+#ifdef __linux__
+  cpu_set_t allowed;
+  if (workers < 2 || sched_getaffinity(0, sizeof(allowed), &allowed) != 0)
+    return cpus;
+  for (int c = 0; c < CPU_SETSIZE && static_cast<int>(cpus.size()) < workers;
+       ++c)
+    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
+  if (static_cast<int>(cpus.size()) < workers) cpus.clear();
+#else
+  (void)workers;
+#endif
+  return cpus;
+}
+
+/// Best effort: a worker that cannot be pinned runs wherever the kernel
+/// puts it.
+void pin_current_thread(int cpu) {
+#ifdef __linux__
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  (void)pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+#else
+  (void)cpu;
+#endif
+}
+
 }  // namespace
 
 int default_workers() {
@@ -62,14 +100,28 @@ int default_workers() {
   return n;
 }
 
-Executor::Executor(int workers) {
+// The wheel's thread starts before any worker is pinned, so it keeps the
+// constructing thread's CPUs: a thread started from a pinned worker would
+// inherit that worker's one CPU.
+Executor::Executor(int workers)
+    : wheel_([this](std::function<void()> f) { submit(std::move(f)); }) {
   if (workers <= 0) workers = default_workers();
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i)
     workers_.push_back(std::make_unique<Worker>());
-  for (int i = 0; i < workers; ++i)
-    workers_[static_cast<std::size_t>(i)]->thread =
-        std::thread([this, i] { worker_loop(i); });
+  // Each worker runs on its own CPU. Left to itself, the kernel may queue
+  // a woken worker on the CPU of the thread that woke it, and keep it
+  // there: a parallel_for helper then runs only after the caller blocks,
+  // and a process runs its parallel loops serially for as long as it
+  // lives.
+  const std::vector<int> cpus = worker_cpus(workers);
+  for (int i = 0; i < workers; ++i) {
+    const int cpu = cpus.empty() ? -1 : cpus[static_cast<std::size_t>(i)];
+    workers_[static_cast<std::size_t>(i)]->thread = std::thread([this, i, cpu] {
+      if (cpu >= 0) pin_current_thread(cpu);
+      worker_loop(i);
+    });
+  }
   workers_gauge().set(static_cast<double>(workers));
 }
 
@@ -223,22 +275,10 @@ Executor::TimerId Executor::schedule_after(double delay_ms,
 
 Executor::TimerId Executor::schedule_at(TimerWheel::Clock::time_point due,
                                         std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lk(wheel_m_);
-    if (!wheel_)
-      wheel_ = std::make_unique<TimerWheel>(
-          [this](std::function<void()> f) { submit(std::move(f)); });
-  }
-  return wheel_->schedule_at(due, std::move(fn));
+  return wheel_.schedule_at(due, std::move(fn));
 }
 
-bool Executor::cancel_timer(TimerId id) {
-  std::unique_lock<std::mutex> lk(wheel_m_);
-  if (!wheel_) return false;
-  TimerWheel* wheel = wheel_.get();
-  lk.unlock();
-  return wheel->cancel(id);
-}
+bool Executor::cancel_timer(TimerId id) { return wheel_.cancel(id); }
 
 ExecutorStats Executor::stats() const {
   ExecutorStats s;

@@ -7,7 +7,10 @@
 /// A fixed worker set (GNS_EXEC_WORKERS, default hardware concurrency)
 /// each owns a Chase-Lev deque; external threads submit through a
 /// mutex-protected injection queue, workers push continuations onto their
-/// own deque and steal from peers when idle. Timers ride a hashed
+/// own deque and steal from peers when idle. With at least two workers
+/// and at least one allowed CPU per worker, each worker is pinned to its
+/// own CPU, so a woken worker is never queued behind the thread that woke
+/// it (DESIGN.md §13). Timers ride a hashed
 /// TimerWheel whose fired callbacks are submitted as ordinary tasks, so
 /// deadlines and batch windows share cores with compute instead of
 /// holding threads.
@@ -125,8 +128,7 @@ class Executor {
   std::atomic<std::uint64_t> injected_{0};
   std::atomic<std::uint64_t> busy_ns_{0};
 
-  std::unique_ptr<TimerWheel> wheel_;  // lazily created on first timer
-  std::mutex wheel_m_;
+  TimerWheel wheel_;
 };
 
 }  // namespace gns::exec

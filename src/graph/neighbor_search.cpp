@@ -15,10 +15,20 @@ CellList::CellList(double radius, Vec2 domain_min, Vec2 domain_max)
   GNS_CHECK_MSG(radius > 0.0, "cell list radius must be positive");
   GNS_CHECK_MSG(domain_max.x > domain_min.x && domain_max.y > domain_min.y,
                 "cell list domain must have positive extent");
-  nx_ = std::max(1, static_cast<int>(std::ceil(
-                        (domain_max.x - domain_min.x) / radius_)));
-  ny_ = std::max(1, static_cast<int>(std::ceil(
-                        (domain_max.y - domain_min.y) / radius_)));
+  // Sized in double first: a radius far below the domain (a checkpoint's
+  // config can ask for one) must fail here, not overflow int. build()
+  // allocates cells + 1 offsets, so that count must fit too.
+  const double nx = std::max(1.0, std::ceil((domain_max.x - domain_min.x) /
+                                            radius_));
+  const double ny = std::max(1.0, std::ceil((domain_max.y - domain_min.y) /
+                                            radius_));
+  constexpr double kMaxCells = std::numeric_limits<int>::max() - 1;
+  GNS_CHECK_MSG(nx * ny <= kMaxCells,
+                "cell list of " << nx << " x " << ny << " cells (radius "
+                                << radius << ") exceeds " << kMaxCells
+                                << " cells");
+  nx_ = static_cast<int>(nx);
+  ny_ = static_cast<int>(ny);
 }
 
 std::array<int, 2> CellList::cell_coords(Vec2 p) const {
@@ -97,31 +107,6 @@ Graph CellList::radius_graph(const std::vector<Vec2>& positions,
     }
   }
   return g;
-}
-
-Graph build_radius_graph(const std::vector<Vec2>& positions, double radius,
-                         bool include_self) {
-  GNS_TRACE_SCOPE("graph.neighbor_search.total");
-  static auto& total_ms =
-      obs::MetricsRegistry::global().histogram("graph.neighbor_search_ms");
-  const obs::ScopedHistogramTimer phase_timer(total_ms);
-  if (positions.empty()) return Graph{};  // zero nodes, zero edges
-  Vec2 lo{std::numeric_limits<double>::max(),
-          std::numeric_limits<double>::max()};
-  Vec2 hi{std::numeric_limits<double>::lowest(),
-          std::numeric_limits<double>::lowest()};
-  for (const auto& p : positions) {
-    lo.x = std::min(lo.x, p.x);
-    lo.y = std::min(lo.y, p.y);
-    hi.x = std::max(hi.x, p.x);
-    hi.y = std::max(hi.y, p.y);
-  }
-  // Pad so degenerate (collinear / single-point) inputs still index.
-  hi.x = std::max(hi.x, lo.x + radius);
-  hi.y = std::max(hi.y, lo.y + radius);
-  CellList cells(radius, lo, hi);
-  cells.build(positions);
-  return cells.radius_graph(positions, include_self);
 }
 
 Graph brute_force_radius_graph(const std::vector<Vec2>& positions,

@@ -34,6 +34,9 @@ class CellList {
   ///                   boundary cells, so the search stays correct for
   ///                   escaping particles (clamping is a 1-Lipschitz
   ///                   projection, so stencil coverage is preserved).
+  /// Throws CheckError for a non-positive radius, an empty domain, or a
+  /// grid of more cells than an int offset array can index. Allocates
+  /// nothing; build() does.
   CellList(double radius, Vec2 domain_min, Vec2 domain_max);
 
   /// Rebuilds the cell structure for the given positions.
@@ -59,12 +62,6 @@ class CellList {
   std::vector<int> cell_start_;
   std::vector<int> sorted_ids_;
 };
-
-/// Convenience one-shot radius graph (builds a temporary CellList sized to
-/// the positions' bounding box).
-[[nodiscard]] Graph build_radius_graph(const std::vector<Vec2>& positions,
-                                       double radius,
-                                       bool include_self = false);
 
 /// Brute-force O(N^2) reference used by tests to validate the cell list.
 [[nodiscard]] Graph brute_force_radius_graph(

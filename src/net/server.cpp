@@ -484,6 +484,7 @@ struct Server::ExecConn {
   int watch_id = -1;
   bool closed = false;
   bool pump_armed = false;
+  bool pump_busy = false;  ///< the armed pump is the 2 ms busy tick
   exec::Executor::TimerId pump_timer = 0;
 };
 
@@ -575,12 +576,22 @@ void Server::exec_service(const std::shared_ptr<ExecConn>& ec,
       if (!conn.wqueue.empty()) events |= POLLOUT;
       bridge_->rearm(ec->watch_id, events);
       // Futures are poll-checked, so a connection with work pending gets a
-      // tight 2 ms pump tick and an idle one a relaxed 50 ms tick.
+      // tight 2 ms pump tick and an idle one a relaxed 50 ms tick. Work
+      // that arrives while the idle tick is armed swaps it for the busy
+      // one; kept, it would leave a finished rollout unseen for up to
+      // 50 ms.
+      const bool busy = !conn.inflight.empty() || !conn.wqueue.empty() ||
+                        conn.has_partial ||
+                        draining_.load(std::memory_order_acquire);
+      if (ec->pump_armed && busy && !ec->pump_busy &&
+          exec::Executor::global().cancel_timer(ec->pump_timer)) {
+        exec_pending_.fetch_sub(1, std::memory_order_acq_rel);
+        ec->pump_armed = false;
+        ec->pump_timer = 0;
+      }
       if (!ec->pump_armed) {
-        const bool busy = !conn.inflight.empty() || !conn.wqueue.empty() ||
-                          conn.has_partial ||
-                          draining_.load(std::memory_order_acquire);
         ec->pump_armed = true;
+        ec->pump_busy = busy;
         exec_pending_.fetch_add(1, std::memory_order_acq_rel);
         ec->pump_timer = exec::Executor::global().schedule_after(
             busy ? 2.0 : 50.0, [this, ec] {

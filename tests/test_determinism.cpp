@@ -14,7 +14,10 @@
 //    rows). The cross-row reductions — scatter_add forward and gather
 //    backward — run either serially (GNS_SIMD=0) or as CSR-transpose
 //    per-destination loops that accumulate contributions in ascending
-//    original-index order, whichever worker owns a destination.
+//    original-index order, whichever worker owns a destination. The
+//    untaped GNS forward's edge kernel is row-local too, and its node
+//    kernel sums each receiver's edges in that same CSR order; it is also
+//    checked against the taped op chain, bitwise.
 //  - MPM: p2g scatters into a fixed number of lanes (kP2gLanes), each
 //    owning a fixed chunk range, and reduces them in ascending lane
 //    order. The decomposition never depends on the worker count.
@@ -25,8 +28,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -34,6 +39,7 @@
 #include "cfd/cfd.hpp"
 #include "core/trainer.hpp"
 #include "exec/parallel_for.hpp"
+#include "graph/batch.hpp"
 #include "mpm/scenes.hpp"
 #include "mpm/solver.hpp"
 #include "sr/genetic.hpp"
@@ -103,6 +109,136 @@ TEST(ThreadInvariance, GnsRolloutIsBitwiseIdentical) {
           << "frame " << t << " component " << k
           << " differs between serial and executor runs";
   }
+}
+
+// ---------- Untaped GNS forward vs the taped op chain ----------
+
+/// Random graph over n nodes with edges in random order: the last 5 nodes
+/// have no edges, and every third edge goes to node 0, a hot receiver
+/// whose incoming edges are scattered through the whole edge list.
+graph::Graph random_graph(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  graph::Graph g;
+  g.num_nodes = n;
+  const auto active = static_cast<std::uint64_t>(n - 5);
+  for (int e = 0; e < 5 * (n - 5); ++e) {
+    const int sender = static_cast<int>(rng.uniform_index(active));
+    const int receiver =
+        e % 3 == 0 ? 0 : static_cast<int>(rng.uniform_index(active));
+    g.add_edge(sender, receiver);
+  }
+  return g;
+}
+
+ad::Tensor random_tensor(int rows, int cols, Rng& rng) {
+  std::vector<ad::Real> v(static_cast<std::size_t>(rows) * cols);
+  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
+  return ad::Tensor::from_vector(rows, cols, std::move(v));
+}
+
+void expect_bitwise(const ad::Tensor& want, const ad::Tensor& got,
+                    const std::string& what) {
+  ASSERT_EQ(want.rows(), got.rows()) << what;
+  ASSERT_EQ(want.cols(), got.cols()) << what;
+  std::size_t mismatches = 0, first = 0;
+  for (std::size_t i = 0; i < want.vec().size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(want.vec()[i]) !=
+        std::bit_cast<std::uint64_t>(got.vec()[i])) {
+      if (mismatches++ == 0) first = i;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << what << ": first difference at element "
+                            << first << " (" << want.vec()[first] << " vs "
+                            << got.vec()[first] << ")";
+}
+
+TEST(ThreadInvariance, UntapedGnsForwardMatchesTapedOpChain) {
+  // GnsModel::forward with grad mode off runs each processor round as an
+  // edge kernel and a node kernel; with grad mode on (the model's
+  // parameters require grad) it runs the op chain. Both must give the
+  // same acceleration and messages bits, serial and on the executor, with
+  // the SIMD graph kernels off (the chain's serial scatter) and on.
+  struct Case {
+    int latent;
+    int hidden;
+    int mlp_layers;
+    bool attention;
+  };
+  // Latent 18 and hidden 21 leave column tails past the AVX2 blocks.
+  const Case cases[] = {{32, 32, 2, false}, {32, 32, 2, true},
+                        {18, 21, 2, false}, {18, 21, 2, true},
+                        {18, 21, 0, false}, {18, 21, 0, true},
+                        {32, 32, 3, false}, {32, 32, 3, true}};
+  const graph::Graph single = random_graph(150, 31);
+  const graph::GraphBatch batch = graph::batch_graphs(std::vector<graph::Graph>{
+      random_graph(40, 32), random_graph(90, 33), random_graph(25, 34)});
+  for (const bool simd_on : {false, true}) {
+    simd::set_enabled(simd_on);
+    for (const Case& c : cases) {
+      core::GnsConfig gc;
+      gc.node_in = 5;
+      gc.edge_in = 3;
+      gc.latent = c.latent;
+      gc.mlp_hidden = c.hidden;
+      gc.mlp_layers = c.mlp_layers;
+      gc.message_passing_steps = 3;
+      gc.attention = c.attention;
+      Rng rng(41);
+      const core::GnsModel model(gc, rng);
+      for (const graph::Graph* g : {&single, &batch.merged}) {
+        Rng data_rng(43);
+        const ad::Tensor nodes =
+            random_tensor(g->num_nodes, gc.node_in, data_rng);
+        const ad::Tensor edges =
+            random_tensor(g->num_edges(), gc.edge_in, data_rng);
+        const core::GraphIndex index(*g);
+        const core::GnsOutput taped = model.forward(nodes, edges, *g, index);
+        ASSERT_TRUE(taped.acceleration.requires_grad());
+        core::GnsOutput serial, parallel;
+        {
+          ad::NoGradGuard no_grad;
+          {
+            exec::detail::ScopedParallelDepth serial_only;
+            serial = model.forward(nodes, edges, *g, index);
+          }
+          parallel = model.forward(nodes, edges, *g, index);
+        }
+        ASSERT_FALSE(parallel.acceleration.requires_grad());
+        const std::string what =
+            "latent " + std::to_string(c.latent) + ", mlp_layers " +
+            std::to_string(c.mlp_layers) +
+            (c.attention ? ", attention" : "") +
+            (g == &single ? ", single graph" : ", batch") +
+            (simd_on ? ", simd on" : ", simd off");
+        expect_bitwise(taped.acceleration, serial.acceleration,
+                       what + ": acceleration, serial");
+        expect_bitwise(taped.messages, serial.messages,
+                       what + ": messages, serial");
+        expect_bitwise(taped.acceleration, parallel.acceleration,
+                       what + ": acceleration, executor");
+        expect_bitwise(taped.messages, parallel.messages,
+                       what + ": messages, executor");
+      }
+    }
+  }
+  simd::set_enabled(true);
+
+  // Zero edges: the op chain's gather_rows rejects the empty index, and
+  // the untaped round raises the same CheckError.
+  core::GnsConfig gc;
+  gc.node_in = 5;
+  gc.edge_in = 3;
+  gc.latent = 8;
+  gc.mlp_hidden = 8;
+  Rng rng(47);
+  const core::GnsModel model(gc, rng);
+  graph::Graph no_edges;
+  no_edges.num_nodes = 6;
+  const ad::Tensor nodes = random_tensor(6, gc.node_in, rng);
+  const ad::Tensor edges = ad::make_op_result(0, gc.edge_in, {}, {});
+  EXPECT_THROW((void)model.forward(nodes, edges, no_edges), CheckError);
+  ad::NoGradGuard no_grad;
+  EXPECT_THROW((void)model.forward(nodes, edges, no_edges), CheckError);
 }
 
 // ---------- Autograd graph ops ----------

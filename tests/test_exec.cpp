@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <poll.h>
+#include <sched.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -171,6 +172,58 @@ TEST(ExecutorTest, DestructorDrainsWithoutDeadlock) {
     ASSERT_TRUE(eventually([&ran] { return ran.load() == 64; }));
   }  // join here must not hang
   EXPECT_EQ(ran.load(), 64);
+}
+
+/// The affinity masks of all `workers` workers, read on each worker while
+/// every worker holds a task (so each mask comes from a different one).
+std::vector<cpu_set_t> worker_masks(Executor& ex, int workers) {
+  std::atomic<int> arrived{0};
+  std::mutex m;
+  std::vector<cpu_set_t> masks;
+  for (int t = 0; t < workers; ++t)
+    ex.submit([&] {
+      arrived.fetch_add(1);
+      const bool all = eventually([&] { return arrived.load() == workers; });
+      cpu_set_t mine;
+      CPU_ZERO(&mine);
+      if (all) sched_getaffinity(0, sizeof(mine), &mine);
+      std::lock_guard<std::mutex> lock(m);
+      masks.push_back(mine);
+    });
+  EXPECT_TRUE(eventually([&] {
+    std::lock_guard<std::mutex> lock(m);
+    return static_cast<int>(masks.size()) == workers;
+  }));
+  std::lock_guard<std::mutex> lock(m);
+  return masks;
+}
+
+TEST(ExecutorTest, PinsEachWorkerToItsOwnCpu) {
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  if (CPU_COUNT(&allowed) < 2) GTEST_SKIP() << "needs two allowed CPUs";
+  Executor ex(2);
+  const std::vector<cpu_set_t> masks = worker_masks(ex, 2);
+  ASSERT_EQ(masks.size(), 2u);
+  std::set<int> cpus;
+  for (const cpu_set_t& mask : masks) {
+    ASSERT_EQ(CPU_COUNT(&mask), 1);
+    for (int c = 0; c < CPU_SETSIZE; ++c)
+      if (CPU_ISSET(c, &mask)) {
+        EXPECT_TRUE(CPU_ISSET(c, &allowed));
+        cpus.insert(c);
+      }
+  }
+  EXPECT_EQ(cpus.size(), 2u);
+}
+
+TEST(ExecutorTest, LeavesWorkersUnpinnedWhenThereAreMoreWorkersThanCpus) {
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  const int workers = CPU_COUNT(&allowed) + 1;
+  Executor ex(workers);
+  for (const cpu_set_t& mask : worker_masks(ex, workers))
+    EXPECT_TRUE(CPU_EQUAL(&mask, &allowed));
 }
 
 // ---------------------------------------------------------------------------

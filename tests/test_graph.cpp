@@ -21,6 +21,15 @@ std::vector<Vec2> random_points(int n, Rng& rng, double lo = 0.0,
   return pts;
 }
 
+/// Radius graph from a CellList over the unit square, where random_points
+/// puts its points by default.
+Graph cell_graph(const std::vector<Vec2>& pts, double radius,
+                 bool include_self = false) {
+  CellList cells(radius, {0.0, 0.0}, {1.0, 1.0});
+  cells.build(pts);
+  return cells.radius_graph(pts, include_self);
+}
+
 std::vector<std::pair<int, int>> edge_set(const Graph& g) {
   std::vector<std::pair<int, int>> edges;
   edges.reserve(g.num_edges());
@@ -55,7 +64,7 @@ TEST_P(RadiusGraphSweep, MatchesBruteForce) {
   const auto param = GetParam();
   Rng rng(param.seed);
   const auto pts = random_points(param.n, rng);
-  const Graph fast = build_radius_graph(pts, param.radius);
+  const Graph fast = cell_graph(pts, param.radius);
   const Graph slow = brute_force_radius_graph(pts, param.radius);
   EXPECT_EQ(edge_set(fast), edge_set(slow));
 }
@@ -71,7 +80,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(RadiusGraph, NoSelfEdgesByDefault) {
   Rng rng(9);
   const auto pts = random_points(50, rng);
-  const Graph g = build_radius_graph(pts, 0.2);
+  const Graph g = cell_graph(pts, 0.2);
   for (int e = 0; e < g.num_edges(); ++e) {
     EXPECT_NE(g.senders[e], g.receivers[e]);
   }
@@ -80,7 +89,7 @@ TEST(RadiusGraph, NoSelfEdgesByDefault) {
 TEST(RadiusGraph, SelfEdgesWhenRequested) {
   Rng rng(10);
   const auto pts = random_points(20, rng);
-  const Graph g = build_radius_graph(pts, 0.1, /*include_self=*/true);
+  const Graph g = cell_graph(pts, 0.1, /*include_self=*/true);
   int self_count = 0;
   for (int e = 0; e < g.num_edges(); ++e)
     self_count += (g.senders[e] == g.receivers[e]);
@@ -91,7 +100,7 @@ TEST(RadiusGraph, SymmetricPairs) {
   // Metric balls are symmetric: (i<-j) implies (j<-i).
   Rng rng(11);
   const auto pts = random_points(80, rng);
-  const Graph g = build_radius_graph(pts, 0.12);
+  const Graph g = cell_graph(pts, 0.12);
   auto edges = edge_set(g);
   for (const auto& [s, r] : edges) {
     EXPECT_TRUE(std::binary_search(edges.begin(), edges.end(),
@@ -102,8 +111,8 @@ TEST(RadiusGraph, SymmetricPairs) {
 TEST(RadiusGraph, DeterministicOrdering) {
   Rng rng(12);
   const auto pts = random_points(100, rng);
-  const Graph a = build_radius_graph(pts, 0.1);
-  const Graph b = build_radius_graph(pts, 0.1);
+  const Graph a = cell_graph(pts, 0.1);
+  const Graph b = cell_graph(pts, 0.1);
   EXPECT_EQ(a.senders, b.senders);
   EXPECT_EQ(a.receivers, b.receivers);
 }
@@ -114,7 +123,7 @@ TEST(RadiusGraph, EdgesSortedByReceiverThenSender) {
   // part of the determinism contract.
   Rng rng(13);
   const auto pts = random_points(60, rng);
-  const Graph g = build_radius_graph(pts, 0.15);
+  const Graph g = cell_graph(pts, 0.15);
   for (int e = 1; e < g.num_edges(); ++e) {
     const bool ordered =
         g.receivers[e - 1] < g.receivers[e] ||
@@ -156,15 +165,9 @@ TEST(RadiusGraph, FarOutOfDomainPointsStillCorrect) {
 
 TEST(RadiusGraph, EmptyPositionListGivesEmptyGraph) {
   const std::vector<Vec2> empty;
-  const Graph g = build_radius_graph(empty, 0.1);
+  const Graph g = cell_graph(empty, 0.1);
   EXPECT_EQ(g.num_nodes, 0);
   EXPECT_EQ(g.num_edges(), 0);
-
-  CellList cells(0.1, {0.0, 0.0}, {1.0, 1.0});
-  cells.build(empty);
-  const Graph g2 = cells.radius_graph(empty);
-  EXPECT_EQ(g2.num_nodes, 0);
-  EXPECT_EQ(g2.num_edges(), 0);
 }
 
 TEST(RadiusGraph, RadiusLargerThanDomain) {
@@ -181,11 +184,14 @@ TEST(RadiusGraph, RadiusLargerThanDomain) {
 TEST(CellList, InvalidConstructionThrows) {
   EXPECT_THROW(CellList(0.0, {0, 0}, {1, 1}), CheckError);
   EXPECT_THROW(CellList(0.1, {1, 1}, {0, 0}), CheckError);
+  // 1e7 x 1e7 cells: more than an int can count, so the constructor
+  // refuses before build() would allocate the grid.
+  EXPECT_THROW(CellList(1e-3, {0, 0}, {1e4, 1e4}), CheckError);
 }
 
 TEST(RadiusGraph, BoundaryDistanceExactlyRadiusIncluded) {
   std::vector<Vec2> pts = {{0.0, 0.0}, {0.1, 0.0}};
-  const Graph g = build_radius_graph(pts, 0.1);
+  const Graph g = cell_graph(pts, 0.1);
   EXPECT_EQ(g.num_edges(), 2);
 }
 

@@ -17,6 +17,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -455,6 +456,32 @@ TEST(NetServer, GracefulDrainDropsNoInflightJobs) {
   Client post_drain(h.client_config());
   EXPECT_FALSE(post_drain.connect());
   EXPECT_EQ(h.server->active_connections(), 0);
+}
+
+TEST(NetServer, RequestOnIdleConnectionIsNotHeldToTheIdlePumpTick) {
+  ServerConfig cfg;
+  cfg.metrics_prefix = "net_t1b";
+  Harness h(cfg);
+  ASSERT_TRUE(h.start());
+
+  // Each reply leaves the connection idle with its 50 ms pump tick armed;
+  // the next request arrives at once. Its finished rollout must be seen on
+  // the busy 2 ms tick, not when the idle tick fires about 50 ms later.
+  Client client(h.client_config());
+  ASSERT_TRUE(client.rollout(small_request(*h.sim, 1)).ok());
+  double least_wait_ms = 1e9;
+  for (int i = 0; i < 3; ++i) {
+    const auto sent = std::chrono::steady_clock::now();
+    const ClientResult result = client.rollout(small_request(*h.sim, 1));
+    const double client_ms = std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - sent)
+                                 .count();
+    ASSERT_TRUE(result.ok()) << result.error;
+    least_wait_ms = std::min(least_wait_ms, client_ms - result.total_ms);
+  }
+  EXPECT_LT(least_wait_ms, 25.0);
+
+  h.server->stop();
 }
 
 TEST(NetServer, TraceIdAndPhasesPropagateEndToEnd) {

@@ -243,7 +243,8 @@ TEST(FusedLinear, MlpForwardMatchesUnfusedOracle) {
   // Mlp::forward runs every layer through linear_act; its outputs and
   // gradients must equal the hand-composed oracle chain Linear::forward ->
   // relu/tanh_op -> layer_norm exactly (ReLU and Tanh nets, with the
-  // output LayerNorm).
+  // output LayerNorm). With grad mode off it takes the row path instead
+  // (forward_row per row), whose outputs must equal the chain's too.
   for (Activation act : {Activation::ReLU, Activation::Tanh}) {
     Rng rng(49);
     Mlp mlp(5, 12, 2, 3, rng, /*output_layer_norm=*/true, act);
@@ -288,7 +289,16 @@ TEST(FusedLinear, MlpForwardMatchesUnfusedOracle) {
         flat.insert(flat.end(), p.grad().begin(), p.grad().end());
       return flat;
     };
-    EXPECT_EQ(run(/*oracle=*/false), run(/*oracle=*/true));
+    const std::vector<Real> oracle = run(/*oracle=*/true);
+    EXPECT_EQ(run(/*oracle=*/false), oracle);
+    std::vector<Real> untaped;
+    {
+      NoGradGuard no_grad;
+      untaped = mlp.forward(random_input(7, 5, 50)).vec();
+    }
+    ASSERT_LE(untaped.size(), oracle.size());
+    EXPECT_EQ(untaped, std::vector<Real>(oracle.begin(),
+                                         oracle.begin() + untaped.size()));
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/datagen.hpp"
 #include "core/trainer.hpp"
 
 namespace gns::core {
@@ -132,6 +133,29 @@ TEST(Trainer, MakeSimulatorAdoptsDomainFromData) {
   gc.message_passing_steps = 1;
   LearnedSimulator sim = make_simulator(ds, fc, gc);
   EXPECT_DOUBLE_EQ(sim.features().domain_hi[1], 3.0);
+}
+
+TEST(Trainer, MakeSimulatorAdoptsDomainFromDataForDimOne) {
+  // FeatureConfig's default domain is 2-D; a dim-1 config that keeps it
+  // takes the data's. The §6 n-body balls live in [0, 2].
+  NBodyDataGenConfig data;
+  data.num_trajectories = 1;
+  data.frames = 6;
+  data.substeps = 2;
+  const io::Dataset ds = generate_nbody_dataset(data);
+  FeatureConfig fc;
+  fc.dim = 1;
+  fc.history = 2;
+  fc.connectivity_radius = 0.25;
+  fc.static_node_attrs = 2;  // radius, mass
+  GnsConfig gc;
+  gc.latent = 8;
+  gc.mlp_hidden = 8;
+  gc.mlp_layers = 1;
+  gc.message_passing_steps = 1;
+  const LearnedSimulator sim = make_simulator(ds, fc, gc);
+  EXPECT_EQ(sim.features().domain_lo, std::vector<double>{0.0});
+  EXPECT_EQ(sim.features().domain_hi, std::vector<double>{2.0});
 }
 
 TEST(Trainer, L1MessagePenaltyShrinksMessages) {
