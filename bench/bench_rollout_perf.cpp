@@ -1,6 +1,6 @@
 // Perf — steady-state rollout throughput. The tensor arena and the fused
 // linear kernels are always on; this sweeps the one remaining runtime
-// toggle, SIMD graph/MPM kernels (GNS_SIMD).
+// toggle, the scalar or AVX2 leaf kernels of the graph/MPM ops (GNS_SIMD).
 //
 // Runs SIMD off and on on the Fig-3 columns configuration (held-out
 // friction angle), reports steps/sec for each, and verifies that both
@@ -110,7 +110,9 @@ int main(int argc, char** argv) {
   if (sim.features().material_feature)
     ctx.material = ad::Tensor::scalar(core::material_param_from_friction(30.0));
   const int steps = traj.num_frames() - sim.features().window_size();
-  const int reps = small ? 2 : 5;
+  // A --small rollout takes a few ms, so take the best of more reps: the
+  // speedup_simd ratio of two short timings is otherwise noise-bound.
+  const int reps = small ? 10 : 5;
   std::printf("\n%d particles, %d rollout steps, best of %d reps\n",
               traj.num_particles, steps, reps);
   std::printf("%12s %14s %10s\n", "GNS_SIMD", "steps/sec", "identical");

@@ -28,9 +28,9 @@
 ///    std::vector, so pooled results are bitwise identical to unpooled ones.
 ///  * The pool persists across frames (step N+1 reuses step N's buffers)
 ///    and is freed when the outermost ArenaLifetime on the thread exits.
-///    One wraps each LearnedSimulator::rollout, BatchedSimulator::rollout
-///    and train_gns call, so no thread keeps pooled storage after the call
-///    that filled it. arena_clear() frees a thread's pool outright.
+///    One wraps each LearnedSimulator::rollout and train_gns call, so no
+///    thread keeps pooled storage after the call that filled it.
+///    arena_clear() frees a thread's pool outright.
 ///
 /// The pool is bounded (per-class entry cap + total byte cap) so a shape
 /// change cannot grow it without limit; over-cap buffers are simply freed.

@@ -27,7 +27,7 @@ IndexMap::IndexMap(std::vector<int> index, int num_buckets) {
 
   // Scatter positions in ascending i: within every bucket the positions
   // come out ascending, which is what makes per-bucket reductions
-  // reproduce the legacy serial accumulation order bit-for-bit.
+  // reproduce the serial accumulation order bit-for-bit.
   data->positions.resize(static_cast<std::size_t>(e));
   std::vector<int> cursor(data->offsets.begin(), data->offsets.end() - 1);
   for (int i = 0; i < e; ++i) {

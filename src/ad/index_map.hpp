@@ -16,7 +16,7 @@
 ///    `positions()[offsets()[b] .. offsets()[b+1])` lists, in ascending
 ///    order, every i with index()[i] == b. A reduction "for each bucket b:
 ///    for each position i of b (ascending): acc += row(i)" performs the
-///    *identical* per-destination FP add sequence as the legacy serial
+///    *identical* per-destination FP add sequence as the serial
 ///    loop "for i ascending: out[index[i]] += row(i)" — so the
 ///    per-destination parallelization is bitwise equal to the serial
 ///    reference and, because each destination is owned by one thread,

@@ -7,16 +7,18 @@
 #include "obs/trace.hpp"
 #include "util/simd.hpp"
 
-// Graph ops with runtime-dispatched SIMD + CSR-parallel reductions.
+// Graph ops with runtime-dispatched SIMD row kernels + CSR-parallel
+// reductions.
 //
-// Contract (same as the fused kernels in ops_matmul.cpp): every path is
-// bitwise identical to the legacy scalar/serial reference, and every
+// Contract (same as the fused kernels in ops_matmul.cpp): every
 // cross-row reduction is parallelized per *destination* with the CSR
-// transpose in ad::IndexMap so the per-element accumulation order — hence
-// the result bytes — does not depend on the thread count. GNS_SIMD=0
-// (simd::enabled() == false) selects the exact pre-SIMD control flow; the
-// simd:: row kernels additionally fall back to their scalar bodies when
-// AVX2 is unavailable. See DESIGN.md §12.
+// transpose in ad::IndexMap, and each destination adds its entries in
+// ascending original index — the order of a serial pass over the
+// entries — so the result bytes do not depend on the thread count.
+// GNS_SIMD picks only the simd:: leaf kernels (scalar or AVX2, bitwise
+// alike); the loop structure is the same either way. tests/
+// test_ops_graph.cpp keeps the serial loops as the bitwise reference.
+// See DESIGN.md §12.
 
 namespace gns::ad {
 
@@ -192,35 +194,21 @@ Tensor gather_rows(const Tensor& a, const IndexMap& index) {
       e, m, {pa}, [pa, im, e, m](TensorImpl& self) {
         if (!pa->requires_grad) return;
         pa->ensure_grad();
-        if (simd::enabled()) {
-          // CSR-parallel per-destination reduction: destination row b
-          // accumulates its incident edge rows in ascending original
-          // index — the identical add sequence as the serial reference
-          // below, but with each destination owned by exactly one
-          // thread (bitwise thread-invariant).
-          const int nb = im.num_buckets();
-          const int* off = im.offsets();
-          const int* pos = im.positions();
-          exec::parallel_for(nb, parallel_worthwhile(e, m),
-                             [&](std::int64_t b) {
-            Real* dst = pa->grad.data() + static_cast<std::size_t>(b) * m;
-            for (int p = off[b]; p < off[b + 1]; ++p)
-              simd::accumulate(
-                  dst,
-                  self.grad.data() + static_cast<std::size_t>(pos[p]) * m,
-                  static_cast<std::size_t>(m));
-          });
-          return;
-        }
-        // Legacy serial reference: repeated indices make naive parallel
-        // accumulation racy.
-        const std::vector<int>& idx = im.index();
-        for (int i = 0; i < e; ++i) {
-          Real* dst =
-              pa->grad.data() + static_cast<std::size_t>(idx[i]) * m;
-          const Real* src = self.grad.data() + static_cast<std::size_t>(i) * m;
-          for (int j = 0; j < m; ++j) dst[j] += src[j];
-        }
+        // CSR-parallel per-destination reduction: destination row b
+        // accumulates its incident edge rows in ascending original index,
+        // with each destination owned by exactly one thread (bitwise
+        // thread-invariant; repeated indices make a per-edge parallel
+        // accumulation racy).
+        const int nb = im.num_buckets();
+        const int* off = im.offsets();
+        const int* pos = im.positions();
+        exec::parallel_for(nb, parallel_worthwhile(e, m), [&](std::int64_t b) {
+          Real* dst = pa->grad.data() + static_cast<std::size_t>(b) * m;
+          for (int p = off[b]; p < off[b + 1]; ++p)
+            simd::accumulate(
+                dst, self.grad.data() + static_cast<std::size_t>(pos[p]) * m,
+                static_cast<std::size_t>(m));
+        });
       });
   const Real* av = a.data();
   Real* ov = out.data();
@@ -267,28 +255,17 @@ Tensor scatter_add_rows(const Tensor& a, const IndexMap& index) {
   std::fill(out.vec().begin(), out.vec().end(), Real(0));
   const Real* av = a.data();
   Real* ov = out.data();
-  if (simd::enabled()) {
-    // CSR-parallel forward: output row b sums its inputs in ascending
-    // original index, matching the serial loop below bit-for-bit (and
-    // independently of the thread count — each b has one owner).
-    const int* off = im.offsets();
-    const int* pos = im.positions();
-    exec::parallel_for(num_rows, parallel_worthwhile(e, m),
-                       [&](std::int64_t b) {
-      Real* dst = ov + static_cast<std::size_t>(b) * m;
-      for (int p = off[b]; p < off[b + 1]; ++p)
-        simd::accumulate(dst,
-                         av + static_cast<std::size_t>(pos[p]) * m,
-                         static_cast<std::size_t>(m));
-    });
-    return out;
-  }
-  const std::vector<int>& idx = im.index();
-  for (int i = 0; i < e; ++i) {
-    Real* dst = ov + static_cast<std::size_t>(idx[i]) * m;
-    const Real* src = av + static_cast<std::size_t>(i) * m;
-    for (int j = 0; j < m; ++j) dst[j] += src[j];
-  }
+  // CSR-parallel forward: output row b sums its inputs in ascending
+  // original index (independently of the thread count — each b has one
+  // owner).
+  const int* off = im.offsets();
+  const int* pos = im.positions();
+  exec::parallel_for(num_rows, parallel_worthwhile(e, m), [&](std::int64_t b) {
+    Real* dst = ov + static_cast<std::size_t>(b) * m;
+    for (int p = off[b]; p < off[b + 1]; ++p)
+      simd::accumulate(dst, av + static_cast<std::size_t>(pos[p]) * m,
+                       static_cast<std::size_t>(m));
+  });
   return out;
 }
 
@@ -315,68 +292,43 @@ Tensor segment_softmax(const Tensor& scores, const IndexMap& segment) {
         if (!pa->requires_grad) return;
         pa->ensure_grad();
         // d softmax_i / d score_j (same segment) = y_i (δ_ij − y_j).
-        if (simd::enabled()) {
-          // Per-segment, CSR-parallel: the dot reduction visits the
-          // segment's entries in ascending original index, the same
-          // order the serial reference adds them in.
-          const int* off = im.offsets();
-          const int* pos = im.positions();
-          exec::parallel_for(num_segments, parallel_worthwhile(e, 8),
-                             [&](std::int64_t s) {
-            Real dot = Real(0);
-            for (int p = off[s]; p < off[s + 1]; ++p) {
-              const int i = pos[p];
-              dot += self.grad[i] * self.data[i];
-            }
-            for (int p = off[s]; p < off[s + 1]; ++p) {
-              const int i = pos[p];
-              pa->grad[i] += self.data[i] * (self.grad[i] - dot);
-            }
-          });
-          return;
-        }
-        const std::vector<int>& seg = im.index();
-        std::vector<Real> dot(num_segments, Real(0));
-        for (int i = 0; i < e; ++i)
-          dot[seg[i]] += self.grad[i] * self.data[i];
-        for (int i = 0; i < e; ++i)
-          pa->grad[i] += self.data[i] * (self.grad[i] - dot[seg[i]]);
+        // Per-segment, CSR-parallel: the dot reduction visits the
+        // segment's entries in ascending original index.
+        const int* off = im.offsets();
+        const int* pos = im.positions();
+        exec::parallel_for(num_segments, parallel_worthwhile(e, 8),
+                           [&](std::int64_t s) {
+          Real dot = Real(0);
+          for (int p = off[s]; p < off[s + 1]; ++p) {
+            const int i = pos[p];
+            dot += self.grad[i] * self.data[i];
+          }
+          for (int p = off[s]; p < off[s + 1]; ++p) {
+            const int i = pos[p];
+            pa->grad[i] += self.data[i] * (self.grad[i] - dot);
+          }
+        });
       });
   const Real* sv = scores.data();
   Real* ov = out.data();
-  if (simd::enabled()) {
-    // Per-segment forward: max / exp-sum / normalize walk each segment's
-    // entries in ascending original index — per-element identical to the
-    // serial three-pass reference, and each segment has one owner.
-    const int* off = segment.offsets();
-    const int* pos = segment.positions();
-    exec::parallel_for(num_segments, parallel_worthwhile(e, 8),
-                       [&](std::int64_t s) {
-      Real seg_max = -std::numeric_limits<Real>::infinity();
-      for (int p = off[s]; p < off[s + 1]; ++p)
-        seg_max = std::max(seg_max, sv[pos[p]]);
-      Real seg_sum = Real(0);
-      for (int p = off[s]; p < off[s + 1]; ++p) {
-        const int i = pos[p];
-        ov[i] = std::exp(sv[i] - seg_max);
-        seg_sum += ov[i];
-      }
-      for (int p = off[s]; p < off[s + 1]; ++p) ov[pos[p]] /= seg_sum;
-    });
-    return out;
-  }
-  // Numerically-stable forward: subtract per-segment max.
-  const std::vector<int>& seg = segment.index();
-  std::vector<Real> seg_max(num_segments,
-                            -std::numeric_limits<Real>::infinity());
-  for (int i = 0; i < e; ++i)
-    seg_max[seg[i]] = std::max(seg_max[seg[i]], sv[i]);
-  std::vector<Real> seg_sum(num_segments, Real(0));
-  for (int i = 0; i < e; ++i) {
-    ov[i] = std::exp(sv[i] - seg_max[seg[i]]);
-    seg_sum[seg[i]] += ov[i];
-  }
-  for (int i = 0; i < e; ++i) ov[i] /= seg_sum[seg[i]];
+  // Numerically-stable per-segment forward (subtract the segment max):
+  // max / exp-sum / normalize walk each segment's entries in ascending
+  // original index, and each segment has one owner.
+  const int* off = segment.offsets();
+  const int* pos = segment.positions();
+  exec::parallel_for(num_segments, parallel_worthwhile(e, 8),
+                     [&](std::int64_t s) {
+    Real seg_max = -std::numeric_limits<Real>::infinity();
+    for (int p = off[s]; p < off[s + 1]; ++p)
+      seg_max = std::max(seg_max, sv[pos[p]]);
+    Real seg_sum = Real(0);
+    for (int p = off[s]; p < off[s + 1]; ++p) {
+      const int i = pos[p];
+      ov[i] = std::exp(sv[i] - seg_max);
+      seg_sum += ov[i];
+    }
+    for (int p = off[s]; p < off[s + 1]; ++p) ov[pos[p]] /= seg_sum;
+  });
   return out;
 }
 

@@ -108,77 +108,12 @@ graph::Graph build_graph_cached(const FeatureConfig& config,
   return cells.radius_graph(pts);
 }
 
-namespace {
-
-/// Appends the C whitened velocity columns and the clipped boundary
-/// distances for a window of position frames. Row-local throughout, so it
-/// serves both the single-graph and the block-diagonal batched builders
-/// (a merged window produces exactly the stacked single-graph rows).
-void append_motion_features(const FeatureConfig& config, const Normalizer& norm,
-                            const std::vector<ad::Tensor>& position_window,
-                            std::vector<ad::Tensor>& parts) {
-  GNS_CHECK_MSG(static_cast<int>(position_window.size()) ==
-                    config.window_size(),
-                "window needs " << config.window_size() << " frames, got "
-                                << position_window.size());
-  const ad::Tensor& newest = position_window.back();
-  GNS_CHECK_MSG(newest.cols() == config.dim, "position dim mismatch");
-  check_domain(config);
-
-  // C velocity frames, oldest first, each whitened by dataset stats.
-  for (int c = 0; c < config.history; ++c) {
-    ad::Tensor v = ad::sub(position_window[c + 1], position_window[c]);
-    parts.push_back(norm.normalize_velocity(v));
-  }
-
-  // Boundary distances, clipped to [0, 1] at the connectivity radius:
-  // (x - lo)/R and (hi - x)/R per axis.
-  const double inv_r = 1.0 / config.connectivity_radius;
-  for (int d = 0; d < config.dim; ++d) {
-    ad::Tensor axis = (config.dim == 1)
-                          ? newest
-                          : ad::slice_cols(newest, d, 1);
-    ad::Tensor to_lo = ad::clamp(
-        ad::mul_scalar(ad::add_scalar(axis, -config.domain_lo[d]), inv_r),
-        0.0, 1.0);
-    ad::Tensor to_hi = ad::clamp(
-        ad::mul_scalar(
-            ad::add_scalar(ad::mul_scalar(axis, -1.0), config.domain_hi[d]),
-            inv_r),
-        0.0, 1.0);
-    parts.push_back(to_lo);
-    parts.push_back(to_hi);
-  }
-}
-
-}  // namespace
-
 ad::Tensor build_node_features(const FeatureConfig& config,
                                const Normalizer& norm,
                                const std::vector<ad::Tensor>& position_window,
                                const SceneContext& context) {
-  const int n = position_window.empty() ? 0 : position_window.back().rows();
-
-  std::vector<ad::Tensor> parts;
-  parts.reserve(config.history + 2 + 1);
-  append_motion_features(config, norm, position_window, parts);
-
-  if (config.material_feature) {
-    GNS_CHECK_MSG(context.material.defined() && context.material.size() == 1,
-                  "material_feature=true needs a scalar material param");
-    // Broadcast the scalar into a column: ones[N,1] * φ̂.
-    parts.push_back(ad::mul(ad::Tensor::ones(n, 1), context.material));
-  }
-
-  if (config.static_node_attrs > 0) {
-    GNS_CHECK_MSG(context.node_attrs.defined() &&
-                      context.node_attrs.rows() == n &&
-                      context.node_attrs.cols() == config.static_node_attrs,
-                  "scene context node_attrs missing or mis-shaped");
-    parts.push_back(context.node_attrs);
-  }
-
-  return ad::concat_cols(parts);
+  return build_batched_node_features(config, norm, {position_window},
+                                     {context});
 }
 
 ad::Tensor build_edge_features(const FeatureConfig& config,
@@ -213,16 +148,17 @@ ad::Tensor build_batched_node_features(
     const std::vector<std::vector<ad::Tensor>>& windows,
     const std::vector<SceneContext>& contexts) {
   const int b = static_cast<int>(windows.size());
-  GNS_CHECK_MSG(b > 0, "batched node features need at least one window");
+  GNS_CHECK_MSG(b > 0, "node features need at least one window");
   GNS_CHECK_MSG(static_cast<int>(contexts.size()) == b,
                 "need one scene context per window");
   const int w = config.window_size();
   for (const auto& window : windows)
     GNS_CHECK_MSG(static_cast<int>(window.size()) == w,
-                  "every batched window needs " << w << " frames");
+                  "window needs " << w << " frames, got " << window.size());
 
-  // Merge the windows frame-by-frame (rows in member order), then run the
-  // row-local motion features once over the whole batch.
+  // Merge the windows frame-by-frame (rows in member order; one member
+  // adds no op), then build the row-local motion features once over the
+  // whole batch.
   std::vector<ad::Tensor> merged_window;
   merged_window.reserve(w);
   std::vector<ad::Tensor> frame_parts(b);
@@ -232,9 +168,36 @@ ad::Tensor build_batched_node_features(
                                    : ad::concat_rows(frame_parts));
   }
 
+  const ad::Tensor& newest = merged_window.back();
+  GNS_CHECK_MSG(newest.cols() == config.dim, "position dim mismatch");
+  check_domain(config);
   std::vector<ad::Tensor> parts;
-  parts.reserve(config.history + 2 + 1);
-  append_motion_features(config, norm, merged_window, parts);
+  parts.reserve(config.history + 2 * config.dim + 2);
+
+  // C velocity frames, oldest first, each whitened by dataset stats.
+  for (int c = 0; c < config.history; ++c) {
+    ad::Tensor v = ad::sub(merged_window[c + 1], merged_window[c]);
+    parts.push_back(norm.normalize_velocity(v));
+  }
+
+  // Boundary distances, clipped to [0, 1] at the connectivity radius:
+  // (x - lo)/R and (hi - x)/R per axis.
+  const double inv_r = 1.0 / config.connectivity_radius;
+  for (int d = 0; d < config.dim; ++d) {
+    ad::Tensor axis = (config.dim == 1)
+                          ? newest
+                          : ad::slice_cols(newest, d, 1);
+    ad::Tensor to_lo = ad::clamp(
+        ad::mul_scalar(ad::add_scalar(axis, -config.domain_lo[d]), inv_r),
+        0.0, 1.0);
+    ad::Tensor to_hi = ad::clamp(
+        ad::mul_scalar(
+            ad::add_scalar(ad::mul_scalar(axis, -1.0), config.domain_hi[d]),
+            inv_r),
+        0.0, 1.0);
+    parts.push_back(to_lo);
+    parts.push_back(to_hi);
+  }
 
   // The segmented features: per-member scalars/attributes broadcast only
   // within their member's node range.
@@ -245,7 +208,8 @@ ad::Tensor build_batched_node_features(
       const SceneContext& ctx = contexts[g];
       GNS_CHECK_MSG(ctx.material.defined() && ctx.material.size() == 1,
                     "material_feature=true needs a scalar material param "
-                    "(batch member " << g << ")");
+                    "(member " << g << ")");
+      // Broadcast the scalar into a column: ones[N_g,1] * φ̂.
       cols.push_back(ad::mul(ad::Tensor::ones(windows[g].back().rows(), 1),
                              ctx.material));
     }
@@ -261,32 +225,13 @@ ad::Tensor build_batched_node_features(
                         ctx.node_attrs.rows() == windows[g].back().rows() &&
                         ctx.node_attrs.cols() == config.static_node_attrs,
                     "scene context node_attrs missing or mis-shaped "
-                    "(batch member " << g << ")");
+                    "(member " << g << ")");
       attrs.push_back(ctx.node_attrs);
     }
     parts.push_back(b == 1 ? attrs[0] : ad::concat_rows(attrs));
   }
 
   return ad::concat_cols(parts);
-}
-
-ad::Tensor build_batched_edge_features(const FeatureConfig& config,
-                                       const ad::Tensor& merged_positions,
-                                       const graph::GraphBatch& batch) {
-  return build_batched_edge_features(config, merged_positions, batch,
-                                     GraphIndex(batch.merged));
-}
-
-ad::Tensor build_batched_edge_features(const FeatureConfig& config,
-                                       const ad::Tensor& merged_positions,
-                                       const graph::GraphBatch& batch,
-                                       const GraphIndex& index) {
-  GNS_CHECK_MSG(batch.merged.num_nodes == merged_positions.rows(),
-                "graph batch/positions size mismatch");
-  // The merged indices already point into the concatenated position rows,
-  // and displacement/norm are per-edge local, so the single-graph builder
-  // computes exactly the stacked per-member edge features.
-  return build_edge_features(config, merged_positions, batch.merged, index);
 }
 
 }  // namespace gns::core

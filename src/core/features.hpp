@@ -26,7 +26,6 @@
 #include "ad/ops.hpp"
 #include "core/graph_index.hpp"
 #include "core/normalization.hpp"
-#include "graph/batch.hpp"
 #include "graph/neighbor_search.hpp"
 
 namespace gns::core {
@@ -91,11 +90,24 @@ struct SceneContext {
                                               graph::CellList& cells);
 
 /// Node feature matrix [N, node_feature_count()] from a window of
-/// `window_size()` position tensors (oldest first) plus the scene context.
+/// `window_size()` position tensors (oldest first) plus the scene context:
+/// build_batched_node_features of one window.
 [[nodiscard]] ad::Tensor build_node_features(
     const FeatureConfig& config, const Normalizer& norm,
     const std::vector<ad::Tensor>& position_window,
     const SceneContext& context);
+
+/// Node features [sum_g N_g, node_feature_count()] for B windows (each a
+/// window_size()-frame vector, oldest first) and their scene contexts, in
+/// the row layout of a graph::GraphBatch merge: member g's rows occupy
+/// [node_offset[g], node_offset[g+1]). The motion and boundary features
+/// are row-local, so member g's rows are bitwise those of its window
+/// alone; the material column and static attributes broadcast within
+/// their member's node range.
+[[nodiscard]] ad::Tensor build_batched_node_features(
+    const FeatureConfig& config, const Normalizer& norm,
+    const std::vector<std::vector<ad::Tensor>>& windows,
+    const std::vector<SceneContext>& contexts);
 
 /// Edge feature matrix [E, dim+1] from the newest positions and the graph.
 [[nodiscard]] ad::Tensor build_edge_features(const FeatureConfig& config,
@@ -108,33 +120,5 @@ struct SceneContext {
                                              const ad::Tensor& positions,
                                              const graph::Graph& graph,
                                              const GraphIndex& index);
-
-// ---- Batched (block-diagonal) variants -------------------------------------
-//
-// The batched builders take B per-member windows/contexts and emit the
-// feature tensors of the merged graph (graph/batch.hpp): member g's rows
-// occupy [batch.node_offset[g], batch.node_offset[g+1]). All motion and
-// boundary features are elementwise/row-local, so every row is bit-identical
-// to the unbatched builders; the only genuinely segmented features are the
-// per-member material column and static node attributes, which broadcast
-// within their member's node range.
-
-/// Node features [sum_g N_g, node_feature_count()] for B windows (each a
-/// window_size()-frame vector, oldest first) and their scene contexts.
-[[nodiscard]] ad::Tensor build_batched_node_features(
-    const FeatureConfig& config, const Normalizer& norm,
-    const std::vector<std::vector<ad::Tensor>>& windows,
-    const std::vector<SceneContext>& contexts);
-
-/// Edge features [sum_g E_g, dim+1] from the concatenated newest positions
-/// (rows in member order) and the merged graph.
-[[nodiscard]] ad::Tensor build_batched_edge_features(
-    const FeatureConfig& config, const ad::Tensor& merged_positions,
-    const graph::GraphBatch& batch);
-
-/// Same, with a prebuilt GraphIndex for `batch.merged`.
-[[nodiscard]] ad::Tensor build_batched_edge_features(
-    const FeatureConfig& config, const ad::Tensor& merged_positions,
-    const graph::GraphBatch& batch, const GraphIndex& index);
 
 }  // namespace gns::core

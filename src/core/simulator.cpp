@@ -25,37 +25,58 @@ LearnedSimulator::LearnedSimulator(std::shared_ptr<GnsModel> model,
                 "normalizer dim mismatch");
 }
 
-GnsOutput LearnedSimulator::forward_raw(const Window& window,
-                                        const SceneContext& context,
-                                        graph::Graph* out_graph) const {
+GnsOutput LearnedSimulator::forward_batch(
+    const std::vector<Window>& windows,
+    const std::vector<SceneContext>& contexts,
+    graph::GraphBatch& batch) const {
   GNS_TRACE_SCOPE("core.simulator.forward");
   static auto& features_ms =
       obs::MetricsRegistry::global().histogram("core.simulator.features_ms");
-  const ad::Tensor& newest = window.back();
-  graph::Graph graph = build_graph(features_, newest);
+  const int b = static_cast<int>(windows.size());
+  GNS_CHECK_MSG(b > 0, "a GNS step needs at least one member");
+  GNS_CHECK_MSG(static_cast<int>(contexts.size()) == b,
+                "need one scene context per member");
+  // Per-member neighbor lists on local indices, then the block-diagonal
+  // merge; every member must have edges.
+  std::vector<graph::Graph> graphs;
+  graphs.reserve(windows.size());
+  for (int g = 0; g < b; ++g) {
+    GNS_CHECK_MSG(static_cast<int>(windows[g].size()) ==
+                      features_.window_size(),
+                  "member " << g << " window needs "
+                            << features_.window_size() << " frames");
+    graphs.push_back(build_graph(features_, windows[g].back()));
+    GNS_CHECK_MSG(graphs.back().num_edges() > 0,
+                  "member " << g
+                            << " has no edges — connectivity radius too "
+                               "small?");
+  }
+  batch = graph::batch_graphs(graphs);
   // One validated CSR index per step, shared by the edge-feature builder
   // and every message round of the forward.
-  const GraphIndex index(graph);
+  const GraphIndex index(batch.merged);
   ad::Tensor node_feats, edge_feats;
   {
     GNS_TRACE_SCOPE("core.simulator.features");
     const obs::ScopedHistogramTimer phase_timer(features_ms);
-    node_feats = build_node_features(features_, normalizer_, window, context);
-    edge_feats = build_edge_features(features_, newest, graph, index);
+    node_feats =
+        build_batched_node_features(features_, normalizer_, windows, contexts);
+    // The merged indices point into the member-ordered position rows.
+    ad::Tensor newest = windows[0].back();
+    if (b > 1) {
+      std::vector<ad::Tensor> rows;
+      rows.reserve(windows.size());
+      for (const Window& w : windows) rows.push_back(w.back());
+      newest = ad::concat_rows(rows);
+    }
+    edge_feats = build_edge_features(features_, newest, batch.merged, index);
   }
-  GnsOutput out = model_->forward(node_feats, edge_feats, graph, index);
-  if (out_graph != nullptr) *out_graph = std::move(graph);
-  return out;
+  return model_->forward(node_feats, edge_feats, batch.merged, index);
 }
 
-ad::Tensor LearnedSimulator::predict_acceleration(
-    const Window& window, const SceneContext& context) const {
-  GnsOutput out = forward_raw(window, context);
-  return normalizer_.denormalize_acceleration(out.acceleration);
-}
-
-ad::Tensor LearnedSimulator::step(const Window& window,
-                                  const SceneContext& context) const {
+std::vector<ad::Tensor> LearnedSimulator::step_batch(
+    const std::vector<Window>& windows,
+    const std::vector<SceneContext>& contexts) const {
   GNS_TRACE_SCOPE("core.simulator.step");
   static auto& step_ms =
       obs::MetricsRegistry::global().histogram("core.simulator.step_ms");
@@ -64,15 +85,45 @@ ad::Tensor LearnedSimulator::step(const Window& window,
   static auto& steps =
       obs::MetricsRegistry::global().counter("core.simulator.steps");
   const obs::ScopedHistogramTimer step_timer(step_ms);
-  steps.add();
-  ad::Tensor accel = predict_acceleration(window, context);
+  steps.add(windows.size());
+  graph::GraphBatch batch;
+  const ad::Tensor accel = normalizer_.denormalize_acceleration(
+      forward_batch(windows, contexts, batch).acceleration);
   GNS_TRACE_SCOPE("core.simulator.integrate");
   const obs::ScopedHistogramTimer phase_timer(integrate_ms);
-  const ad::Tensor& xt = window.back();
-  const ad::Tensor& xprev = window[window.size() - 2];
-  // Semi-implicit Euler in frame units: v' = v + a; x' = x + v'.
-  ad::Tensor v_next = ad::add(ad::sub(xt, xprev), accel);
-  return ad::add(xt, v_next);
+  const int b = batch.num_graphs();
+  std::vector<ad::Tensor> next;
+  next.reserve(b);
+  for (int g = 0; g < b; ++g) {
+    const ad::Tensor a =
+        b == 1 ? accel
+               : ad::slice_rows(accel, batch.node_offset[g], batch.nodes_of(g));
+    const ad::Tensor& xt = windows[g].back();
+    const ad::Tensor& xprev = windows[g][windows[g].size() - 2];
+    // Semi-implicit Euler in frame units: v' = v + a; x' = x + v'.
+    next.push_back(ad::add(xt, ad::add(ad::sub(xt, xprev), a)));
+  }
+  return next;
+}
+
+GnsOutput LearnedSimulator::forward_raw(const Window& window,
+                                        const SceneContext& context,
+                                        graph::Graph* out_graph) const {
+  graph::GraphBatch batch;
+  GnsOutput out = forward_batch({window}, {context}, batch);
+  if (out_graph != nullptr) *out_graph = std::move(batch.merged);
+  return out;
+}
+
+ad::Tensor LearnedSimulator::predict_acceleration(
+    const Window& window, const SceneContext& context) const {
+  return normalizer_.denormalize_acceleration(
+      forward_raw(window, context).acceleration);
+}
+
+ad::Tensor LearnedSimulator::step(const Window& window,
+                                  const SceneContext& context) const {
+  return step_batch({window}, {context}).front();
 }
 
 std::vector<std::vector<double>> LearnedSimulator::rollout(

@@ -13,11 +13,22 @@
 /// quantities, as in the reference GNS). Every step rebuilds its neighbor
 /// graph from the newest frame (core::build_graph), so a step depends on
 /// its window and scene context alone.
+///
+/// The GNS step exists once, over B members: forward_batch merges the
+/// members' graphs block-diagonally (graph/batch.hpp) and runs one
+/// encode-process-decode over the merged node and edge rows, and
+/// step_batch integrates each member. Every op is row- or segment-local
+/// and the merge keeps each member's row and edge order, so member g's
+/// result is bitwise its one-member step; at one member no op is added
+/// (no row concat or slice). forward_raw, predict_acceleration and step
+/// are the one-member calls; batched serving (core::BatchedRollout) calls
+/// step_batch.
 
 #include <memory>
 
 #include "core/features.hpp"
 #include "core/gns.hpp"
+#include "graph/batch.hpp"
 #include "io/trajectory.hpp"
 
 namespace gns::core {
@@ -31,10 +42,25 @@ class LearnedSimulator {
   LearnedSimulator(std::shared_ptr<GnsModel> model, FeatureConfig features,
                    Normalizer normalizer);
 
-  /// Raw model output (normalized acceleration + edge messages) for one
-  /// window; exposes the graph when the caller needs edge endpoints (the
-  /// §6 interpretability pipeline does). The graph is built afresh from
-  /// the newest frame (core::build_graph).
+  /// Raw model output (normalized acceleration + edge messages) for B
+  /// members through one block-diagonal forward. windows[g] holds
+  /// window_size() frames (oldest first) of member g and contexts[g] its
+  /// scene context; members may differ in particle count. Each member gets
+  /// its own neighbor graph and must have edges; `batch` receives their
+  /// merge, whose node offsets locate member g's output rows.
+  [[nodiscard]] GnsOutput forward_batch(
+      const std::vector<Window>& windows,
+      const std::vector<SceneContext>& contexts,
+      graph::GraphBatch& batch) const;
+
+  /// One integrator step per member through one forward_batch: returns
+  /// x_{t+1} = x_t + (x_t − x_{t−1}) + a for every member, in order.
+  [[nodiscard]] std::vector<ad::Tensor> step_batch(
+      const std::vector<Window>& windows,
+      const std::vector<SceneContext>& contexts) const;
+
+  /// forward_batch of one member; exposes the graph when the caller needs
+  /// edge endpoints (the §6 interpretability pipeline does).
   [[nodiscard]] GnsOutput forward_raw(
       const Window& window, const SceneContext& context,
       graph::Graph* out_graph = nullptr) const;
@@ -44,7 +70,7 @@ class LearnedSimulator {
   [[nodiscard]] ad::Tensor predict_acceleration(
       const Window& window, const SceneContext& context) const;
 
-  /// One integrator step: returns x_{t+1} = x_t + (x_t − x_{t−1}) + a.
+  /// step_batch of one member: returns x_{t+1}.
   [[nodiscard]] ad::Tensor step(const Window& window,
                                 const SceneContext& context) const;
 

@@ -124,15 +124,7 @@ TrainReport train_gns(LearnedSimulator& sim, const io::Dataset& dataset,
     {
       GNS_TRACE_SCOPE("core.trainer.forward");
       const obs::ScopedHistogramTimer phase_timer(forward_ms);
-      const ad::Tensor& newest = win.back();
-      const graph::Graph graph = build_graph(feats, newest);
-      const GraphIndex graph_index(graph);
-      ad::Tensor node_feats =
-          build_node_features(feats, sim.normalizer(), win, context);
-      ad::Tensor edge_feats =
-          build_edge_features(feats, newest, graph, graph_index);
-      GnsOutput out =
-          sim.model().forward(node_feats, edge_feats, graph, graph_index);
+      GnsOutput out = sim.forward_raw(win, context);
       ad::Tensor target_norm =
           sim.normalizer().normalize_acceleration(target_acc);
       loss = ad::mse_loss(out.acceleration, target_norm);

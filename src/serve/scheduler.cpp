@@ -6,7 +6,7 @@
 #include <exception>
 #include <stdexcept>
 
-#include "core/batched_simulator.hpp"
+#include "core/batched_rollout.hpp"
 #include "core/features.hpp"
 #include "obs/trace.hpp"
 #include "serve/cache_key.hpp"
@@ -17,8 +17,7 @@ namespace gns::serve {
 
 namespace {
 
-/// Validated per-job rollout inputs, shared by the single and the batched
-/// execution paths so both build bit-identical tensors.
+/// Validated per-job rollout inputs.
 struct MemberInputs {
   core::Window window;
   core::SceneContext context;
@@ -468,18 +467,9 @@ void JobScheduler::resolve(Job&& job, RolloutResult result) {
 struct JobScheduler::ChainState {
   std::vector<Job> jobs;
   std::vector<RolloutResult> results;
-  ModelRegistry::Handle sim;
-  bool single = false;    ///< one job, max_batch <= 1: unbatched steps
-  bool prepared = false;  ///< preflight passed; stepping may begin
-  bool done = false;      ///< terminal: finish_chain on this task
-  // Single-job path.
-  core::Window window;
-  core::SceneContext context;
-  // Batched path.
-  std::vector<std::size_t> members;  ///< job index per live batch member
-  std::vector<int> steps;
+  std::vector<std::size_t> members;  ///< job index per rollout member
+  /// Built by the first task's preflight; stepping starts once it exists.
   std::unique_ptr<core::BatchedRollout> rollout;
-  bool batch_failed = false;  ///< batch-level exception: frames are void
   Clock::time_point exec_started{};
   std::int64_t exec_started_ns = 0;
 };
@@ -702,7 +692,6 @@ void JobScheduler::dispatch_pending(std::uint64_t leader_id) {
 
 void JobScheduler::start_chain(std::vector<Job> jobs) {
   auto chain = std::make_shared<ChainState>();
-  chain->single = jobs.size() == 1 && config_.max_batch <= 1;
   chain->jobs = std::move(jobs);
   chain->results.resize(chain->jobs.size());
   std::lock_guard<std::mutex> lock(mutex_);
@@ -713,7 +702,7 @@ void JobScheduler::chain_step(const std::shared_ptr<ChainState>& chain) {
   // Per-task guard: the tape flag is thread-local and this chain's tasks
   // land on whichever worker steals them.
   ad::NoGradGuard no_grad;
-  if (!chain->prepared && !chain->done) {
+  if (chain->rollout == nullptr) {
     const Clock::time_point started = Clock::now();
     for (std::size_t i = 0; i < chain->jobs.size(); ++i) {
       chain->results[i].queue_ms = std::chrono::duration<double, std::milli>(
@@ -726,168 +715,96 @@ void JobScheduler::chain_step(const std::shared_ptr<ChainState>& chain) {
                 .count();
       }
     }
-    chain->sim = registry_->get(chain->jobs[0].request.model);
-    if (chain->single) {
-      Job& job = chain->jobs[0];
-      RolloutResult& result = chain->results[0];
+    const ModelRegistry::Handle sim =
+        registry_->get(chain->jobs[0].request.model);
+    // Pre-flight: resolve members that never get to run, validate the
+    // rest. A malformed member fails alone — it must not take its batch
+    // siblings down with it.
+    std::vector<core::Window> windows;
+    std::vector<core::SceneContext> contexts;
+    std::vector<int> steps;
+    for (std::size_t i = 0; i < chain->jobs.size(); ++i) {
+      RolloutResult& result = chain->results[i];
+      const Job& job = chain->jobs[i];
       if (job.cancelled->load(std::memory_order_relaxed)) {
         result.status = JobStatus::Cancelled;
-        chain->done = true;
-      } else if (job.has_deadline && Clock::now() > job.deadline) {
+        continue;
+      }
+      if (job.has_deadline && Clock::now() > job.deadline) {
         result.status = JobStatus::DeadlineExceeded;
         result.error = "deadline exceeded while queued";
-        chain->done = true;
-      } else if (chain->sim == nullptr) {
+        continue;
+      }
+      if (sim == nullptr) {
         result.status = JobStatus::ModelNotFound;
-        result.error =
-            "no model registered as '" + job.request.model + "'";
-        chain->done = true;
-      } else {
-        chain->exec_started = Clock::now();
-        chain->exec_started_ns = obs::trace_now_ns();
-        try {
-          MemberInputs inputs =
-              build_member_inputs(job.request, chain->sim->features());
-          chain->window = std::move(inputs.window);
-          chain->context = std::move(inputs.context);
-          result.frames.reserve(
-              static_cast<std::size_t>(job.request.steps));
-          result.status = JobStatus::Ok;
-          chain->prepared = true;
-        } catch (const std::exception& e) {
-          result.status = JobStatus::ExecutionError;
-          result.error = e.what();
-          chain->done = true;
-        }
+        result.error = "no model registered as '" + job.request.model + "'";
+        continue;
       }
-    } else {
-      // Pre-flight: resolve members that never get to run, validate the
-      // rest. A malformed member fails alone — it must not take its batch
-      // siblings down with it.
-      std::vector<core::Window> windows;
-      std::vector<core::SceneContext> contexts;
-      for (std::size_t i = 0; i < chain->jobs.size(); ++i) {
-        RolloutResult& result = chain->results[i];
-        const Job& job = chain->jobs[i];
-        if (job.cancelled->load(std::memory_order_relaxed)) {
-          result.status = JobStatus::Cancelled;
-          continue;
-        }
-        if (job.has_deadline && Clock::now() > job.deadline) {
-          result.status = JobStatus::DeadlineExceeded;
-          result.error = "deadline exceeded while queued";
-          continue;
-        }
-        if (chain->sim == nullptr) {
-          result.status = JobStatus::ModelNotFound;
-          result.error =
-              "no model registered as '" + job.request.model + "'";
-          continue;
-        }
-        try {
-          MemberInputs inputs =
-              build_member_inputs(job.request, chain->sim->features());
-          chain->members.push_back(i);
-          windows.push_back(std::move(inputs.window));
-          contexts.push_back(std::move(inputs.context));
-          chain->steps.push_back(job.request.steps);
-        } catch (const std::exception& e) {
-          result.status = JobStatus::ExecutionError;
-          result.error = e.what();
-        }
-      }
-      if (chain->members.empty()) {
-        chain->done = true;
-      } else {
-        chain->exec_started = Clock::now();
-        chain->exec_started_ns = obs::trace_now_ns();
-        try {
-          chain->rollout = std::make_unique<core::BatchedRollout>(
-              chain->sim, windows, chain->steps, contexts);
-          chain->prepared = true;
-        } catch (const std::exception& e) {
-          for (std::size_t m : chain->members) {
-            if (chain->results[m].status == JobStatus::ExecutionError &&
-                chain->results[m].error.empty()) {
-              chain->results[m].error = e.what();
-            }
-          }
-          chain->batch_failed = true;
-          chain->done = true;
-        }
+      try {
+        MemberInputs inputs = build_member_inputs(job.request, sim->features());
+        windows.push_back(std::move(inputs.window));
+        contexts.push_back(std::move(inputs.context));
+        steps.push_back(job.request.steps);
+        chain->members.push_back(i);
+        result.status = JobStatus::Ok;  // until a gate or a step says not
+      } catch (const std::exception& e) {
+        result.status = JobStatus::ExecutionError;
+        result.error = e.what();
       }
     }
-    if (chain->done) {
+    if (chain->members.empty()) {
+      finish_chain(chain);
+      return;
+    }
+    chain->exec_started = Clock::now();
+    chain->exec_started_ns = obs::trace_now_ns();
+    try {
+      chain->rollout =
+          std::make_unique<core::BatchedRollout>(sim, windows, steps, contexts);
+    } catch (const std::exception& e) {  // e.g. frame buffers too large
+      for (std::size_t i : chain->members) {
+        chain->results[i].status = JobStatus::ExecutionError;
+        chain->results[i].error = e.what();
+      }
       finish_chain(chain);
       return;
     }
   }
 
   // One rollout step, then yield the worker: resubmit as a continuation.
-  if (chain->single) {
-    Job& job = chain->jobs[0];
-    RolloutResult& result = chain->results[0];
-    const int total = job.request.steps;
+  // The gate runs before every step: an expired or cancelled member is
+  // compacted out with its partial frames while the rest keep stepping —
+  // so each member's deadline is honored even though the members share
+  // forward passes.
+  const auto gate = [&chain](int m) {
+    const Job& job = chain->jobs[chain->members[m]];
+    RolloutResult& result = chain->results[chain->members[m]];
     if (job.cancelled->load(std::memory_order_relaxed)) {
-      result.status = JobStatus::Cancelled;  // keeps frames computed so far
-      chain->done = true;
-    } else if (job.has_deadline && Clock::now() > job.deadline) {
+      result.status = JobStatus::Cancelled;
+      return false;
+    }
+    if (job.has_deadline && Clock::now() > job.deadline) {
       result.status = JobStatus::DeadlineExceeded;
-      result.error = "deadline exceeded after " +
-                     std::to_string(result.frames.size()) + " of " +
-                     std::to_string(total) + " steps";
-      chain->done = true;
-    } else {
-      try {
-        // Mirrors LearnedSimulator::rollout exactly (same op sequence),
-        // so chunked serving stays bit-identical to the one-shot API.
-        ad::Tensor next = chain->sim->step(chain->window, chain->context);
-        result.frames.push_back(core::tensor_to_frame(next));
-        chain->window.erase(chain->window.begin());
-        chain->window.push_back(next);
-        if (static_cast<int>(result.frames.size()) >= total)
-          chain->done = true;
-      } catch (const std::exception& e) {
-        result.status = JobStatus::ExecutionError;
-        result.error = e.what();
-        chain->done = true;
-      }
+      return false;
     }
-  } else {
-    // The gate runs before every batched step: an expired or cancelled
-    // member is compacted out with its partial frames while the rest of
-    // the batch keeps stepping — so the earliest member deadline is
-    // honored even though the members share forward passes.
-    const auto gate = [&chain](int m) {
-      const Job& job = chain->jobs[chain->members[m]];
+    return true;
+  };
+  bool done = false;
+  try {
+    done = !chain->rollout->step_once(gate);
+  } catch (const std::exception& e) {
+    // A failed step (bad shapes, an edgeless graph, ...) fails the members
+    // it was stepping; each keeps the frames computed so far, and members
+    // that already finished or dropped out keep their outcome.
+    for (int m : chain->rollout->active()) {
       RolloutResult& result = chain->results[chain->members[m]];
-      if (job.cancelled->load(std::memory_order_relaxed)) {
-        result.status = JobStatus::Cancelled;
-        return false;
-      }
-      if (job.has_deadline && Clock::now() > job.deadline) {
-        result.status = JobStatus::DeadlineExceeded;
-        return false;
-      }
-      return true;
-    };
-    try {
-      if (!chain->rollout->step_once(gate)) chain->done = true;
-    } catch (const std::exception& e) {
-      // A batch-level failure (bad shapes, NaN guard, ...) fails every
-      // member that was still running.
-      for (std::size_t m : chain->members) {
-        if (chain->results[m].status == JobStatus::ExecutionError &&
-            chain->results[m].error.empty()) {
-          chain->results[m].error = e.what();
-        }
-      }
-      chain->batch_failed = true;
-      chain->done = true;
+      result.status = JobStatus::ExecutionError;
+      result.error = e.what();
     }
+    done = true;
   }
 
-  if (chain->done) {
+  if (done) {
     finish_chain(chain);
     return;
   }
@@ -896,47 +813,29 @@ void JobScheduler::chain_step(const std::shared_ptr<ChainState>& chain) {
 }
 
 void JobScheduler::finish_chain(const std::shared_ptr<ChainState>& chain) {
-  const bool ran = chain->exec_started_ns != 0;
-  if (ran) {
+  if (chain->rollout != nullptr) {
     const double exec_ms = std::chrono::duration<double, std::milli>(
                                Clock::now() - chain->exec_started)
                                .count();
     const std::int64_t end_ns = obs::trace_now_ns();
-    if (chain->single) {
-      chain->results[0].exec_ms = exec_ms;
+    auto frames = chain->rollout->take_frames();
+    for (std::size_t m = 0; m < chain->members.size(); ++m) {
+      const Job& job = chain->jobs[chain->members[m]];
+      RolloutResult& result = chain->results[chain->members[m]];
+      result.frames = std::move(frames[m]);
+      if (result.status == JobStatus::DeadlineExceeded) {
+        result.error = "deadline exceeded after " +
+                       std::to_string(result.frames.size()) + " of " +
+                       std::to_string(job.request.steps) + " steps";
+      }
+      // Forward passes are shared, so a member's execution time is the
+      // chain's wall time; one span per member keeps every traced request
+      // visible even when its compute was amortized across a batch.
+      result.exec_ms = exec_ms;
       obs::record_manual_span("serve.scheduler.execute",
                               chain->exec_started_ns, end_ns,
-                              chain->jobs[0].request.trace_id,
-                              static_cast<std::int64_t>(chain->jobs[0].id));
-    } else {
-      if (!chain->batch_failed && chain->rollout != nullptr) {
-        auto frames = chain->rollout->take_frames();
-        for (std::size_t m = 0; m < chain->members.size(); ++m) {
-          RolloutResult& result = chain->results[chain->members[m]];
-          result.frames = std::move(frames[m]);
-          if (result.status == JobStatus::DeadlineExceeded) {
-            result.error = "deadline exceeded after " +
-                           std::to_string(result.frames.size()) + " of " +
-                           std::to_string(chain->steps[m]) + " steps";
-          } else if (result.status == JobStatus::ExecutionError &&
-                     result.error.empty()) {
-            result.status = JobStatus::Ok;  // default-initialized: ran clean
-          }
-        }
-      }
-      // Forward passes are shared, so per-member execution time is the
-      // batch's wall time; one span per member keeps traced requests
-      // visible even when their compute was amortized across a batch.
-      for (std::size_t m : chain->members) chain->results[m].exec_ms = exec_ms;
-      obs::record_manual_span(
-          "serve.scheduler.execute_batch", chain->exec_started_ns, end_ns, 0,
-          static_cast<std::int64_t>(chain->jobs.size()));
-      for (std::size_t m : chain->members) {
-        obs::record_manual_span("serve.scheduler.execute_member",
-                                chain->exec_started_ns, end_ns,
-                                chain->jobs[m].request.trace_id,
-                                static_cast<std::int64_t>(chain->jobs[m].id));
-      }
+                              job.request.trace_id,
+                              static_cast<std::int64_t>(job.id));
     }
   }
   for (std::size_t i = 0; i < chain->jobs.size(); ++i)

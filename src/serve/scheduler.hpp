@@ -25,16 +25,17 @@
 /// runaway request occupies a chain slot for at most one extra step past
 /// its budget.
 ///
-/// Batched dispatch (max_batch > 1): a drain that pops a job also pulls up
-/// to max_batch-1 more queued jobs for the *same model* (skipping
-/// incompatible ones, which stay queued for other chains), waiting at most
-/// batch_window_us for stragglers — but never past the earliest member
-/// deadline. The members run as ONE block-diagonal rollout
-/// (core::BatchedSimulator): one GNS forward per step for the whole batch.
+/// Every dispatch is one block-diagonal rollout (core::BatchedRollout):
+/// one GNS forward per step for all its members. With max_batch > 1 a
+/// drain that pops a job also pulls up to max_batch-1 more queued jobs for
+/// the *same model* (skipping incompatible ones, which stay queued for
+/// other chains), waiting at most batch_window_us for stragglers — but
+/// never past the earliest member deadline; a lone job is a batch of one.
 /// Per-member deadlines/cancellation still hold — an expired or cancelled
 /// member is compacted out between steps with its partial frames while the
-/// rest keep batching. Dispatch sizes land in the `<prefix>.batch_size`
-/// histogram.
+/// rest keep batching — and a step that throws fails only the members it
+/// was stepping, each keeping its frames so far. Dispatch sizes land in
+/// the `<prefix>.batch_size` histogram.
 ///
 /// Chains share model weights through registry handles but build all
 /// per-job tensors locally; the autograd tape is thread-local and disabled
@@ -82,7 +83,7 @@ struct SchedulerConfig {
   int workers = 4;
   int queue_capacity = 64;  ///< max queued (not yet running) jobs (>= 1)
   /// Max jobs coalesced into one block-diagonal rollout; 1 disables
-  /// batching (one job per chain).
+  /// batching (each chain rolls out one job).
   int max_batch = 1;
   /// How long an underfull batch waits for more same-model jobs to
   /// arrive, in microseconds. 0 = dispatch immediately with whatever is

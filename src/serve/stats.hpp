@@ -39,8 +39,8 @@ struct StatsSnapshot {
   Histogram total_ms{1e-3, 1.15, 200};  ///< submit-to-resolve, Ok jobs
   Histogram queue_ms{1e-3, 1.15, 200};  ///< queue wait, Ok jobs
   Histogram exec_ms{1e-3, 1.15, 200};   ///< worker execution, Ok jobs
-  /// Jobs per worker dispatch (1 on the unbatched path; up to max_batch
-  /// when coalescing) — the utilization signal of batched serving.
+  /// Jobs per worker dispatch (1 at max_batch 1; up to max_batch when
+  /// coalescing) — the utilization signal of batched serving.
   Histogram batch_size{1.0, 1.15, 40};
 
   /// Ok jobs per second over the given wall-clock window.
@@ -65,7 +65,7 @@ class ServerStats {
   void on_rejected(JobStatus status);
 
   /// A worker dispatched `batch_size` coalesced jobs as one execution
-  /// (1 on the unbatched path).
+  /// (1 at max_batch 1).
   void on_dispatch(int batch_size);
 
   /// A job resolved with the given result; depth is the queue size after

@@ -14,8 +14,8 @@
 ///    inside a baseline-ISA translation unit and selected at runtime via
 ///    `__builtin_cpu_supports`, so one binary runs everywhere;
 ///  * a process-wide toggle (`GNS_SIMD`, **default on**; set GNS_SIMD=0 to
-///    force the scalar reference paths) lets CI and benches pin either
-///    path.
+///    force the scalar bodies) lets CI and benches pin either leaf kernel.
+///    It picks kernels only: callers run the same loops either way.
 ///
 /// These kernels only vectorize across *independent* elements (row copies,
 /// elementwise accumulate, the per-element normalize pass of layer_norm).
@@ -38,10 +38,9 @@ void set_enabled(bool enabled);
 /// builds.
 [[nodiscard]] bool cpu_has_avx2();
 
-/// enabled() && cpu_has_avx2(): the vector bodies actually run. Callers
-/// that restructure control flow (e.g. CSR-parallel vs legacy-serial
-/// scatter) should branch on enabled() alone so GNS_SIMD=0 always means
-/// "the exact pre-SIMD code path", with or without AVX2 hardware.
+/// enabled() && cpu_has_avx2(): the vector bodies actually run. Leaf
+/// kernels (these and mpm::shape_weights_batch) dispatch on it; no loop
+/// structure depends on either query.
 [[nodiscard]] bool active();
 
 /// dst[0..n) = src[0..n). Pure copy — trivially bitwise.

@@ -14,7 +14,6 @@
 #include "ad/nn.hpp"
 #include "ad/ops.hpp"
 #include "ad/tensor.hpp"
-#include "core/batched_simulator.hpp"
 #include "core/trainer.hpp"
 
 namespace gns::ad {
@@ -245,23 +244,6 @@ TEST(ArenaLifetime, RolloutFreesItsPoolOnReturn) {
   const ArenaStats after = arena_thread_stats();
   ASSERT_EQ(frames.size(), 6u);
   EXPECT_GT(after.hits, before.hits);  // the steps did share a pool
-  EXPECT_EQ(after.bytes_pooled, 0u);
-}
-
-TEST(ArenaLifetime, BatchedRolloutFreesItsPoolOnReturn) {
-  PoolReset reset;
-  const io::Dataset ds = drifting_dataset();
-  auto sim = std::make_shared<const core::LearnedSimulator>(
-      small_simulator(ds));
-  const core::Window win = sim->window_from_trajectory(ds.trajectories[0]);
-  const core::BatchedSimulator batched(sim);
-  const ArenaStats before = arena_thread_stats();
-  const auto frames = batched.rollout({win, win}, {5, 3},
-                                      {core::SceneContext{},
-                                       core::SceneContext{}});
-  const ArenaStats after = arena_thread_stats();
-  ASSERT_EQ(frames.size(), 2u);
-  EXPECT_GT(after.hits, before.hits);
   EXPECT_EQ(after.bytes_pooled, 0u);
 }
 

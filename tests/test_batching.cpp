@@ -1,4 +1,4 @@
-// Block-diagonal batching: graph merge bookkeeping, bit-level equivalence
+// Block-diagonal batching: graph merge bookkeeping, bitwise equivalence
 // of batched vs independent GNS steps/rollouts, and finite-difference
 // gradient checks of the segmented gather/scatter and attention-weighted
 // message paths that batching leans on.
@@ -9,7 +9,7 @@
 
 #include "ad/gradcheck.hpp"
 #include "ad/ops.hpp"
-#include "core/batched_simulator.hpp"
+#include "core/batched_rollout.hpp"
 #include "core/trainer.hpp"
 #include "graph/batch.hpp"
 #include "util/check.hpp"
@@ -17,8 +17,6 @@
 
 namespace gns::core {
 namespace {
-
-constexpr double kTol = 1e-10;  // batched vs independent: elementwise
 
 io::Trajectory tiny_trajectory(int particles, std::uint64_t seed,
                                double material) {
@@ -69,6 +67,19 @@ SceneContext material_context(double material) {
   SceneContext ctx;
   ctx.material = ad::Tensor::scalar(material);
   return ctx;
+}
+
+/// Drives a BatchedRollout to completion one step_once at a time, as a
+/// serving chain does.
+std::vector<std::vector<std::vector<double>>> roll_out(
+    std::shared_ptr<const LearnedSimulator> sim,
+    const std::vector<Window>& windows, const std::vector<int>& steps,
+    const std::vector<SceneContext>& contexts,
+    const BatchedRollout::StepGate& gate = nullptr) {
+  BatchedRollout rollout(std::move(sim), windows, steps, contexts);
+  while (rollout.step_once(gate)) {
+  }
+  return rollout.take_frames();
 }
 
 TEST(GraphBatch, OffsetsSegmentsAndMergedIndices) {
@@ -127,10 +138,8 @@ TEST(SliceRows, ValuesBoundsAndGradient) {
   EXPECT_TRUE(result.ok) << "max abs err " << result.max_abs_error;
 }
 
-TEST(BatchedSimulator, StepMatchesIndependentSteps) {
-  LearnedSimulator sim = attention_sim();
-  auto handle = std::make_shared<const LearnedSimulator>(std::move(sim));
-  BatchedSimulator batched(handle);
+TEST(BatchedStep, MatchesIndependentSteps) {
+  const auto sim = std::make_shared<const LearnedSimulator>(attention_sim());
 
   // Four members with different particle counts and materials.
   const std::vector<int> sizes = {6, 4, 9, 6};
@@ -140,31 +149,29 @@ TEST(BatchedSimulator, StepMatchesIndependentSteps) {
   for (std::size_t g = 0; g < sizes.size(); ++g) {
     io::Trajectory traj =
         tiny_trajectory(sizes[g], 100 + g, materials[g]);
-    windows.push_back(window_of(*handle, traj));
+    windows.push_back(window_of(*sim, traj));
     contexts.push_back(material_context(materials[g]));
   }
 
   ad::NoGradGuard no_grad;
   graph::GraphBatch batch;
-  std::vector<ad::Tensor> next = batched.step(windows, contexts, &batch);
-  ASSERT_EQ(next.size(), windows.size());
+  const GnsOutput out = sim->forward_batch(windows, contexts, batch);
   ASSERT_EQ(batch.num_graphs(), 4);
+  EXPECT_EQ(out.acceleration.rows(), batch.merged.num_nodes);
 
+  const std::vector<ad::Tensor> next = sim->step_batch(windows, contexts);
+  ASSERT_EQ(next.size(), windows.size());
   for (std::size_t g = 0; g < windows.size(); ++g) {
-    ad::Tensor ref = handle->step(windows[g], contexts[g]);
+    const ad::Tensor ref = sim->step(windows[g], contexts[g]);
     ASSERT_EQ(next[g].rows(), ref.rows());
     ASSERT_EQ(next[g].cols(), ref.cols());
-    for (int i = 0; i < ref.rows(); ++i)
-      for (int d = 0; d < ref.cols(); ++d)
-        EXPECT_NEAR(next[g].at(i, d), ref.at(i, d), kTol)
-            << "member " << g << " particle " << i << " axis " << d;
+    EXPECT_EQ(tensor_to_frame(next[g]), tensor_to_frame(ref))
+        << "member " << g;
   }
 }
 
-TEST(BatchedSimulator, RolloutCompactsEarlyFinishersAndMatchesSingles) {
-  LearnedSimulator sim = attention_sim();
-  auto handle = std::make_shared<const LearnedSimulator>(std::move(sim));
-  BatchedSimulator batched(handle);
+TEST(BatchedRollout, CompactsEarlyFinishersAndMatchesSingles) {
+  const auto sim = std::make_shared<const LearnedSimulator>(attention_sim());
 
   const std::vector<int> sizes = {6, 5, 7};
   const std::vector<int> steps = {7, 2, 4};  // staggered finish -> compaction
@@ -173,53 +180,40 @@ TEST(BatchedSimulator, RolloutCompactsEarlyFinishersAndMatchesSingles) {
   std::vector<SceneContext> contexts;
   for (std::size_t g = 0; g < sizes.size(); ++g) {
     io::Trajectory traj = tiny_trajectory(sizes[g], 200 + g, materials[g]);
-    windows.push_back(window_of(*handle, traj));
+    windows.push_back(window_of(*sim, traj));
     contexts.push_back(material_context(materials[g]));
   }
 
-  auto frames = batched.rollout(windows, steps, contexts);
+  const auto frames = roll_out(sim, windows, steps, contexts);
   ASSERT_EQ(frames.size(), windows.size());
-  for (std::size_t g = 0; g < windows.size(); ++g) {
-    auto ref = handle->rollout(windows[g], steps[g], contexts[g]);
-    ASSERT_EQ(frames[g].size(), ref.size()) << "member " << g;
-    for (std::size_t t = 0; t < ref.size(); ++t) {
-      ASSERT_EQ(frames[g][t].size(), ref[t].size());
-      for (std::size_t k = 0; k < ref[t].size(); ++k)
-        EXPECT_NEAR(frames[g][t][k], ref[t][k], kTol)
-            << "member " << g << " frame " << t << " component " << k;
-    }
-  }
+  for (std::size_t g = 0; g < windows.size(); ++g)
+    EXPECT_EQ(frames[g], sim->rollout(windows[g], steps[g], contexts[g]))
+        << "member " << g;
 }
 
-TEST(BatchedSimulator, RolloutGateDropsMemberWithPartialFrames) {
-  LearnedSimulator sim = attention_sim();
-  auto handle = std::make_shared<const LearnedSimulator>(std::move(sim));
-  BatchedSimulator batched(handle);
+TEST(BatchedRollout, GateDropsMemberWithPartialFrames) {
+  const auto sim = std::make_shared<const LearnedSimulator>(attention_sim());
 
   std::vector<Window> windows;
   std::vector<SceneContext> contexts;
   for (int g = 0; g < 2; ++g) {
     io::Trajectory traj = tiny_trajectory(6, 300 + g, 0.5);
-    windows.push_back(window_of(*handle, traj));
+    windows.push_back(window_of(*sim, traj));
     contexts.push_back(material_context(0.5));
   }
 
   // Member 0 is stopped by the gate after its 3rd frame; member 1 runs out.
   int calls_member0 = 0;
-  auto frames = batched.rollout(
-      windows, {10, 6}, contexts, [&calls_member0](int member) {
+  const auto frames =
+      roll_out(sim, windows, {10, 6}, contexts, [&calls_member0](int member) {
         if (member == 0) return ++calls_member0 <= 3;
         return true;
       });
   EXPECT_EQ(frames[0].size(), 3u);  // partial prefix preserved
-  EXPECT_EQ(frames[1].size(), 6u);
-
-  // The surviving member's frames equal its solo rollout (compaction does
-  // not perturb numerics).
-  auto ref = handle->rollout(windows[1], 6, contexts[1]);
-  for (std::size_t t = 0; t < ref.size(); ++t)
-    for (std::size_t k = 0; k < ref[t].size(); ++k)
-      EXPECT_NEAR(frames[1][t][k], ref[t][k], kTol);
+  // Both members' frames equal their solo rollouts (compaction does not
+  // perturb numerics).
+  EXPECT_EQ(frames[0], sim->rollout(windows[0], 3, contexts[0]));
+  EXPECT_EQ(frames[1], sim->rollout(windows[1], 6, contexts[1]));
 }
 
 TEST(BatchedFeatures, MaterialColumnIsSegmented) {
@@ -251,10 +245,10 @@ TEST(BatchedFeatures, MaterialColumnIsSegmented) {
   ASSERT_EQ(feats.rows(), 5);
   ASSERT_EQ(feats.cols(), fc.node_feature_count());
   const int mat_col = feats.cols() - 1;
-  EXPECT_DOUBLE_EQ(feats.at(0, mat_col), 0.25);
-  EXPECT_DOUBLE_EQ(feats.at(1, mat_col), 0.25);
-  EXPECT_DOUBLE_EQ(feats.at(2, mat_col), 0.75);
-  EXPECT_DOUBLE_EQ(feats.at(4, mat_col), 0.75);
+  EXPECT_EQ(feats.at(0, mat_col), 0.25);
+  EXPECT_EQ(feats.at(1, mat_col), 0.25);
+  EXPECT_EQ(feats.at(2, mat_col), 0.75);
+  EXPECT_EQ(feats.at(4, mat_col), 0.75);
 }
 
 // ---- Gradcheck sweep over the segmented message-passing paths --------------

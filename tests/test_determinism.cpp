@@ -12,9 +12,10 @@
 //  - GNS / autograd: every parallel loop is row-local (matmul rows,
 //    layer-norm rows, gather/activation elementwise, scatter_add backward
 //    rows). The cross-row reductions — scatter_add forward and gather
-//    backward — run either serially (GNS_SIMD=0) or as CSR-transpose
-//    per-destination loops that accumulate contributions in ascending
-//    original-index order, whichever worker owns a destination. The
+//    backward — run as CSR-transpose per-destination loops that
+//    accumulate contributions in ascending original-index order,
+//    whichever worker owns a destination (GNS_SIMD picks only the scalar
+//    or AVX2 accumulate inside them). The
 //    untaped GNS forward's edge kernel is row-local too, and its node
 //    kernel sums each receiver's edges in that same CSR order; it is also
 //    checked against the taped op chain, bitwise.
@@ -274,8 +275,8 @@ TEST(ThreadInvariance, ScatterAddForwardAndBackwardBitwise) {
 }
 
 TEST(ThreadInvariance, GatherBackwardCsrBitwise) {
-  // The GNS_SIMD=1 gather backward parallelizes over destination rows via
-  // the CSR transpose; a duplicate-heavy index makes the per-destination
+  // The gather backward parallelizes over destination rows via the CSR
+  // transpose; a duplicate-heavy index makes the per-destination
   // accumulation order matter.
   simd::set_enabled(true);
   const int e = 40000, m = 4, nodes = 512;

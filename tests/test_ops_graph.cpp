@@ -1,14 +1,15 @@
 // Graph / shape ops: gather, scatter-add, segment softmax, layer norm,
 // concat, slice — semantics and gradient checks. These ops carry all
-// message passing, so their gradients must be exact. The GNS_SIMD paths
-// (AVX2 row kernels + CSR-transpose backward) must additionally be
-// bitwise identical to the scalar/serial reference on every index
-// pattern — verified here on adversarial patterns.
+// message passing, so their gradients must be exact. Their CSR-parallel
+// reductions must additionally be bitwise identical to the serial loops
+// kept here as reference, under both GNS_SIMD leaf kernels (scalar and
+// AVX2) — verified here on adversarial index patterns.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "ad/gradcheck.hpp"
 #include "ad/index_map.hpp"
@@ -245,7 +246,7 @@ TEST(IndexMap, OpsAcceptPrebuiltMap) {
   EXPECT_THROW(gather_rows(random_tensor(5, 3, rng), map), CheckError);
 }
 
-// ---------- SIMD vs scalar bitwise equivalence ----------
+// ---------- Serial reference vs both leaf kernels, bitwise ----------
 
 /// Adversarial index patterns for n entries into b buckets: uniform
 /// random, all-duplicates, sorted, reversed, and duplicate-heavy (hot
@@ -267,6 +268,95 @@ std::vector<std::vector<int>> index_patterns(int n, int b, Rng& rng) {
     hot[i] = (i % 3 == 0) ? static_cast<int>(rng.uniform_index(b)) : 0;
   patterns.push_back(hot);
   return patterns;
+}
+
+// Serial references for the CSR-parallel graph ops, as
+// edge_features_reference is for radius_edge_features: one pass over the
+// entries in original index order, each accumulating into its
+// destination as it comes.
+
+/// out[i] = src[idx[i]], rows of `cols` values (gather_rows forward,
+/// scatter_add_rows backward).
+std::vector<Real> gather_reference(const std::vector<Real>& src,
+                                   const std::vector<int>& idx, int cols) {
+  std::vector<Real> out;
+  for (const int r : idx)
+    out.insert(out.end(), src.begin() + static_cast<std::ptrdiff_t>(r) * cols,
+               src.begin() + static_cast<std::ptrdiff_t>(r + 1) * cols);
+  return out;
+}
+
+/// out[idx[i]] += src[i] over `rows` output rows (scatter_add_rows
+/// forward, gather_rows backward).
+std::vector<Real> scatter_reference(const std::vector<Real>& src,
+                                    const std::vector<int>& idx, int rows,
+                                    int cols) {
+  std::vector<Real> out(static_cast<std::size_t>(rows) * cols, Real(0));
+  for (std::size_t i = 0; i < idx.size(); ++i)
+    for (int j = 0; j < cols; ++j)
+      out[static_cast<std::size_t>(idx[i]) * cols + j] += src[i * cols + j];
+  return out;
+}
+
+/// Three-pass segment softmax: per-segment max, exp-sum, normalize.
+std::vector<Real> softmax_reference(const std::vector<Real>& scores,
+                                    const std::vector<int>& seg,
+                                    int num_segments) {
+  const std::size_t e = scores.size();
+  std::vector<Real> seg_max(num_segments,
+                            -std::numeric_limits<Real>::infinity());
+  for (std::size_t i = 0; i < e; ++i)
+    seg_max[seg[i]] = std::max(seg_max[seg[i]], scores[i]);
+  std::vector<Real> out(e);
+  std::vector<Real> seg_sum(num_segments, Real(0));
+  for (std::size_t i = 0; i < e; ++i) {
+    out[i] = std::exp(scores[i] - seg_max[seg[i]]);
+    seg_sum[seg[i]] += out[i];
+  }
+  for (std::size_t i = 0; i < e; ++i) out[i] /= seg_sum[seg[i]];
+  return out;
+}
+
+/// Segment softmax backward for output y and upstream gradient `up`.
+std::vector<Real> softmax_backward_reference(const std::vector<Real>& y,
+                                             const std::vector<Real>& up,
+                                             const std::vector<int>& seg,
+                                             int num_segments) {
+  const std::size_t e = y.size();
+  std::vector<Real> dot(num_segments, Real(0));
+  for (std::size_t i = 0; i < e; ++i) dot[seg[i]] += up[i] * y[i];
+  std::vector<Real> grad(e);
+  for (std::size_t i = 0; i < e; ++i)
+    grad[i] = y[i] * (up[i] - dot[seg[i]]);
+  return grad;
+}
+
+/// Upstream gradient of loss = sum(square(y)): exactly 2 y.
+std::vector<Real> square_sum_grad(const std::vector<Real>& y) {
+  std::vector<Real> g(y.size());
+  for (std::size_t i = 0; i < y.size(); ++i) g[i] = 2 * y[i];
+  return g;
+}
+
+/// Concatenation of a forward output and an input gradient.
+std::vector<Real> joined(std::vector<Real> out, const std::vector<Real>& grad) {
+  out.insert(out.end(), grad.begin(), grad.end());
+  return out;
+}
+
+/// Runs `fn` with GNS_SIMD off and on and expects both results bitwise
+/// equal to `ref`.
+template <typename Fn>
+void expect_bitwise_reference(const std::vector<Real>& ref, Fn&& fn) {
+  for (const bool simd_on : {false, true}) {
+    SimdGuard guard(simd_on);
+    const std::vector<Real> got = fn();
+    ASSERT_EQ(ref.size(), got.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+      ASSERT_EQ(ref[i], got[i]) << "GNS_SIMD=" << simd_on
+                                << ": bitwise divergence at flat index "
+                                << i;
+  }
 }
 
 /// Runs `fn` with GNS_SIMD off then on and expects bitwise-equal results.
@@ -292,14 +382,15 @@ TEST(SimdBitwise, GatherForwardAndBackward) {
   for (const int cols : {1, 3, 8, 17}) {
     Tensor a = random_tensor(23, cols, rng);
     for (const auto& idx : index_patterns(57, 23, rng)) {
-      expect_bitwise_equal_modes([&] {
+      const std::vector<Real> y = gather_reference(a.vec(), idx, cols);
+      const std::vector<Real> ref =
+          joined(y, scatter_reference(square_sum_grad(y), idx, 23, cols));
+      expect_bitwise_reference(ref, [&] {
         Tensor x = Tensor::from_vector(a.rows(), a.cols(), a.vec(), true);
         Tensor g = gather_rows(x, idx);
         Tensor loss = sum(square(g));
         loss.backward();
-        std::vector<Real> out = g.vec();
-        out.insert(out.end(), x.grad().begin(), x.grad().end());
-        return out;
+        return joined(g.vec(), x.grad());
       });
     }
   }
@@ -310,14 +401,15 @@ TEST(SimdBitwise, ScatterAddForwardAndBackward) {
   for (const int cols : {1, 5, 16, 19}) {
     Tensor a = random_tensor(57, cols, rng);
     for (const auto& idx : index_patterns(57, 23, rng)) {
-      expect_bitwise_equal_modes([&] {
+      const std::vector<Real> y = scatter_reference(a.vec(), idx, 23, cols);
+      const std::vector<Real> ref =
+          joined(y, gather_reference(square_sum_grad(y), idx, cols));
+      expect_bitwise_reference(ref, [&] {
         Tensor x = Tensor::from_vector(a.rows(), a.cols(), a.vec(), true);
         Tensor s = scatter_add_rows(x, idx, 23);
         Tensor loss = sum(square(s));
         loss.backward();
-        std::vector<Real> out = s.vec();
-        out.insert(out.end(), x.grad().begin(), x.grad().end());
-        return out;
+        return joined(s.vec(), x.grad());
       });
     }
   }
@@ -326,17 +418,18 @@ TEST(SimdBitwise, ScatterAddForwardAndBackward) {
 TEST(SimdBitwise, SegmentSoftmaxForwardAndBackward) {
   Rng rng(43);
   for (const auto& idx : index_patterns(57, 23, rng)) {
-    expect_bitwise_equal_modes([&] {
-      Rng local(91);
-      std::vector<Real> sv(57);
-      for (auto& v : sv) v = local.uniform(-3.0, 3.0);
+    Rng local(91);
+    std::vector<Real> sv(57);
+    for (auto& v : sv) v = local.uniform(-3.0, 3.0);
+    const std::vector<Real> y = softmax_reference(sv, idx, 23);
+    const std::vector<Real> ref = joined(
+        y, softmax_backward_reference(y, square_sum_grad(y), idx, 23));
+    expect_bitwise_reference(ref, [&] {
       Tensor x = Tensor::from_vector(57, 1, sv, true);
       Tensor p = segment_softmax(x, idx, 23);
       Tensor loss = sum(square(p));
       loss.backward();
-      std::vector<Real> out = p.vec();
-      out.insert(out.end(), x.grad().begin(), x.grad().end());
-      return out;
+      return joined(p.vec(), x.grad());
     });
   }
 }
@@ -362,7 +455,7 @@ TEST(SimdBitwise, LayerNormAndConcat) {
   }
 }
 
-// ---------- Gradchecks through the CSR (simd-enabled) backward ----------
+// ---------- Gradchecks through the CSR backward ----------
 
 TEST(GraphOpsGrad, GatherCsrBackwardDuplicateHeavy) {
   SimdGuard on(true);

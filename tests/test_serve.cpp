@@ -358,9 +358,8 @@ TEST_F(ServeTest, FarParticleDoesNotSizeTheNeighborGrid) {
   // Request coordinates must not size what a step allocates: the neighbor
   // grid covers the model's configured domain, and a particle far outside
   // it clamps into a boundary cell. A grid sized by the newest frame's
-  // bounding box would ask for 25,000 x 25,000 cells here. Both the
-  // unbatched chain (max_batch 1) and the batched one (max_batch 2) must
-  // serve it, bitwise alike.
+  // bounding box would ask for 25,000 x 25,000 cells here. Schedulers at
+  // max_batch 1 and 2 must serve it, bitwise alike.
   auto registry = std::make_shared<ModelRegistry>();
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
@@ -527,6 +526,46 @@ TEST_F(ServeTest, BatchedMalformedMemberFailsAloneAndCancelledMemberSkipped) {
       ASSERT_EQ(rb.frames[t][k], serial[t][k]);
 
   EXPECT_EQ(c.result.get().status, JobStatus::Cancelled);
+}
+
+TEST_F(ServeTest, FailedBatchStepFailsOnlyTheMembersItSteps) {
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->put("m", make_small_sim());
+  ModelRegistry::Handle sim = registry->get("m");
+  const auto serial = sim->rollout(window_of(*sim), 1, context_of());
+
+  SchedulerConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 8;
+  cfg.max_batch = 2;
+  JobScheduler scheduler(registry, cfg);
+
+  // Two particles 0.9 r apart, separating at 0.5 r per frame: the first
+  // step has edges, the second (1.4 r apart) has none and throws.
+  const double r = sim->features().connectivity_radius;
+  RolloutRequest parting = small_request(*sim, 3);
+  for (std::size_t t = 0; t < parting.window.size(); ++t) {
+    const double gap =
+        0.9 * r - 0.5 * r * static_cast<double>(parting.window.size() - 1 - t);
+    parting.window[t] = {0.5 - gap / 2, 0.5, 0.5 + gap / 2, 0.5};
+  }
+
+  scheduler.pause();  // both jobs queue, then coalesce into one batch
+  JobTicket a = scheduler.submit(small_request(*sim, 1));
+  JobTicket b = scheduler.submit(std::move(parting));
+  scheduler.resume();
+
+  // The member that finished before the failing step keeps its outcome...
+  RolloutResult ra = a.result.get();
+  ASSERT_EQ(ra.status, JobStatus::Ok) << ra.error;
+  EXPECT_EQ(ra.frames, serial);
+
+  // ...and the member whose step threw keeps the frames it computed.
+  RolloutResult rb = b.result.get();
+  EXPECT_EQ(rb.status, JobStatus::ExecutionError);
+  EXPECT_EQ(rb.frames.size(), 1u);
+  EXPECT_NE(rb.error.find("no edges"), std::string::npos) << rb.error;
+  EXPECT_EQ(scheduler.stats().snapshot().batch_size.max(), 2.0);
 }
 
 }  // namespace
