@@ -100,11 +100,11 @@ int default_workers() {
   return n;
 }
 
-// The wheel's thread starts before any worker is pinned, so it keeps the
+// The event thread starts before any worker is pinned, so it keeps the
 // constructing thread's CPUs: a thread started from a pinned worker would
 // inherit that worker's one CPU.
 Executor::Executor(int workers)
-    : wheel_([this](std::function<void()> f) { submit(std::move(f)); }) {
+    : events_([this](std::function<void()> f) { submit(std::move(f)); }) {
   if (workers <= 0) workers = default_workers();
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i)
@@ -266,19 +266,19 @@ bool Executor::on_worker_thread() const { return t_owner == this; }
 
 Executor::TimerId Executor::schedule_after(double delay_ms,
                                            std::function<void()> fn) {
-  return schedule_at(TimerWheel::Clock::now() +
-                         std::chrono::duration_cast<TimerWheel::Clock::duration>(
+  return schedule_at(Clock::now() +
+                         std::chrono::duration_cast<Clock::duration>(
                              std::chrono::duration<double, std::milli>(
                                  delay_ms < 0.0 ? 0.0 : delay_ms)),
                      std::move(fn));
 }
 
-Executor::TimerId Executor::schedule_at(TimerWheel::Clock::time_point due,
+Executor::TimerId Executor::schedule_at(Clock::time_point due,
                                         std::function<void()> fn) {
-  return wheel_.schedule_at(due, std::move(fn));
+  return events_.schedule_at(due, std::move(fn));
 }
 
-bool Executor::cancel_timer(TimerId id) { return wheel_.cancel(id); }
+bool Executor::cancel_timer(TimerId id) { return events_.cancel_timer(id); }
 
 ExecutorStats Executor::stats() const {
   ExecutorStats s;

@@ -10,9 +10,10 @@
 /// own deque and steal from peers when idle. With at least two workers
 /// and at least one allowed CPU per worker, each worker is pinned to its
 /// own CPU, so a woken worker is never queued behind the thread that woke
-/// it (DESIGN.md §13). Timers ride a hashed
-/// TimerWheel whose fired callbacks are submitted as ordinary tasks, so
-/// deadlines and batch windows share cores with compute instead of
+/// it (DESIGN.md §13). Besides its workers the executor runs one
+/// EventThread, which waits on every timer and every IoBridge fd watch at
+/// once and submits what comes due as ordinary tasks, so deadlines, batch
+/// windows and socket readiness share cores with compute instead of
 /// holding threads.
 ///
 /// The program runs all of its parallel work here: the scheduler's
@@ -27,6 +28,7 @@
 /// any GNS_EXEC_WORKERS (see DESIGN.md §13 for the argument).
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -35,10 +37,8 @@
 #include <thread>
 #include <vector>
 
-#include <condition_variable>
-
+#include "exec/event_thread.hpp"
 #include "exec/steal_deque.hpp"
-#include "exec/timer_wheel.hpp"
 
 namespace gns::exec {
 
@@ -63,7 +63,8 @@ struct ExecutorStats {
 
 class Executor {
  public:
-  using TimerId = TimerWheel::TimerId;
+  using Clock = EventThread::Clock;
+  using TimerId = EventThread::TimerId;
 
   /// workers <= 0 means default_workers().
   explicit Executor(int workers = 0);
@@ -77,11 +78,12 @@ class Executor {
   /// task lands on the calling worker's own deque) and from timers.
   void submit(std::function<void()> fn);
 
-  /// Timer facade over the owned TimerWheel; fired callbacks are
-  /// submitted as tasks. cancel_timer true => the callback will never run.
+  /// Timers on the event thread; a due callback is submitted as a task,
+  /// never before its due time. cancel_timer true => the callback will
+  /// never run. cancel_timer never waits on a callback, so callers may
+  /// hold their own locks.
   TimerId schedule_after(double delay_ms, std::function<void()> fn);
-  TimerId schedule_at(TimerWheel::Clock::time_point due,
-                      std::function<void()> fn);
+  TimerId schedule_at(Clock::time_point due, std::function<void()> fn);
   bool cancel_timer(TimerId id);
 
   int workers() const { return static_cast<int>(workers_.size()); }
@@ -104,6 +106,7 @@ class Executor {
   };
 
   friend struct ParallelAccess;  // parallel_for internals
+  friend class IoBridge;         // registers its watches with events_
 
   void worker_loop(int index);
   Task* try_acquire(int index, std::uint32_t& rng);
@@ -128,7 +131,7 @@ class Executor {
   std::atomic<std::uint64_t> injected_{0};
   std::atomic<std::uint64_t> busy_ns_{0};
 
-  TimerWheel wheel_;
+  EventThread events_;
 };
 
 }  // namespace gns::exec

@@ -1,146 +1,57 @@
 #include "exec/io_bridge.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <unistd.h>
-
 #include <chrono>
+#include <thread>
 #include <utility>
-#include <vector>
 
 #include "exec/executor.hpp"
-#include "obs/metrics.hpp"
 
 namespace gns::exec {
 
-namespace {
+IoBridge::IoBridge(Executor& executor) : executor_(executor) {}
 
-obs::Counter& events_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("exec.io.events");
-  return c;
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-}  // namespace
-
-IoBridge::IoBridge(Executor& executor)
-    : executor_(executor),
-      inflight_(std::make_shared<std::atomic<int>>(0)) {
-  if (::pipe(wake_fds_) == 0) {
-    set_nonblocking(wake_fds_[0]);
-    set_nonblocking(wake_fds_[1]);
-  }
-  thread_ = std::thread([this] { loop(); });
-}
-
-IoBridge::~IoBridge() {
-  stop();
-  if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
-  if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
-}
-
-void IoBridge::wake() {
-  if (wake_fds_[1] >= 0) {
-    const char b = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &b, 1);
-  }
-}
+IoBridge::~IoBridge() { stop(); }
 
 int IoBridge::watch(int fd, short events, Callback cb) {
-  int id;
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    id = next_id_++;
-    watches_[id] = Watch{fd, events, true};
-    callbacks_[id] = std::move(cb);
-  }
-  wake();
+  std::lock_guard<std::mutex> lk(m_);
+  if (stopped_) return -1;
+  // The dispatch runs on the event thread under its lock, so the count
+  // rises before unwatch() can return: stop() never misses a callback.
+  const int id = executor_.events_.watch(
+      fd, events, [this, cb = std::move(cb)](short revents) {
+        inflight_.fetch_add(1, std::memory_order_acq_rel);
+        executor_.submit([this, cb, revents] {
+          cb(revents);
+          inflight_.fetch_sub(1, std::memory_order_acq_rel);
+        });
+      });
+  ids_.insert(id);
   return id;
 }
 
 void IoBridge::rearm(int id, short events) {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    auto it = watches_.find(id);
-    if (it == watches_.end()) return;
-    it->second.events = events;
-    it->second.armed = true;
-  }
-  wake();
+  executor_.events_.rearm(id, events);
 }
 
 void IoBridge::unwatch(int id) {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    watches_.erase(id);
-    callbacks_.erase(id);
-  }
-  wake();
+  // Under m_, so a concurrent stop() either unwatches this id itself or
+  // finds it already gone.
+  std::lock_guard<std::mutex> lk(m_);
+  ids_.erase(id);
+  executor_.events_.unwatch(id);
 }
 
 void IoBridge::stop() {
-  if (stop_.exchange(true)) {
-    // Second caller still waits for the drain below.
-  } else {
-    wake();
+  std::unordered_set<int> ids;
+  {
+    std::lock_guard<std::mutex> lk(m_);
+    stopped_ = true;
+    ids.swap(ids_);
   }
-  if (thread_.joinable()) thread_.join();
-  // Callback tasks already handed to the executor may still be queued or
-  // running; they carry copies of the callbacks (not bridge pointers), so
-  // once the counter drains the owner may tear down.
-  while (inflight_->load(std::memory_order_acquire) > 0)
+  for (const int id : ids) executor_.events_.unwatch(id);
+  // Callback tasks already submitted may still be queued or running.
+  while (inflight_.load(std::memory_order_acquire) > 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-}
-
-void IoBridge::loop() {
-  std::vector<pollfd> fds;
-  std::vector<int> ids;
-  for (;;) {
-    if (stop_.load(std::memory_order_acquire)) return;
-    fds.clear();
-    ids.clear();
-    fds.push_back(pollfd{wake_fds_[0], POLLIN, 0});
-    ids.push_back(0);
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      for (const auto& [id, w] : watches_) {
-        if (!w.armed) continue;
-        fds.push_back(pollfd{w.fd, w.events, 0});
-        ids.push_back(id);
-      }
-    }
-    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 100);
-    if (rc <= 0) continue;
-    if ((fds[0].revents & POLLIN) != 0) {
-      char buf[64];
-      while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
-      }
-    }
-    for (std::size_t i = 1; i < fds.size(); ++i) {
-      const short re = fds[i].revents;
-      if (re == 0) continue;
-      Callback cb;
-      {
-        std::lock_guard<std::mutex> lk(m_);
-        auto it = watches_.find(ids[i]);
-        if (it == watches_.end() || !it->second.armed) continue;
-        it->second.armed = false;  // oneshot: cb re-arms when ready
-        cb = callbacks_[ids[i]];
-      }
-      events_counter().add(1);
-      inflight_->fetch_add(1, std::memory_order_acq_rel);
-      auto inflight = inflight_;
-      executor_.submit([cb = std::move(cb), re, inflight]() {
-        cb(re);
-        inflight->fetch_sub(1, std::memory_order_acq_rel);
-      });
-    }
-  }
 }
 
 }  // namespace gns::exec

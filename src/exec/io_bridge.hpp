@@ -1,29 +1,29 @@
 #pragma once
 
 /// \file io_bridge.hpp
-/// Self-pipe poll bridge: readiness events on registered fds become
-/// executor tasks.
+/// Per-owner handle on the executor's fd watches: readiness events on
+/// registered fds become executor tasks.
 ///
-/// One dedicated poller thread runs poll() over the armed watches plus an
-/// internal wake pipe. When a watch fires it is disarmed (oneshot) and
-/// its callback is submitted to the executor with the revents mask; the
-/// callback re-arms via rearm() when it wants more events. Oneshot
-/// semantics guarantee at most one in-flight callback task per watch, so
-/// per-connection state needs no locking against the bridge itself (only
-/// against timers the owner schedules separately).
+/// The bridge owns no thread. Its watches live on the executor's one
+/// EventThread, which waits on them together with every timer. When a
+/// watch fires it is disarmed (oneshot) and its callback is submitted to
+/// the executor with the revents mask; the callback re-arms via rearm()
+/// when it wants more events. Oneshot semantics guarantee at most one
+/// in-flight callback task per watch, so per-connection state needs no
+/// locking against the bridge itself (only against timers the owner
+/// schedules separately).
 ///
-/// Callbacks never reference the bridge internally — stop() joins the
-/// poller and then waits for already-submitted callback tasks to finish,
-/// after which the owner may destroy the bridge. rearm()/unwatch() on a
-/// stopped bridge are harmless no-ops.
+/// The bridge counts the callback tasks it has submitted. stop()
+/// unregisters every watch, then waits for that count to drain, after
+/// which the owner may destroy the bridge. Once stop() has begun, watch()
+/// registers nothing: a watch added by a late task would otherwise fire
+/// into a destroyed owner. rearm()/unwatch() on a stopped bridge are
+/// harmless no-ops.
 
 #include <atomic>
-#include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <thread>
-#include <unordered_map>
+#include <unordered_set>
 
 namespace gns::exec {
 
@@ -41,7 +41,8 @@ class IoBridge {
   IoBridge(const IoBridge&) = delete;
   IoBridge& operator=(const IoBridge&) = delete;
 
-  /// Registers fd, armed for `events`. Returns a watch id (> 0).
+  /// Registers fd, armed for `events`. Returns a watch id (> 0), or -1
+  /// when stop() has begun and nothing was registered.
   int watch(int fd, short events, Callback cb);
 
   /// Re-arms a (disarmed) watch for `events`. Typically called at the end
@@ -52,29 +53,16 @@ class IoBridge {
   /// (an already-submitted callback task may still be running).
   void unwatch(int id);
 
-  /// Joins the poller and waits for in-flight callback tasks to drain.
-  /// Idempotent.
+  /// Unregisters every watch and waits for in-flight callback tasks to
+  /// drain. Idempotent.
   void stop();
 
  private:
-  struct Watch {
-    int fd = -1;
-    short events = 0;
-    bool armed = false;
-  };
-
-  void loop();
-  void wake();
-
   Executor& executor_;
   std::mutex m_;
-  std::unordered_map<int, Watch> watches_;
-  std::unordered_map<int, Callback> callbacks_;  // id -> cb, copied per fire
-  int next_id_ = 1;
-  int wake_fds_[2] = {-1, -1};
-  std::atomic<bool> stop_{false};
-  std::shared_ptr<std::atomic<int>> inflight_;  // submitted, not yet finished
-  std::thread thread_;
+  std::unordered_set<int> ids_;  // live watches; guarded by m_
+  bool stopped_ = false;         // guarded by m_
+  std::atomic<int> inflight_{0};  // callbacks submitted, not yet finished
 };
 
 }  // namespace gns::exec

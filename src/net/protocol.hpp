@@ -21,7 +21,8 @@
 /// codes cross the wire unchanged) or kErrorReply (transport-level
 /// failures: backpressure, malformed frames, drain in progress). A client
 /// may also send kStatsRequest and receive one kStatsReply — a metrics +
-/// health snapshot served off the poll thread, for live introspection.
+/// health snapshot answered by the connection's service task, for live
+/// introspection.
 ///
 /// A kRolloutRequest carries a client-chosen 64-bit trace_id plus flags,
 /// and a kStatusReply echoes the trace_id with the cache outcome and the

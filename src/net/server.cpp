@@ -117,8 +117,8 @@ bool Server::start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
   port_ = ntohs(bound.sin_port);
 
-  // No threads of our own: the bridge's poller turns listener/connection
-  // readiness into tasks on the global executor.
+  // No threads of our own: the executor's event thread turns listener/
+  // connection readiness into tasks on the global executor.
   started_ = Clock::now();
   draining_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
@@ -492,7 +492,7 @@ void Server::exec_accept(short /*revents*/) {
   if (draining_.load(std::memory_order_acquire)) return;  // stop() unwatches
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) break;  // EAGAIN or transient error: back to the poller
+    if (fd < 0) break;  // EAGAIN or transient error: wait for the next event
     if (active_connections_.load(std::memory_order_relaxed) >=
             config_.max_connections ||
         !set_nonblocking(fd)) {
@@ -667,8 +667,8 @@ void Server::stop() {
       bridge_->unwatch(ec.watch_id);
       close_connection(ec.conn);
     }
-    // 4. Quiesce: the bridge joins its poller and drains watch-callback
-    //    tasks; pump-timer callbacks are tracked separately via
+    // 4. Quiesce: the bridge unwatches what is left and drains watch-
+    //    callback tasks; pump-timer callbacks are tracked separately via
     //    exec_pending_ (they see closed connections and return early).
     bridge_->stop();
     while (exec_pending_.load(std::memory_order_acquire) > 0)

@@ -4,10 +4,11 @@
 /// TCP front-end of the rollout serving subsystem.
 ///
 /// Threading model: the server owns no threads. The listening socket and
-/// every accepted connection are registered with an exec::IoBridge, whose
-/// poller turns readiness events into tasks on the global work-stealing
-/// executor — the same pool that runs the scheduler's rollout chains and
-/// the per-step compute, so net I/O shares cores with compute. Each
+/// every accepted connection are watched through an exec::IoBridge; the
+/// executor's one event thread turns their readiness into tasks on the
+/// global work-stealing executor — the same pool that runs the
+/// scheduler's rollout chains and the per-step compute, so net I/O shares
+/// cores with compute. Each
 /// connection is serviced by at most one task at a time (oneshot watches
 /// plus a per-connection mutex); while requests are in flight or writes
 /// are queued, a short executor pump timer re-services the connection

@@ -167,10 +167,11 @@ JobTicket JobScheduler::submit(RolloutRequest request) {
   }
   if (rejection == JobStatus::Ok) return ticket;
 
-  // Rejection path: resolve immediately, never block the caller.
+  // Rejection path: resolve immediately, never block the caller. A job
+  // that claimed flight leadership releases the flight in resolve(), so
+  // its followers fail fast instead of waiting forever.
   RolloutResult result;
   result.status = rejection;
-  result.job_id = ticket.id;
   switch (rejection) {
     case JobStatus::QueueFull:
       result.error = "queue at capacity";
@@ -182,19 +183,7 @@ JobTicket JobScheduler::submit(RolloutRequest request) {
       result.error = "scheduler shutting down";
       break;
   }
-  if (job.has_cache_key) {
-    // The job claimed flight leadership before being rejected: release
-    // the flight so followers fail fast instead of waiting forever, and
-    // drop the cancel-flag registration the consult made.
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      live_flags_.erase(job.id);
-    }
-    config_.cache->abandon(job.cache_key, {},
-                           static_cast<int>(rejection), result.error);
-  }
-  stats_.on_rejected(rejection);
-  job.promise.set_value(std::move(result));
+  resolve(std::move(job), std::move(result));
   return ticket;
 }
 
@@ -210,29 +199,9 @@ JobScheduler::CacheOutcome JobScheduler::consult_cache(Job& job) {
                                               model.simulator->features());
   job.cache_key = key;
 
-  // Everything follower fulfillment needs, detached from the Job (which
-  // dies when submit returns). The promise lives here for ALL outcomes
-  // and is moved back on Hit/Lead.
-  struct FollowerState {
-    std::promise<RolloutResult> promise;
-    std::shared_ptr<std::atomic<bool>> cancelled;
-    std::uint64_t id = 0;
-    Clock::time_point submitted;
-    Clock::time_point deadline;
-    bool has_deadline = false;
-    std::uint64_t trace_id = 0;
-    double decode_us = 0.0;
-    double cache_us = 0.0;
-  };
-  auto state = std::make_shared<FollowerState>();
-  state->promise = std::move(job.promise);
-  state->cancelled = job.cancelled;
-  state->id = job.id;
-  state->submitted = job.submitted;
-  state->deadline = job.deadline;
-  state->has_deadline = job.has_deadline;
-  state->trace_id = job.request.trace_id;
-  state->decode_us = job.request.decode_us;
+  // A joined follower's callback owns the job; Hit and Lead drop the
+  // callback and take the job back.
+  auto follower = std::make_shared<Job>(std::move(job));
 
   // Register the cancel flag BEFORE the join attempt: the leader can
   // finish on another thread the instant lookup_or_join returns, and its
@@ -240,19 +209,21 @@ JobScheduler::CacheOutcome JobScheduler::consult_cache(Job& job) {
   // for Lead the enqueue overwrites the same entry idempotently.)
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    live_flags_[job.id] = job.cancelled;
+    live_flags_[follower->id] = follower->cancelled;
   }
 
-  store::FollowerFn on_done = [this, state](store::Frames frames,
-                                            bool complete, int code,
-                                            const std::string& error) {
+  store::FollowerFn on_done = [this, follower](store::Frames frames,
+                                               bool complete, int code,
+                                               const std::string& error) {
+    Job& joined = *follower;
     RolloutResult result;
     result.cached = true;
+    result.cache_outcome = serve::CacheOutcome::Joined;
     result.frames = std::move(frames);
-    if (state->cancelled->load(std::memory_order_relaxed)) {
+    if (joined.cancelled->load(std::memory_order_relaxed)) {
       result.status = JobStatus::Cancelled;
       result.frames.clear();  // a cancelled job returns no frames it ran for
-    } else if (state->has_deadline && Clock::now() > state->deadline) {
+    } else if (joined.has_deadline && Clock::now() > joined.deadline) {
       result.status = JobStatus::DeadlineExceeded;
       result.error = "deadline exceeded while coalesced onto an identical "
                      "in-flight rollout";
@@ -262,82 +233,40 @@ JobScheduler::CacheOutcome JobScheduler::consult_cache(Job& job) {
       result.status = static_cast<JobStatus>(code);
       result.error = error;
     }
-    result.job_id = state->id;
-    result.cache_outcome = serve::CacheOutcome::Joined;
-    result.trace_id = state->trace_id;
-    const double wait_ms = std::chrono::duration<double, std::milli>(
-                               Clock::now() - state->submitted)
-                               .count();
-    result.queue_ms = wait_ms;  // a follower's whole life is queue wait
-    result.total_ms = wait_ms;
-    result.phases.decode_us = state->decode_us;
-    result.phases.cache_us = state->cache_us;
-    result.phases.queue_us =
-        std::max(0.0, wait_ms * 1e3 - state->cache_us);
-    int depth = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      live_flags_.erase(state->id);
-      depth = static_cast<int>(queue_.size());
-    }
-    stats_.on_resolved(result, depth);
-    state->promise.set_value(std::move(result));
+    // A follower's whole life is queue wait.
+    joined.dequeued = Clock::now();
+    result.queue_ms = std::chrono::duration<double, std::milli>(
+                          joined.dequeued - joined.submitted)
+                          .count();
+    resolve(std::move(joined), std::move(result));
   };
 
   // Stamped before the join attempt: a joined follower's callback can fire
   // on the leader's thread the instant lookup_or_join returns, so writing
-  // state afterwards would race.
-  state->cache_us = cache_timer.millis() * 1e3;
+  // the job afterwards would race.
+  follower->cache_us = cache_timer.millis() * 1e3;
 
-  store::RolloutCache::Lookup found =
-      config_.cache->lookup_or_join(key, job.request.steps, std::move(on_done));
+  store::RolloutCache::Lookup found = config_.cache->lookup_or_join(
+      key, follower->request.steps, std::move(on_done));
 
-  switch (found.outcome) {
-    case store::RolloutCache::Outcome::Hit: {
-      job.promise = std::move(state->promise);
-      int depth = 0;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        live_flags_.erase(job.id);
-        depth = static_cast<int>(queue_.size());
-      }
-      RolloutResult result;
-      result.status = JobStatus::Ok;
-      result.cached = true;
-      result.cache_outcome = serve::CacheOutcome::Hit;
-      result.trace_id = job.request.trace_id;
-      result.frames = std::move(found.frames);
-      result.job_id = job.id;
-      result.total_ms = std::chrono::duration<double, std::milli>(
-                            Clock::now() - job.submitted)
-                            .count();
-      result.phases.decode_us = job.request.decode_us;
-      result.phases.cache_us = cache_timer.millis() * 1e3;
-      stats_.on_submitted(depth);
-      stats_.on_resolved(result, depth);
-      if (slow_request_threshold_ms() >= 0.0 &&
-          result.total_ms >= slow_request_threshold_ms()) {
-        log_slow_request(job.request, result);
-      }
-      job.promise.set_value(std::move(result));
-      return CacheOutcome::Resolved;
-    }
-    case store::RolloutCache::Outcome::Joined: {
-      int depth = 0;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        depth = static_cast<int>(queue_.size());
-      }
-      stats_.on_submitted(depth);  // accepted work, just not queued work
-      return CacheOutcome::Resolved;
-    }
-    case store::RolloutCache::Outcome::Lead:
-      job.promise = std::move(state->promise);
-      job.has_cache_key = true;
-      job.cache_us = cache_timer.millis() * 1e3;
-      return CacheOutcome::Enqueue;
+  if (found.outcome == store::RolloutCache::Outcome::Joined) {
+    stats_.on_submitted(queue_depth());  // accepted work, not queued work
+    return CacheOutcome::Resolved;
   }
-  return CacheOutcome::Enqueue;  // unreachable
+  job = std::move(*follower);
+  job.cache_us = cache_timer.millis() * 1e3;
+  if (found.outcome == store::RolloutCache::Outcome::Lead) {
+    job.has_cache_key = true;
+    return CacheOutcome::Enqueue;
+  }
+  RolloutResult result;
+  result.status = JobStatus::Ok;
+  result.cached = true;
+  result.cache_outcome = serve::CacheOutcome::Hit;
+  result.frames = std::move(found.frames);
+  stats_.on_submitted(queue_depth());
+  resolve(std::move(job), std::move(result));
+  return CacheOutcome::Resolved;
 }
 
 bool JobScheduler::cancel(std::uint64_t job_id) {
@@ -409,9 +338,9 @@ void JobScheduler::resolve(Job&& job, RolloutResult result) {
     result.cache_outcome = job.has_cache_key ? serve::CacheOutcome::Miss
                                              : serve::CacheOutcome::None;
   }
-  // Phase assembly for the compute path (cache hit/join phases are filled
-  // where those paths resolve). queue_us is the time from submit to the
-  // worker pull, minus what the cache consult already accounted for.
+  // Phase assembly. queue_us is the time from submit to the worker pull
+  // (for a joined follower, to its leader's finish), minus what the cache
+  // consult already accounted for.
   result.phases.decode_us = job.request.decode_us;
   result.phases.cache_us = job.cache_us;
   if (job.dequeued != Clock::time_point{}) {

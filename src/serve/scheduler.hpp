@@ -235,11 +235,15 @@ class JobScheduler {
   /// Deadline-timer body: resolves job `id` DeadlineExceeded iff it is
   /// still sitting in queue_.
   void expire_queued(std::uint64_t id);
+  /// The one terminal path of every job, rejected, cached or computed:
+  /// stamps ids, phases and total time, releases a led cache flight,
+  /// drops the cancel flag, records stats and the slow-request line, then
+  /// fulfils the promise. Called without mutex_ held.
   void resolve(Job&& job, RolloutResult result);
   /// Cache hit / single-flight join / leadership claim for `job`. Called
   /// without mutex_ held; takes it briefly for bookkeeping. On Resolved
-  /// the job's promise has been moved out (hit: already fulfilled;
-  /// joined: fulfilled by the leader's terminal callback).
+  /// the job has been moved out (hit: already resolved; joined: owned by
+  /// the follower callback, which resolves it when the leader finishes).
   [[nodiscard]] CacheOutcome consult_cache(Job& job);
 
   std::shared_ptr<ModelRegistry> registry_;

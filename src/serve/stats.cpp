@@ -55,15 +55,6 @@ void ServerStats::on_submitted(int queue_depth) {
   peak_queue_depth_.update_max(queue_depth);
 }
 
-void ServerStats::on_rejected(JobStatus status) {
-  if (status == JobStatus::QueueFull)
-    rejected_queue_full_.add();
-  else if (status == JobStatus::DeadlineExceeded)
-    deadline_exceeded_.add();
-  else
-    shut_down_.add();
-}
-
 void ServerStats::on_dispatch(int batch_size) {
   batch_size_.add(static_cast<double>(batch_size));
 }

@@ -61,15 +61,13 @@ class ServerStats {
   /// A job was accepted into the queue at the given (post-push) depth.
   void on_submitted(int queue_depth);
 
-  /// A submit was rejected (queue full / shutdown) before queueing.
-  void on_rejected(JobStatus status);
-
   /// A worker dispatched `batch_size` coalesced jobs as one execution
   /// (1 at max_batch 1).
   void on_dispatch(int batch_size);
 
-  /// A job resolved with the given result; depth is the queue size after
-  /// the job left it. Ok jobs additionally feed the `<prefix>.phase.*_us`
+  /// A job resolved with the given result, a submit rejected before
+  /// queueing included; depth is the queue size after the job left it
+  /// (or at the rejection). Ok jobs additionally feed the `<prefix>.phase.*_us`
   /// histograms from result.phases (zero-valued phases are skipped so a
   /// cache-less scheduler doesn't flood cache_us with zeros).
   void on_resolved(const RolloutResult& result, int queue_depth);

@@ -1,7 +1,7 @@
 // Units for the work-stealing executor subsystem (src/exec): Chase-Lev
 // deque invariants, task submission and stealing, timer scheduling and
 // cancellation semantics, the parallel_for determinism contract, and the
-// IoBridge oneshot fd-watch lifecycle.
+// IoBridge oneshot fd-watch lifecycle on the executor's event thread.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,8 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -264,17 +266,17 @@ TEST(ExecutorTimerTest, CancelAfterFireReportsFalse) {
 
 TEST(ExecutorTimerTest, ScheduleAtHonorsDueTime) {
   Executor ex(1);
-  const auto start = TimerWheel::Clock::now();
+  const auto start = Executor::Clock::now();
   std::atomic<std::int64_t> elapsed_ms{-1};
   std::atomic<bool> fired{false};
   ex.schedule_at(start + 30ms, [&] {
     elapsed_ms.store(std::chrono::duration_cast<std::chrono::milliseconds>(
-                         TimerWheel::Clock::now() - start)
+                         Executor::Clock::now() - start)
                          .count());
     fired.store(true, std::memory_order_release);
   });
   EXPECT_TRUE(eventually([&fired] { return fired.load(); }));
-  EXPECT_GE(elapsed_ms.load(), 25);  // never early (modulo tick rounding)
+  EXPECT_GE(elapsed_ms.load(), 30);  // never early, not even by a rounding
 }
 
 // ---------------------------------------------------------------------------
@@ -428,14 +430,37 @@ TEST_F(IoBridgeTest, StopDrainsInFlightCallbacksAndIsIdempotent) {
     fires.fetch_add(1);
   });
   poke();
-  // Give the poller a moment to submit the callback, then stop: stop()
-  // must wait for the running callback rather than racing its capture.
+  // Give the event thread a moment to submit the callback, then stop:
+  // stop() must wait for the running callback rather than racing its
+  // capture.
   std::this_thread::sleep_for(10ms);
   bridge_->stop();
   EXPECT_EQ(fires.load(), 1);
   bridge_->stop();  // idempotent
   bridge_->rearm(1, POLLIN);  // no-ops on a stopped bridge
   bridge_->unwatch(1);
+}
+
+TEST_F(IoBridgeTest, WatchAfterStopRegistersNothing) {
+  bridge_->stop();
+  std::atomic<int> fires{0};
+  bridge_->watch(fds_[0], POLLIN, [&fires](short) { fires.fetch_add(1); });
+  poke();
+  std::this_thread::sleep_for(100ms);
+  EXPECT_EQ(fires.load(), 0);
+}
+
+/// Threads of this process, from /proc/self/task.
+int thread_count() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<int>(std::distance(begin(tasks), end(tasks)));
+}
+
+TEST_F(IoBridgeTest, ABridgeOwnsNoThread) {
+  const int before = thread_count();
+  IoBridge a(*executor_);
+  IoBridge b(*executor_);
+  EXPECT_EQ(thread_count(), before);
 }
 
 }  // namespace

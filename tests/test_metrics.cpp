@@ -194,7 +194,10 @@ TEST(ServerStats, CountsByOutcome) {
   serve::ServerStats stats;
   stats.on_submitted(1);
   stats.on_submitted(2);
-  stats.on_rejected(serve::JobStatus::QueueFull);
+
+  serve::RolloutResult full;
+  full.status = serve::JobStatus::QueueFull;
+  stats.on_resolved(full, 2);
 
   serve::RolloutResult ok;
   ok.status = serve::JobStatus::Ok;

@@ -420,13 +420,16 @@ TEST(NetServer, GracefulDrainDropsNoInflightJobs) {
     });
   }
   Client late(h.client_config());
-  ASSERT_TRUE(late.connect());  // accepted before the listener closes
+  ASSERT_TRUE(late.connect());
 
+  // A completed connect() is not yet an accept: the server must have
+  // accepted `late` before the drain starts, or it never will.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (h.scheduler->queue_depth() < kClients) {
+  while (h.scheduler->queue_depth() < kClients ||
+         h.server->active_connections() < kClients + 1) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "jobs never queued";
+        << "jobs never queued or connections never accepted";
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
