@@ -2,10 +2,13 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <time.h>
 #include <unistd.h>
 
-#include <vector>
+#include <algorithm>
+#include <cerrno>
+#include <climits>
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
@@ -35,13 +38,50 @@ obs::Counter& events_counter() {
   return c;
 }
 
+// Watches take and report poll() bits; epoll's are the same numbers.
+static_assert(EPOLLIN == POLLIN && EPOLLPRI == POLLPRI &&
+                  EPOLLOUT == POLLOUT && EPOLLERR == POLLERR &&
+                  EPOLLHUP == POLLHUP,
+              "epoll and poll event bits differ");
+
+/// epoll_pwait2 with a nanosecond timeout (< 0: none). A kernel or seccomp
+/// filter without it (before Linux 5.11) turns `pwait2` off for good, and
+/// epoll_wait then waits a millisecond timeout rounded up: a timer must
+/// never fire early.
+int wait_events(int epoll_fd, bool& pwait2, epoll_event* ready, int capacity,
+                std::int64_t timeout_ns) {
+  if (pwait2) {
+    timespec ts{};
+    ts.tv_sec = static_cast<time_t>(timeout_ns / 1'000'000'000);
+    ts.tv_nsec = static_cast<long>(timeout_ns % 1'000'000'000);
+    const int n = ::epoll_pwait2(epoll_fd, ready, capacity,
+                                 timeout_ns < 0 ? nullptr : &ts, nullptr);
+    if (n >= 0 || (errno != ENOSYS && errno != EPERM)) return n;
+    pwait2 = false;
+  }
+  const int ms =
+      timeout_ns < 0
+          ? -1
+          : static_cast<int>(std::min<std::int64_t>(
+                (timeout_ns + 999'999) / 1'000'000, INT_MAX));
+  return ::epoll_wait(epoll_fd, ready, capacity, ms);
+}
+
 }  // namespace
 
 EventThread::EventThread(Submit submit) : submit_(std::move(submit)) {
-  // Without the wake pipe a new timer or watch would wait for an
-  // unrelated event, possibly forever.
+  // Without the wake pipe a new soonest timer, or the destructor, would
+  // wait for an unrelated event, possibly forever.
   GNS_CHECK_MSG(::pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) == 0,
                 "event thread: no wake pipe");
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  GNS_CHECK_MSG(epoll_fd_ >= 0, "event thread: no epoll instance");
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = 0;  // watch ids start at 1
+  GNS_CHECK_MSG(
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fds_[0], &ev) == 0,
+      "event thread: cannot watch the wake pipe");
   thread_ = std::thread([this] { loop(); });
 }
 
@@ -52,6 +92,7 @@ EventThread::~EventThread() {
   }
   wake();
   thread_.join();
+  ::close(epoll_fd_);
   ::close(wake_fds_[0]);
   ::close(wake_fds_[1]);
 }
@@ -93,41 +134,49 @@ bool EventThread::cancel_timer(TimerId id) {
 }
 
 int EventThread::watch(int fd, short events, Dispatch dispatch) {
-  int id;
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    id = next_watch_++;
-    watches_.emplace(id, Watch{fd, events, true, std::move(dispatch)});
-  }
-  wake();
+  std::lock_guard<std::mutex> lk(m_);
+  const int id = next_watch_++;
+  arm(watches_.emplace(id, Watch{fd, false, std::move(dispatch)}).first,
+      EPOLL_CTL_ADD, events);
   return id;
 }
 
 void EventThread::rearm(int id, short events) {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    auto it = watches_.find(id);
-    if (it == watches_.end()) return;
-    it->second.events = events;
-    it->second.armed = true;
-  }
-  wake();
+  std::lock_guard<std::mutex> lk(m_);
+  auto it = watches_.find(id);
+  if (it != watches_.end()) arm(it, EPOLL_CTL_MOD, events);
 }
 
 void EventThread::unwatch(int id) {
-  // No wake: an unwatched fd left in the current wait is ignored when it
-  // fires and dropped from the next one.
   Dispatch dispatch;  // destroyed after the lock is released
   std::lock_guard<std::mutex> lk(m_);
   auto it = watches_.find(id);
   if (it == watches_.end()) return;
+  // No wake: the removal holds for a wait already in progress.
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second.fd, nullptr);
   dispatch = std::move(it->second.dispatch);
   watches_.erase(it);
 }
 
+// Under m_. No wake: a wait in progress sees an added or re-armed fd
+// that is ready.
+void EventThread::arm(Watches::iterator it, int op, short events) {
+  epoll_event ev{};
+  ev.events = static_cast<std::uint16_t>(events) | EPOLLONESHOT;
+  ev.data.u64 = static_cast<std::uint64_t>(it->first);
+  if (::epoll_ctl(epoll_fd_, op, it->second.fd, &ev) == 0) {
+    it->second.armed = true;
+    return;
+  }
+  it->second.armed = false;
+  it->second.dispatch(POLLNVAL);
+  events_counter().add(1);
+}
+
 void EventThread::loop() {
-  std::vector<pollfd> fds;
-  std::vector<int> ids;
+  constexpr int kCapacity = 64;
+  epoll_event ready[kCapacity];
+  bool pwait2 = true;
   std::unique_lock<std::mutex> lk(m_);
   while (!stop_) {
     const Clock::time_point now = Clock::now();
@@ -140,39 +189,28 @@ void EventThread::loop() {
     }
     if (fired > 0) fired_counter().add(fired);
 
-    fds.assign(1, pollfd{wake_fds_[0], POLLIN, 0});
-    ids.assign(1, 0);
-    for (const auto& [id, w] : watches_) {
-      if (!w.armed) continue;
-      fds.push_back(pollfd{w.fd, w.events, 0});
-      ids.push_back(id);
-    }
-    timespec ts{};
-    const timespec* timeout = nullptr;  // no timer armed: wait until woken
+    std::int64_t timeout_ns = -1;  // no timer armed: wait until woken
     if (!timers_.empty()) {
-      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          timers_.begin()->first.first - now)
-                          .count();
-      ts.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
-      ts.tv_nsec = static_cast<long>(ns % 1'000'000'000);
-      timeout = &ts;
+      timeout_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                       timers_.begin()->first.first - now)
+                       .count();
     }
     lk.unlock();
-    const int rc =
-        ::ppoll(fds.data(), static_cast<nfds_t>(fds.size()), timeout, nullptr);
+    const int n = wait_events(epoll_fd_, pwait2, ready, kCapacity, timeout_ns);
     lk.lock();
-    if (rc <= 0) continue;
-    if ((fds[0].revents & POLLIN) != 0) {
-      char buf[64];
-      while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
+    for (int i = 0; i < n; ++i) {
+      if (ready[i].data.u64 == 0) {
+        char buf[64];
+        while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
+        }
+        continue;
       }
-    }
-    for (std::size_t i = 1; i < fds.size(); ++i) {
-      if (fds[i].revents == 0) continue;
-      auto it = watches_.find(ids[i]);
+      // Skipped when unwatched since, or when a rearm() raced the report
+      // and this watch was dispatched already: its callback re-arms.
+      auto it = watches_.find(static_cast<int>(ready[i].data.u64));
       if (it == watches_.end() || !it->second.armed) continue;
       it->second.armed = false;  // oneshot: the callback re-arms
-      it->second.dispatch(fds[i].revents);
+      it->second.dispatch(static_cast<short>(ready[i].events));
       events_counter().add(1);
     }
   }

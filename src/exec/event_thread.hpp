@@ -3,16 +3,21 @@
 /// \file event_thread.hpp
 /// The executor's one event thread: timers and fd watches share one wait.
 ///
-/// The thread waits in ppoll() on a wake pipe plus every armed fd watch,
+/// The thread waits in epoll on a wake pipe plus every armed fd watch,
 /// with a timeout that ends at the soonest armed timer (none armed: it
-/// sleeps until woken, so an idle process does not wake up). Due timers
-/// and ready fds are dispatched under the thread's lock, and dispatching
-/// only submits executor tasks — no user code runs on this thread. So:
+/// sleeps until woken, so an idle process does not wake up). Watches live
+/// in the kernel's epoll set, so a timer wake touches no fd and watch(),
+/// rearm() and unwatch() need no wake. Due timers and ready fds are
+/// dispatched under the thread's lock, and dispatching only submits
+/// executor tasks — no user code runs on this thread. So:
 ///
 ///   * cancel_timer() returning true, or unwatch() returning, means that
 ///     entry is never dispatched again;
 ///   * neither call ever waits on a callback, only on a concurrent submit,
-///     so components may call them while holding their own locks.
+///     so components may call them while holding their own locks;
+///   * epoll holds no reference to a watched file, so an fd closed after
+///     unwatch() returns is released at once (a listener stops listening,
+///     a connection sends its FIN).
 ///
 /// Timers live in a map ordered by (due, id): a timer is dispatched only
 /// once its due time has passed (never early), and timers due in the same
@@ -37,8 +42,8 @@ class EventThread {
   using TimerId = std::uint64_t;
   /// Hands a due timer's callback to the executor (Executor::submit).
   using Submit = std::function<void(std::function<void()>)>;
-  /// A ready watch's dispatch, called with the poll() revents under the
-  /// thread's lock: it must only submit.
+  /// A ready watch's dispatch, called with the revents in poll() bits
+  /// under the thread's lock: it must only submit.
   using Dispatch = std::function<void(short)>;
 
   explicit EventThread(Submit submit);
@@ -52,33 +57,38 @@ class EventThread {
   /// False when it already fired, was already cancelled, or is unknown.
   bool cancel_timer(TimerId id);
 
-  /// Registers fd, armed for `events`. Returns a watch id (> 0), unique
-  /// for the life of the thread.
+  /// Registers fd, armed for `events` (poll() bits). Returns a watch id
+  /// (> 0), unique for the life of the thread. An fd epoll refuses (not
+  /// open, a regular file, or already watched) is dispatched at once with
+  /// POLLNVAL.
   int watch(int fd, short events, Dispatch dispatch);
-  /// Re-arms a (disarmed) watch for `events`; unknown ids are ignored.
+  /// Re-arms a watch for `events`; unknown ids are ignored.
   void rearm(int id, short events);
-  /// Unregisters the watch; unknown ids are ignored.
+  /// Unregisters the watch; unknown ids are ignored. Call it before
+  /// closing the fd: a closed fd's number may be reused by a new watch.
   void unwatch(int id);
 
  private:
   struct Watch {
     int fd = -1;
-    short events = 0;
     bool armed = false;
     Dispatch dispatch;
   };
+  using Watches = std::unordered_map<int, Watch>;
 
   void loop();
   void wake();
+  void arm(Watches::iterator it, int op, short events);
 
   Submit submit_;
   int wake_fds_[2] = {-1, -1};
+  int epoll_fd_ = -1;
 
   std::mutex m_;  // guards everything below but the thread
   std::map<std::pair<Clock::time_point, TimerId>, std::function<void()>>
       timers_;
   std::unordered_map<TimerId, Clock::time_point> due_of_;
-  std::unordered_map<int, Watch> watches_;
+  Watches watches_;
   TimerId next_timer_ = 1;
   int next_watch_ = 1;
   bool stop_ = false;

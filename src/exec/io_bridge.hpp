@@ -32,7 +32,8 @@ class Executor;
 class IoBridge {
  public:
   /// revents: the poll() revents mask (POLLIN/POLLOUT/POLLERR/POLLHUP/
-  /// POLLNVAL). A watch whose fd goes invalid fires with POLLNVAL.
+  /// POLLNVAL). A watch on an fd the kernel cannot watch (not open, or a
+  /// regular file) fires with POLLNVAL.
   using Callback = std::function<void(short)>;
 
   explicit IoBridge(Executor& executor);
@@ -50,7 +51,9 @@ class IoBridge {
   void rearm(int id, short events);
 
   /// Unregisters the watch; its callback will not be submitted again
-  /// (an already-submitted callback task may still be running).
+  /// (an already-submitted callback task may still be running). Call it
+  /// before closing the fd; once it returns, nothing holds the fd, so a
+  /// close releases the socket at once.
   void unwatch(int id);
 
   /// Unregisters every watch and waits for in-flight callback tasks to

@@ -200,7 +200,10 @@ JobScheduler::CacheOutcome JobScheduler::consult_cache(Job& job) {
   job.cache_key = key;
 
   // A joined follower's callback owns the job; Hit and Lead drop the
-  // callback and take the job back.
+  // callback and take the job back. Only a leader runs the rollout, so
+  // the seed window and attributes stay here, not in a waiting follower.
+  std::vector<std::vector<double>> window = std::move(job.request.window);
+  std::vector<double> node_attrs = std::move(job.request.node_attrs);
   auto follower = std::make_shared<Job>(std::move(job));
 
   // Register the cancel flag BEFORE the join attempt: the leader can
@@ -256,6 +259,8 @@ JobScheduler::CacheOutcome JobScheduler::consult_cache(Job& job) {
   job = std::move(*follower);
   job.cache_us = cache_timer.millis() * 1e3;
   if (found.outcome == store::RolloutCache::Outcome::Lead) {
+    job.request.window = std::move(window);
+    job.request.node_attrs = std::move(node_attrs);
     job.has_cache_key = true;
     return CacheOutcome::Enqueue;
   }

@@ -7,6 +7,7 @@
 
 #include <poll.h>
 #include <sched.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -448,6 +449,20 @@ TEST_F(IoBridgeTest, WatchAfterStopRegistersNothing) {
   poke();
   std::this_thread::sleep_for(100ms);
   EXPECT_EQ(fires.load(), 0);
+}
+
+TEST_F(IoBridgeTest, AnUnwatchedFdIsReleasedAtClose) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+  const int id = bridge_->watch(sv[0], POLLIN, [](short) {});
+  std::this_thread::sleep_for(20ms);  // the event thread now waits on sv[0]
+  // Nothing wakes that wait, yet once unwatch() returns the event thread
+  // must hold no reference to the socket: closing it reaches the peer.
+  bridge_->unwatch(id);
+  ::close(sv[0]);
+  char c;
+  EXPECT_EQ(::recv(sv[1], &c, 1, MSG_DONTWAIT), 0);  // EOF, not EAGAIN
+  ::close(sv[1]);
 }
 
 /// Threads of this process, from /proc/self/task.

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -459,6 +460,50 @@ TEST(NetServer, GracefulDrainDropsNoInflightJobs) {
   Client post_drain(h.client_config());
   EXPECT_FALSE(post_drain.connect());
   EXPECT_EQ(h.server->active_connections(), 0);
+}
+
+TEST(NetServer, StoppingAnIdleServerReleasesItsListener) {
+  ServerConfig cfg;
+  cfg.metrics_prefix = "net_t5b";
+  Harness h(cfg);
+  ASSERT_TRUE(h.start());
+  const int port = h.server->port();
+  h.server->stop();
+
+  // No connection and no timer wake the event thread after stop(), yet
+  // the listener must be gone: a connect() is refused at once instead of
+  // landing in a backlog nobody accepts from.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_NE(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  EXPECT_EQ(errno, ECONNREFUSED);
+  ::close(fd);
+}
+
+TEST(NetServer, ConnectionClosedFromAPumpTickReachesThePeer) {
+  ServerConfig cfg;
+  cfg.metrics_prefix = "net_t5c";
+  cfg.read_timeout_ms = 50.0;
+  Harness h(cfg);
+  ASSERT_TRUE(h.start());
+
+  // Half a header starts the read timeout; a pump tick then closes the
+  // connection. Nothing else wakes the event thread, and the peer must
+  // still see the close.
+  const int fd = raw_connect(h.server->port());
+  raw_send(fd, {0x47, 0x4E});
+  timeval tv{};
+  tv.tv_sec = 5;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+  char c;
+  EXPECT_EQ(::recv(fd, &c, 1, 0), 0) << "no FIN within 5 s";
+  ::close(fd);
+  h.server->stop();
 }
 
 TEST(NetServer, RequestOnIdleConnectionIsNotHeldToTheIdlePumpTick) {
