@@ -133,29 +133,34 @@ bool EventThread::cancel_timer(TimerId id) {
   return true;
 }
 
-int EventThread::watch(int fd, short events, Dispatch dispatch) {
+int EventThread::watch(int fd, short events, WatchFn fn) {
   std::lock_guard<std::mutex> lk(m_);
   const int id = next_watch_++;
-  arm(watches_.emplace(id, Watch{fd, false, std::move(dispatch)}).first,
+  arm(watches_.emplace(id, Watch{fd, false, std::move(fn)}).first,
       EPOLL_CTL_ADD, events);
   return id;
 }
 
-void EventThread::rearm(int id, short events) {
+bool EventThread::rearm(int id, short events) {
   std::lock_guard<std::mutex> lk(m_);
   auto it = watches_.find(id);
-  if (it != watches_.end()) arm(it, EPOLL_CTL_MOD, events);
+  if (it == watches_.end()) return false;
+  const bool was_armed = it->second.armed;
+  arm(it, EPOLL_CTL_MOD, events);
+  return !was_armed;
 }
 
-void EventThread::unwatch(int id) {
-  Dispatch dispatch;  // destroyed after the lock is released
+bool EventThread::unwatch(int id) {
+  WatchFn fn;  // destroyed after the lock is released
   std::lock_guard<std::mutex> lk(m_);
   auto it = watches_.find(id);
-  if (it == watches_.end()) return;
+  if (it == watches_.end()) return false;
   // No wake: the removal holds for a wait already in progress.
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second.fd, nullptr);
-  dispatch = std::move(it->second.dispatch);
+  const bool armed = it->second.armed;
+  fn = std::move(it->second.fn);
   watches_.erase(it);
+  return armed;
 }
 
 // Under m_. No wake: a wait in progress sees an added or re-armed fd
@@ -168,8 +173,12 @@ void EventThread::arm(Watches::iterator it, int op, short events) {
     it->second.armed = true;
     return;
   }
-  it->second.armed = false;
-  it->second.dispatch(POLLNVAL);
+  fire(it, POLLNVAL);
+}
+
+void EventThread::fire(Watches::iterator it, short revents) {
+  it->second.armed = false;  // oneshot: the callback re-arms
+  submit_([fn = it->second.fn, revents] { fn(revents); });
   events_counter().add(1);
 }
 
@@ -209,9 +218,7 @@ void EventThread::loop() {
       // and this watch was dispatched already: its callback re-arms.
       auto it = watches_.find(static_cast<int>(ready[i].data.u64));
       if (it == watches_.end() || !it->second.armed) continue;
-      it->second.armed = false;  // oneshot: the callback re-arms
-      it->second.dispatch(static_cast<short>(ready[i].events));
-      events_counter().add(1);
+      fire(it, static_cast<short>(ready[i].events));
     }
   }
 }

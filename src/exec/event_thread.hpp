@@ -7,12 +7,12 @@
 /// with a timeout that ends at the soonest armed timer (none armed: it
 /// sleeps until woken, so an idle process does not wake up). Watches live
 /// in the kernel's epoll set, so a timer wake touches no fd and watch(),
-/// rearm() and unwatch() need no wake. Due timers and ready fds are
-/// dispatched under the thread's lock, and dispatching only submits
-/// executor tasks — no user code runs on this thread. So:
+/// rearm() and unwatch() need no wake. Due timers and ready watches are
+/// dispatched under the thread's lock, and dispatching only submits their
+/// callbacks as executor tasks — no user code runs on this thread. So:
 ///
-///   * cancel_timer() returning true, or unwatch() returning, means that
-///     entry is never dispatched again;
+///   * cancel_timer() or unwatch() returning true means that callback
+///     never runs;
 ///   * neither call ever waits on a callback, only on a concurrent submit,
 ///     so components may call them while holding their own locks;
 ///   * epoll holds no reference to a watched file, so an fd closed after
@@ -22,8 +22,9 @@
 /// Timers live in a map ordered by (due, id): a timer is dispatched only
 /// once its due time has passed (never early), and timers due in the same
 /// wake go out in due order, ties in schedule order. Watches are oneshot:
-/// a fired watch is disarmed before its dispatch runs and stays silent
-/// until rearm(). exec::IoBridge is the per-owner handle over watches.
+/// a fired watch is disarmed before its callback is submitted and stays
+/// silent until rearm(), so at most one callback task per watch is ever
+/// in flight.
 
 #include <chrono>
 #include <cstdint>
@@ -40,11 +41,10 @@ class EventThread {
  public:
   using Clock = std::chrono::steady_clock;
   using TimerId = std::uint64_t;
-  /// Hands a due timer's callback to the executor (Executor::submit).
+  /// Hands a due callback to the executor (Executor::submit).
   using Submit = std::function<void(std::function<void()>)>;
-  /// A ready watch's dispatch, called with the revents in poll() bits
-  /// under the thread's lock: it must only submit.
-  using Dispatch = std::function<void(short)>;
+  /// A ready watch's callback, submitted with the revents in poll() bits.
+  using WatchFn = std::function<void(short)>;
 
   explicit EventThread(Submit submit);
   ~EventThread();
@@ -59,26 +59,31 @@ class EventThread {
 
   /// Registers fd, armed for `events` (poll() bits). Returns a watch id
   /// (> 0), unique for the life of the thread. An fd epoll refuses (not
-  /// open, a regular file, or already watched) is dispatched at once with
-  /// POLLNVAL.
-  int watch(int fd, short events, Dispatch dispatch);
-  /// Re-arms a watch for `events`; unknown ids are ignored.
-  void rearm(int id, short events);
-  /// Unregisters the watch; unknown ids are ignored. Call it before
-  /// closing the fd: a closed fd's number may be reused by a new watch.
-  void unwatch(int id);
+  /// open, a regular file, or already watched) fires at once with POLLNVAL.
+  int watch(int fd, short events, WatchFn fn);
+  /// Arms the watch for `events`. True iff it was disarmed, so its
+  /// callback will run once more; an armed watch only takes the new mask.
+  /// False for unknown ids.
+  bool rearm(int id, short events);
+  /// Unregisters the watch. True iff it was armed: its callback will never
+  /// run. False when it fired (its task may still be queued or running)
+  /// or is unknown. Call it before closing the fd: a closed fd's number
+  /// may be reused by a new watch.
+  bool unwatch(int id);
 
  private:
   struct Watch {
     int fd = -1;
     bool armed = false;
-    Dispatch dispatch;
+    WatchFn fn;
   };
   using Watches = std::unordered_map<int, Watch>;
 
   void loop();
   void wake();
   void arm(Watches::iterator it, int op, short events);
+  /// Disarms the watch and submits its callback. Under m_.
+  void fire(Watches::iterator it, short revents);
 
   Submit submit_;
   int wake_fds_[2] = {-1, -1};

@@ -280,6 +280,16 @@ Executor::TimerId Executor::schedule_at(Clock::time_point due,
 
 bool Executor::cancel_timer(TimerId id) { return events_.cancel_timer(id); }
 
+int Executor::watch(int fd, short events, std::function<void(short)> fn) {
+  return events_.watch(fd, events, std::move(fn));
+}
+
+bool Executor::rearm(int id, short events) {
+  return events_.rearm(id, events);
+}
+
+bool Executor::unwatch(int id) { return events_.unwatch(id); }
+
 ExecutorStats Executor::stats() const {
   ExecutorStats s;
   s.workers = workers();

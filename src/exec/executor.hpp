@@ -11,10 +11,10 @@
 /// and at least one allowed CPU per worker, each worker is pinned to its
 /// own CPU, so a woken worker is never queued behind the thread that woke
 /// it (DESIGN.md §13). Besides its workers the executor runs one
-/// EventThread, which waits on every timer and every IoBridge fd watch at
-/// once and submits what comes due as ordinary tasks, so deadlines, batch
-/// windows and socket readiness share cores with compute instead of
-/// holding threads.
+/// EventThread, which waits on every timer and every fd watch at once and
+/// submits what comes due as ordinary tasks, so deadlines, batch windows
+/// and socket readiness share cores with compute instead of holding
+/// threads.
 ///
 /// The program runs all of its parallel work here: the scheduler's
 /// rollout chains, the net server's connection tasks, and every parallel
@@ -86,6 +86,20 @@ class Executor {
   TimerId schedule_at(Clock::time_point due, std::function<void()> fn);
   bool cancel_timer(TimerId id);
 
+  /// Oneshot fd watches on the event thread, with the timers' contract: a
+  /// ready watch is disarmed and its callback submitted as a task with the
+  /// poll() revents (POLLIN/POLLOUT/POLLERR/POLLHUP; POLLNVAL at once for
+  /// an fd the kernel cannot watch, such as one not open or a regular
+  /// file). watch() returns an id (> 0) armed for `events`. rearm() true
+  /// => the watch was disarmed and its callback will run once more (an
+  /// armed watch only takes the new mask). unwatch() true => the watch was
+  /// armed and its callback will never run. Neither waits on a callback.
+  /// Unwatch before closing the fd; once unwatch() returns, nothing holds
+  /// the fd.
+  int watch(int fd, short events, std::function<void(short)> fn);
+  bool rearm(int id, short events);
+  bool unwatch(int id);
+
   int workers() const { return static_cast<int>(workers_.size()); }
   ExecutorStats stats() const;
 
@@ -106,7 +120,6 @@ class Executor {
   };
 
   friend struct ParallelAccess;  // parallel_for internals
-  friend class IoBridge;         // registers its watches with events_
 
   void worker_loop(int index);
   Task* try_acquire(int index, std::uint32_t& rng);

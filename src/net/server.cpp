@@ -37,6 +37,11 @@ double ms_since(std::chrono::steady_clock::time_point then,
   return std::chrono::duration<double, std::milli>(now - then).count();
 }
 
+std::chrono::steady_clock::duration from_ms(double ms) {
+  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double, std::milli>(ms));
+}
+
 }  // namespace
 
 Server::Server(serve::JobScheduler& scheduler, ServerConfig config)
@@ -79,6 +84,7 @@ Server::Server(serve::JobScheduler& scheduler, ServerConfig config)
                 "Server in-flight caps must be >= 1");
   GNS_CHECK_MSG(config_.chunk_frames >= 1,
                 "Server chunk_frames must be >= 1");
+  notices_->server = this;
 }
 
 Server::~Server() { stop(); }
@@ -122,13 +128,16 @@ bool Server::start() {
   started_ = Clock::now();
   draining_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  bridge_ = std::make_unique<exec::IoBridge>(exec::Executor::global());
   {
     // The first accept task can run before watch() returns; it re-arms
     // through listen_watch_, so publish the id under the same lock.
     std::lock_guard<std::mutex> lock(listen_mutex_);
-    listen_watch_ = bridge_->watch(listen_fd_, POLLIN,
-                                   [this](short re) { exec_accept(re); });
+    ++exec_pending_;
+    listen_watch_ = exec::Executor::global().watch(
+        listen_fd_, POLLIN, [this](short) {
+          exec_accept();
+          --exec_pending_;
+        });
   }
   GNS_INFO("net: serving on " << config_.host << ":" << port_ << " ("
                               << exec::Executor::global().workers()
@@ -261,9 +270,10 @@ void Server::handle_request(Connection& conn, const FrameView& frame,
     if (request.deadline_ms == 0.0) request.deadline_ms = -1.0;  // 0 = none
   }
 
-  serve::JobTicket ticket = scheduler_.submit(std::move(request));
+  serve::JobTicket ticket =
+      scheduler_.submit(std::move(request), conn.on_resolved);
   // The scheduler resolves rejections (QueueFull / expired deadline /
-  // ShutDown) immediately; pump_completions translates them. QueueFull is
+  // ShutDown) immediately; take_completions translates them. QueueFull is
   // additionally counted as backpressure when it surfaces there.
   Pending pending;
   pending.request_id = frame.request_id;
@@ -339,7 +349,7 @@ void Server::handle_hello(Connection& conn, const FrameView& frame) {
   frames_tx_.add();
 }
 
-std::size_t Server::pump_completions(Connection& conn) {
+void Server::take_completions(Connection& conn) {
   for (std::size_t i = 0; i < conn.inflight.size();) {
     Pending& pending = conn.inflight[i];
     if (pending.future.wait_for(std::chrono::seconds(0)) !=
@@ -356,7 +366,6 @@ std::size_t Server::pump_completions(Connection& conn) {
         global_inflight_.fetch_sub(1, std::memory_order_relaxed) - 1;
     inflight_gauge_.set(std::max(0, inflight));
   }
-  return conn.inflight.size();
 }
 
 void Server::enqueue_result(Connection& conn, const Pending& pending,
@@ -470,26 +479,18 @@ bool Server::flush_writes(Connection& conn) {
 }
 
 // ---------------------------------------------------------------------------
-// Connection servicing: one read/decode/pump/flush/timeout cycle per
-// connection, run as oneshot-watch tasks on the global executor. ec->m
-// serializes the watch callback, pump-timer callback, and stop() against
-// each other; the oneshot watch guarantees at most one socket-event task
-// per connection.
+// Connection servicing: one read/decode/submit/flush/timeout pass per
+// event, run as an executor task. The events are the connection's oneshot
+// watch, a job's completion notice, and the connection's timeout timer;
+// conn->m serializes the passes and stop() against each other.
 // ---------------------------------------------------------------------------
 
-struct Server::ExecConn {
-  std::mutex m;
-  Connection conn;
-  std::uint64_t key = 0;
-  int watch_id = -1;
-  bool closed = false;
-  bool pump_armed = false;
-  bool pump_busy = false;  ///< the armed pump is the 2 ms busy tick
-  exec::Executor::TimerId pump_timer = 0;
-};
-
-void Server::exec_accept(short /*revents*/) {
-  if (draining_.load(std::memory_order_acquire)) return;  // stop() unwatches
+void Server::exec_accept() {
+  exec::Executor& executor = exec::Executor::global();
+  // Held while the fd is in use: stop() closes the listener under it, so
+  // once the drain has begun no accept runs and no watch is registered.
+  std::lock_guard<std::mutex> lock(listen_mutex_);
+  if (listen_fd_ < 0) return;
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) break;  // EAGAIN or transient error: wait for the next event
@@ -505,140 +506,152 @@ void Server::exec_accept(short /*revents*/) {
     active_connections_.fetch_add(1, std::memory_order_relaxed);
     active_connections_gauge_.set(
         active_connections_.load(std::memory_order_relaxed));
-    auto ec = std::make_shared<ExecConn>();
-    ec->conn.fd = fd;
-    ec->conn.last_activity = Clock::now();
+    auto conn = std::make_shared<Connection>();
+    conn->fd = fd;
+    conn->last_activity = Clock::now();
+    // Weak: the connection owns this notice. The cell, not `this`, finds
+    // the server, which may be gone when an abandoned job resolves.
+    conn->on_resolved = [cell = notices_,
+                         weak = std::weak_ptr<Connection>(conn)] {
+      std::lock_guard<std::mutex> lk(cell->m);
+      Server* server = cell->server;
+      std::shared_ptr<Connection> c = weak.lock();
+      if (server == nullptr || c == nullptr) return;
+      ++server->exec_pending_;
+      exec::Executor::global().submit([server, c] {
+        server->exec_service(c, 0);
+        --server->exec_pending_;
+      });
+    };
     {
-      std::lock_guard<std::mutex> lock(econns_mutex_);
-      ec->key = next_econn_++;
-      econns_[ec->key] = ec;
+      std::lock_guard<std::mutex> lk(econns_mutex_);
+      conn->key = next_econn_++;
+      econns_[conn->key] = conn;
     }
-    // Register under ec->m: the first event task can fire on another
+    // Register under conn->m: the first event task can fire on another
     // worker immediately and reads watch_id when it re-arms.
-    std::lock_guard<std::mutex> lk(ec->m);
-    ec->watch_id = bridge_->watch(
-        fd, POLLIN, [this, ec](short re) { exec_service(ec, re); });
+    std::lock_guard<std::mutex> lk(conn->m);
+    ++exec_pending_;
+    conn->watch_id = executor.watch(fd, POLLIN, [this, conn](short re) {
+      exec_service(conn, re);
+      --exec_pending_;
+    });
+    // A client that never sends still meets the idle timeout.
+    arm_timeout(conn, timeout_due(*conn));
   }
-  std::lock_guard<std::mutex> lock(listen_mutex_);
-  bridge_->rearm(listen_watch_, POLLIN);  // no-op once stop() unwatched it
+  ++exec_pending_;
+  if (!executor.rearm(listen_watch_, POLLIN)) --exec_pending_;
 }
 
-void Server::exec_service(const std::shared_ptr<ExecConn>& ec,
+void Server::exec_service(const std::shared_ptr<Connection>& conn,
                           short revents) {
-  bool erase = false;
   {
-    std::lock_guard<std::mutex> lock(ec->m);
-    if (ec->closed) return;
-    Connection& conn = ec->conn;
+    std::lock_guard<std::mutex> lock(conn->m);
+    if (conn->closed) return;
     bool alive = true;
 
     if (revents & (POLLERR | POLLHUP | POLLNVAL)) alive = false;
     if (alive && (revents & POLLIN)) {
-      alive = read_some(conn);
-      if (alive) process_rbuf(conn);
+      alive = read_some(*conn);
+      if (alive) process_rbuf(*conn);
     }
-    if (alive) pump_completions(conn);
-    if (alive && !conn.wqueue.empty()) alive = flush_writes(conn);
-    if (alive && conn.close_after_flush && conn.wqueue.empty()) alive = false;
-
-    const Clock::time_point now = Clock::now();
-    if (alive && config_.read_timeout_ms > 0 && conn.has_partial &&
-        ms_since(conn.partial_since, now) > config_.read_timeout_ms) {
-      timeouts_.add();
+    if (alive) take_completions(*conn);
+    if (alive && !conn->wqueue.empty()) alive = flush_writes(*conn);
+    if (alive && conn->close_after_flush && conn->wqueue.empty())
       alive = false;
-    }
-    if (alive && config_.idle_timeout_ms > 0 && conn.inflight.empty() &&
-        conn.wqueue.empty() && !conn.has_partial &&
-        ms_since(conn.last_activity, now) > config_.idle_timeout_ms) {
+
+    const std::optional<Clock::time_point> due = timeout_due(*conn);
+    if (alive && due && Clock::now() >= *due) {
       timeouts_.add();
       alive = false;
     }
     // Drain exit per connection: once nothing is in flight and every
     // reply flushed, the connection closes itself (stop() is waiting).
     if (alive && draining_.load(std::memory_order_acquire) &&
-        conn.inflight.empty() && conn.wqueue.empty()) {
+        conn->inflight.empty() && conn->wqueue.empty()) {
       alive = false;
     }
 
-    if (!alive) {
-      ec->closed = true;
-      if (ec->pump_timer != 0 &&
-          exec::Executor::global().cancel_timer(ec->pump_timer)) {
-        exec_pending_.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      ec->pump_timer = 0;
-      ec->pump_armed = false;
-      bridge_->unwatch(ec->watch_id);
-      close_connection(conn);
-      erase = true;
-    } else {
-      short events = POLLIN;
-      if (!conn.wqueue.empty()) events |= POLLOUT;
-      bridge_->rearm(ec->watch_id, events);
-      // Futures are poll-checked, so a connection with work pending gets a
-      // tight 2 ms pump tick and an idle one a relaxed 50 ms tick. Work
-      // that arrives while the idle tick is armed swaps it for the busy
-      // one; kept, it would leave a finished rollout unseen for up to
-      // 50 ms.
-      const bool busy = !conn.inflight.empty() || !conn.wqueue.empty() ||
-                        conn.has_partial ||
-                        draining_.load(std::memory_order_acquire);
-      if (ec->pump_armed && busy && !ec->pump_busy &&
-          exec::Executor::global().cancel_timer(ec->pump_timer)) {
-        exec_pending_.fetch_sub(1, std::memory_order_acq_rel);
-        ec->pump_armed = false;
-        ec->pump_timer = 0;
-      }
-      if (!ec->pump_armed) {
-        ec->pump_armed = true;
-        ec->pump_busy = busy;
-        exec_pending_.fetch_add(1, std::memory_order_acq_rel);
-        ec->pump_timer = exec::Executor::global().schedule_after(
-            busy ? 2.0 : 50.0, [this, ec] {
-              {
-                std::lock_guard<std::mutex> lk(ec->m);
-                ec->pump_armed = false;
-                ec->pump_timer = 0;
-              }
-              exec_service(ec, 0);
-              exec_pending_.fetch_sub(1, std::memory_order_acq_rel);
-            });
-      }
+    if (alive) {
+      const short events =
+          conn->wqueue.empty() ? POLLIN : static_cast<short>(POLLIN | POLLOUT);
+      ++exec_pending_;
+      if (!exec::Executor::global().rearm(conn->watch_id, events))
+        --exec_pending_;
+      arm_timeout(conn, due);
+      return;
     }
+    close_connection(*conn);
   }
-  if (erase) {
-    // ec->m released above: econns_mutex_ must never nest inside it.
-    std::lock_guard<std::mutex> lock(econns_mutex_);
-    econns_.erase(ec->key);
+  // conn->m released above: econns_mutex_ must never nest inside it.
+  std::lock_guard<std::mutex> lock(econns_mutex_);
+  econns_.erase(conn->key);
+}
+
+std::optional<Server::Clock::time_point> Server::timeout_due(
+    const Connection& conn) const {
+  if (conn.has_partial) {
+    if (config_.read_timeout_ms <= 0) return std::nullopt;
+    return conn.partial_since + from_ms(config_.read_timeout_ms);
   }
+  if (config_.idle_timeout_ms <= 0 || !conn.inflight.empty() ||
+      !conn.wqueue.empty())
+    return std::nullopt;
+  return conn.last_activity + from_ms(config_.idle_timeout_ms);
+}
+
+void Server::arm_timeout(const std::shared_ptr<Connection>& conn,
+                         std::optional<Clock::time_point> due) {
+  exec::Executor& executor = exec::Executor::global();
+  // A timer due no later than the deadline stays: if activity moved the
+  // deadline, its pass finds nothing expired and arms a new one. One that
+  // already fired cannot be cancelled; its pass decides.
+  if (conn->timer != 0 && (!due || conn->timer_due > *due)) {
+    if (!executor.cancel_timer(conn->timer)) return;
+    --exec_pending_;
+    conn->timer = 0;
+  }
+  if (!due || conn->timer != 0) return;
+  ++exec_pending_;
+  conn->timer_due = *due;
+  conn->timer = executor.schedule_at(*due, [this, conn] {
+    {
+      std::lock_guard<std::mutex> lock(conn->m);
+      conn->timer = 0;
+    }
+    exec_service(conn, 0);
+    --exec_pending_;
+  });
 }
 
 void Server::stop() {
   std::call_once(stop_once_, [this] {
     if (!running_.load(std::memory_order_acquire)) return;
     GNS_INFO("net: draining (stop accepting, flush in-flight)");
-    draining_.store(true, std::memory_order_release);
-    // 1. Stop accepting. The listener fd stays open until the bridge stops:
-    //    an already-submitted accept task may still be using it.
+    // 1. Stop accepting: close the listener now, so a connect() during the
+    //    drain is refused instead of waiting in the backlog until the
+    //    drain ends. draining_ is set after the close, so a client told
+    //    that the server is draining finds the port closed.
     {
       std::lock_guard<std::mutex> lock(listen_mutex_);
-      bridge_->unwatch(listen_watch_);
-      listen_watch_ = -1;
+      if (exec::Executor::global().unwatch(listen_watch_)) --exec_pending_;
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+      draining_.store(true, std::memory_order_release);
     }
-    // 2. Drain: connections close themselves once their in-flight jobs have
-    //    resolved and flushed (pump timers keep servicing them); bounded by
-    //    drain_timeout_ms, after which stragglers are abandoned and logged.
+    // 2. Drain: completion notices and socket events keep servicing the
+    //    connections, which close themselves once their in-flight jobs
+    //    have resolved and flushed; bounded by drain_timeout_ms, after
+    //    which stragglers are abandoned and logged.
     const Clock::time_point deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               config_.drain_timeout_ms));
+        Clock::now() + from_ms(config_.drain_timeout_ms);
     for (;;) {
       bool dirty = false;
       {
         std::lock_guard<std::mutex> lock(econns_mutex_);
         for (auto& entry : econns_) {
           std::lock_guard<std::mutex> lk(entry.second->m);
-          const Connection& conn = entry.second->conn;
+          const Connection& conn = *entry.second;
           if (!conn.inflight.empty() || !conn.wqueue.empty()) dirty = true;
         }
       }
@@ -648,36 +661,25 @@ void Server::stop() {
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    // 3. Close every remaining connection and cancel its pump timer.
-    std::map<std::uint64_t, std::shared_ptr<ExecConn>> snapshot;
+    // 3. Close every remaining connection.
+    std::map<std::uint64_t, std::shared_ptr<Connection>> snapshot;
     {
       std::lock_guard<std::mutex> lock(econns_mutex_);
       snapshot.swap(econns_);
     }
     for (auto& entry : snapshot) {
-      ExecConn& ec = *entry.second;
-      std::lock_guard<std::mutex> lk(ec.m);
-      if (ec.closed) continue;
-      ec.closed = true;
-      if (ec.pump_timer != 0 &&
-          exec::Executor::global().cancel_timer(ec.pump_timer)) {
-        exec_pending_.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      ec.pump_timer = 0;
-      bridge_->unwatch(ec.watch_id);
-      close_connection(ec.conn);
+      std::lock_guard<std::mutex> lk(entry.second->m);
+      if (!entry.second->closed) close_connection(*entry.second);
     }
-    // 4. Quiesce: the bridge unwatches what is left and drains watch-
-    //    callback tasks; pump-timer callbacks are tracked separately via
-    //    exec_pending_ (they see closed connections and return early).
-    bridge_->stop();
-    while (exec_pending_.load(std::memory_order_acquire) > 0)
+    // 4. Notices of jobs still unresolved (abandoned above) find no server.
+    {
+      std::lock_guard<std::mutex> lock(notices_->m);
+      notices_->server = nullptr;
+    }
+    // 5. Quiesce: wait for the watch, timer and service-pass tasks already
+    //    submitted (they see closed connections and return early).
+    while (exec_pending_.load() > 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    bridge_.reset();
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
     running_.store(false, std::memory_order_release);
     obs::flush_env_files();
     GNS_INFO("net: drained and stopped");
@@ -685,7 +687,11 @@ void Server::stop() {
 }
 
 void Server::close_connection(Connection& conn) {
-  if (conn.fd < 0) return;
+  exec::Executor& executor = exec::Executor::global();
+  conn.closed = true;
+  if (executor.unwatch(conn.watch_id)) --exec_pending_;
+  if (conn.timer != 0 && executor.cancel_timer(conn.timer)) --exec_pending_;
+  conn.timer = 0;
   // The peer is gone: nobody will read these results. Cancel what the
   // scheduler has not started and release the in-flight slots.
   for (Pending& pending : conn.inflight) {

@@ -4,18 +4,18 @@
 /// TCP front-end of the rollout serving subsystem.
 ///
 /// Threading model: the server owns no threads. The listening socket and
-/// every accepted connection are watched through an exec::IoBridge; the
-/// executor's one event thread turns their readiness into tasks on the
-/// global work-stealing executor — the same pool that runs the
-/// scheduler's rollout chains and the per-step compute, so net I/O shares
-/// cores with compute. Each
-/// connection is serviced by at most one task at a time (oneshot watches
-/// plus a per-connection mutex); while requests are in flight or writes
-/// are queued, a short executor pump timer re-services the connection
-/// between socket events. A service pass appends reads to a
-/// per-connection buffer, decodes complete frames and submits them to the
-/// serve::JobScheduler, encodes resolved futures into a per-connection
-/// write queue, and drains writes on POLLOUT.
+/// every accepted connection are oneshot fd watches on the global
+/// executor's event thread, which turns their readiness into tasks on the
+/// same work-stealing pool that runs the scheduler's rollout chains and
+/// the per-step compute, so net I/O shares cores with compute. A
+/// connection's service pass appends reads to a per-connection buffer,
+/// decodes complete frames and submits them to the serve::JobScheduler,
+/// encodes resolved futures into a per-connection write queue, and drains
+/// writes on POLLOUT. Nothing polls: a pass runs on one of three events —
+/// the connection's watch, a job's completion notice from the scheduler,
+/// or the connection's timeout timer, which is armed only while a read or
+/// idle deadline can expire. Each connection's passes hold its mutex, so
+/// they run one at a time.
 ///
 /// Backpressure is explicit and bounded everywhere: a request beyond the
 /// per-connection or global in-flight cap — or one the scheduler rejects
@@ -37,7 +37,8 @@
 /// snapshot (Prometheus or JSON), so a live server can be scraped without
 /// queueing behind rollouts.
 ///
-/// stop() drains gracefully: the listener closes, new requests get
+/// stop() drains gracefully: the listener closes at once (a connect()
+/// during the drain is refused), new requests get
 /// ErrorReply{ShuttingDown}, in-flight jobs run to completion and their
 /// replies are flushed, then connections close and the obs env files
 /// (GNS_TRACE_FILE / GNS_METRICS_FILE) are flushed. No accepted job is
@@ -48,15 +49,16 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "exec/executor.hpp"
-#include "exec/io_bridge.hpp"
 #include "net/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "serve/scheduler.hpp"
@@ -95,8 +97,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and registers the listener with the executor's I/O
-  /// bridge. Returns false (with the OS error logged) when the socket
+  /// Binds, listens, and watches the listener on the executor's event
+  /// thread. Returns false (with the OS error logged) when the socket
   /// setup fails.
   [[nodiscard]] bool start();
 
@@ -135,17 +137,20 @@ class Server {
     std::int64_t enqueued_ns = 0;  ///< obs::trace_now_ns() at enqueue
   };
 
+  /// One accepted connection. Every service pass holds `m`, so passes
+  /// run one at a time; stop() takes it too.
   struct Connection {
-    // Explicitly move-only: std::deque's move ctor is not noexcept in
-    // libstdc++, so without a deleted copy ctor vector reallocation would
-    // try to copy the (move-only) futures and fail to compile.
-    Connection() = default;
-    Connection(Connection&&) = default;
-    Connection& operator=(Connection&&) = default;
-    Connection(const Connection&) = delete;
-    Connection& operator=(const Connection&) = delete;
-
+    std::mutex m;
     int fd = -1;
+    std::uint64_t key = 0;  ///< in econns_
+    int watch_id = -1;
+    bool closed = false;
+    /// The read/idle timeout timer; 0 when none is armed or firing.
+    exec::Executor::TimerId timer = 0;
+    Clock::time_point timer_due{};
+    /// Passed to the scheduler with every request: queues a service pass
+    /// once the job resolves. Built at accept.
+    std::function<void()> on_resolved;
     std::vector<std::uint8_t> rbuf;
     std::size_t rbuf_consumed = 0;  ///< decoded prefix, compacted lazily
     std::deque<WriteItem> wqueue;
@@ -157,17 +162,29 @@ class Server {
     bool close_after_flush = false;  ///< fatal decode error: drop politely
   };
 
-  /// One live connection: the Connection state plus the bridge watch and
-  /// pump timer that drive it. Defined in server.cpp.
-  struct ExecConn;
+  /// Where a completion notice finds its server. The scheduler can resolve
+  /// an abandoned job after stop() has returned, so a notice holds this
+  /// cell, never the server itself; stop() clears `server` before it waits
+  /// for its tasks.
+  struct NoticeCell {
+    std::mutex m;
+    Server* server = nullptr;  ///< guarded by m
+  };
 
-  /// Listener watch callback: accepts everything ready, registers each
-  /// connection with the bridge, then re-arms the listener.
-  void exec_accept(short revents);
-  /// One service pass over a connection (read/decode/submit, pump resolved
-  /// futures, flush writes, timeouts), run as an executor task. At most
-  /// one runs per connection at a time (oneshot watch + ec->m).
-  void exec_service(const std::shared_ptr<ExecConn>& ec, short revents);
+  /// Listener watch callback: accepts everything ready, watches each
+  /// connection and arms its timeout timer, then re-arms the listener.
+  void exec_accept();
+  /// One service pass over a connection (read/decode/submit, move resolved
+  /// futures into the write queue, flush writes, timeouts, drain exit),
+  /// run as an executor task.
+  void exec_service(const std::shared_ptr<Connection>& conn, short revents);
+  /// The earliest read or idle deadline that can expire in the
+  /// connection's current state, if any.
+  std::optional<Clock::time_point> timeout_due(const Connection& conn) const;
+  /// Keeps the connection's one timer due no later than `due`, and none
+  /// when there is no deadline. Under conn->m.
+  void arm_timeout(const std::shared_ptr<Connection>& conn,
+                   std::optional<Clock::time_point> due);
   /// Drains socket -> rbuf; false when the peer closed or errored.
   bool read_some(Connection& conn);
   /// Decodes and dispatches every complete frame in rbuf.
@@ -184,8 +201,8 @@ class Server {
   /// (protocol version, registry model names, in-flight capacity). Runs in
   /// the connection's service task, like handle_stats.
   void handle_hello(Connection& conn, const FrameView& frame);
-  /// Moves resolved futures into the write queue; returns in-flight count.
-  std::size_t pump_completions(Connection& conn);
+  /// Moves resolved futures into the write queue.
+  void take_completions(Connection& conn);
   /// Streams one resolved result as RolloutChunks + a StatusReply.
   void enqueue_result(Connection& conn, const Pending& pending,
                       const serve::RolloutResult& result);
@@ -193,12 +210,13 @@ class Server {
                      NetError code, const std::string& message);
   /// Writes wqueue to the socket; false when the peer errored.
   bool flush_writes(Connection& conn);
+  /// Unwatches, cancels the timer, cancels unresolved jobs and closes the
+  /// socket. Under conn.m.
   void close_connection(Connection& conn);
 
   serve::JobScheduler& scheduler_;
   ServerConfig config_;
 
-  int listen_fd_ = -1;
   int port_ = 0;
   Clock::time_point started_{};  ///< start() time, for StatsReply uptime
   std::atomic<bool> running_{false};
@@ -226,16 +244,19 @@ class Server {
   std::array<obs::Counter*, 10> reject_counters_{};
 
   // ---- executor I/O state ----
-  std::unique_ptr<exec::IoBridge> bridge_;
-  std::mutex listen_mutex_;  ///< guards listen_watch_
+  std::mutex listen_mutex_;  ///< guards listen_fd_ and listen_watch_
+  int listen_fd_ = -1;
   int listen_watch_ = -1;
   /// Live connections by key. Lock order: NEVER acquire econns_mutex_
-  /// while holding an ExecConn's mutex (release ec->m first).
+  /// while holding a connection's mutex (release conn->m first).
   std::mutex econns_mutex_;
-  std::map<std::uint64_t, std::shared_ptr<ExecConn>> econns_;
+  std::map<std::uint64_t, std::shared_ptr<Connection>> econns_;
   std::uint64_t next_econn_ = 1;
-  /// Armed or firing pump timers; stop() waits for 0 so no timer callback
-  /// outlives the server (bridge_->stop covers watch callbacks only).
+  std::shared_ptr<NoticeCell> notices_ = std::make_shared<NoticeCell>();
+  /// Armed watches, armed timers and submitted service passes. Each is
+  /// counted before it is armed or submitted, and uncounted when its task
+  /// ends or when unwatch()/cancel_timer() returns true; stop() waits for
+  /// 0, so no callback outlives the server.
   std::atomic<int> exec_pending_{0};
 };
 

@@ -106,10 +106,12 @@ JobScheduler::JobScheduler(std::shared_ptr<ModelRegistry> registry,
 
 JobScheduler::~JobScheduler() { shutdown(true); }
 
-JobTicket JobScheduler::submit(RolloutRequest request) {
+JobTicket JobScheduler::submit(RolloutRequest request,
+                               std::function<void()> on_resolved) {
   GNS_TRACE_SCOPE_T("serve.scheduler.submit", request.trace_id);
   Job job;
   job.request = std::move(request);
+  job.on_resolved = std::move(on_resolved);
   job.cancelled = std::make_shared<std::atomic<bool>>(false);
   job.submitted = Clock::now();
   job.has_deadline = job.request.deadline_ms > 0.0;
@@ -384,6 +386,7 @@ void JobScheduler::resolve(Job&& job, RolloutResult result) {
     log_slow_request(job.request, result);
   }
   job.promise.set_value(std::move(result));
+  if (job.on_resolved) job.on_resolved();
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 /// pops jobs (up to `workers` concurrent rollout chains) and runs each
 /// rollout as a continuation chain — one executor task per step, each
 /// under its own NoGradGuard, re-checking deadline and cancellation
-/// before every step. Batch-window coalescing becomes a timer-wheel task:
+/// before every step. Batch-window coalescing is an executor timer:
 /// an underfull batch parks as a PendingBatch whose timer fires at
 /// min(window end, earliest member deadline); later drains top it up and
 /// dispatch early when it fills, and the timer-fire path sweeps cancelled
@@ -122,7 +122,14 @@ class JobScheduler {
   /// Enqueues a job. Never blocks: a full queue, a stopped scheduler, or
   /// an already-expired deadline (request.deadline_ms < 0) resolves the
   /// future immediately with QueueFull / ShutDown / DeadlineExceeded.
-  [[nodiscard]] JobTicket submit(RolloutRequest request);
+  ///
+  /// `on_resolved`, when set, is called once, right after the future's
+  /// value is set, on whichever thread resolved the job — inside submit()
+  /// itself for a rejection or a cache hit. It is a notice only (the
+  /// future carries the result): it must not block, and must not take a
+  /// lock the caller of submit() holds.
+  [[nodiscard]] JobTicket submit(RolloutRequest request,
+                                 std::function<void()> on_resolved = {});
 
   /// Requests cancellation. A queued job resolves Cancelled without
   /// running; a running job stops after its current step and returns the
@@ -175,6 +182,8 @@ class JobScheduler {
     /// cache complete() (all steps present) or abandon() (anything else).
     std::uint64_t cache_key = 0;
     bool has_cache_key = false;
+    /// submit()'s completion notice, called by resolve().
+    std::function<void()> on_resolved;
   };
 
   /// What submit()'s cache consult decided.
@@ -238,7 +247,8 @@ class JobScheduler {
   /// The one terminal path of every job, rejected, cached or computed:
   /// stamps ids, phases and total time, releases a led cache flight,
   /// drops the cancel flag, records stats and the slow-request line, then
-  /// fulfils the promise. Called without mutex_ held.
+  /// fulfils the promise and calls the job's on_resolved notice. Called
+  /// without mutex_ held.
   void resolve(Job&& job, RolloutResult result);
   /// Cache hit / single-flight join / leadership claim for `job`. Called
   /// without mutex_ held; takes it briefly for bookkeeping. On Resolved

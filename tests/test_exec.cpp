@@ -1,7 +1,7 @@
 // Units for the work-stealing executor subsystem (src/exec): Chase-Lev
 // deque invariants, task submission and stealing, timer scheduling and
 // cancellation semantics, the parallel_for determinism contract, and the
-// IoBridge oneshot fd-watch lifecycle on the executor's event thread.
+// oneshot fd-watch lifecycle on the executor's event thread.
 
 #include <gtest/gtest.h>
 
@@ -15,15 +15,12 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
-#include <filesystem>
-#include <iterator>
 #include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "exec/executor.hpp"
-#include "exec/io_bridge.hpp"
 #include "exec/parallel_for.hpp"
 #include "exec/steal_deque.hpp"
 
@@ -359,123 +356,112 @@ TEST(ParallelJobsTest, FixedLaneReductionIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// IoBridge
+// Fd watches
 
-class IoBridgeTest : public ::testing::Test {
+class ExecutorWatchTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_EQ(::pipe(fds_), 0);
     executor_ = std::make_unique<Executor>(1);
-    bridge_ = std::make_unique<IoBridge>(*executor_);
   }
   void TearDown() override {
-    bridge_->stop();
-    bridge_.reset();
     executor_.reset();
     ::close(fds_[0]);
     ::close(fds_[1]);
   }
   void poke() { ASSERT_EQ(::write(fds_[1], "x", 1), 1); }
-  void drain_byte() {
-    char c;
-    ASSERT_EQ(::read(fds_[0], &c, 1), 1);
-  }
 
   int fds_[2] = {-1, -1};
   std::unique_ptr<Executor> executor_;
-  std::unique_ptr<IoBridge> bridge_;
 };
 
-TEST_F(IoBridgeTest, ReadinessBecomesATaskWithRevents) {
+TEST_F(ExecutorWatchTest, ReadinessBecomesATaskWithRevents) {
   std::atomic<int> fires{0};
   std::atomic<short> revents{0};
-  const int id = bridge_->watch(fds_[0], POLLIN, [&](short re) {
+  std::atomic<bool> on_worker{false};
+  const int id = executor_->watch(fds_[0], POLLIN, [&](short re) {
     revents.store(re);
+    on_worker.store(executor_->on_worker_thread());
     fires.fetch_add(1);
   });
   EXPECT_GT(id, 0);
   poke();
   EXPECT_TRUE(eventually([&fires] { return fires.load() == 1; }));
   EXPECT_TRUE(revents.load() & POLLIN);
+  EXPECT_TRUE(on_worker.load());
 }
 
-TEST_F(IoBridgeTest, OneshotDoesNotRefireUntilRearmed) {
+TEST_F(ExecutorWatchTest, OneshotDoesNotRefireUntilRearmed) {
   std::atomic<int> fires{0};
-  const int id =
-      bridge_->watch(fds_[0], POLLIN, [&fires](short) { fires.fetch_add(1); });
+  const int id = executor_->watch(fds_[0], POLLIN,
+                                  [&fires](short) { fires.fetch_add(1); });
   poke();
   ASSERT_TRUE(eventually([&fires] { return fires.load() == 1; }));
   // Byte still unread and a second byte arrives: without rearm, silence.
   poke();
   std::this_thread::sleep_for(100ms);
   EXPECT_EQ(fires.load(), 1);
-  bridge_->rearm(id, POLLIN);
+  EXPECT_TRUE(executor_->rearm(id, POLLIN));  // it was disarmed
   EXPECT_TRUE(eventually([&fires] { return fires.load() == 2; }));
 }
 
-TEST_F(IoBridgeTest, UnwatchedFdNeverFires) {
+TEST_F(ExecutorWatchTest, UnwatchedFdNeverFires) {
   std::atomic<int> fires{0};
-  const int id =
-      bridge_->watch(fds_[0], POLLIN, [&fires](short) { fires.fetch_add(1); });
-  bridge_->unwatch(id);
+  const int id = executor_->watch(fds_[0], POLLIN,
+                                  [&fires](short) { fires.fetch_add(1); });
+  EXPECT_TRUE(executor_->unwatch(id));
+  EXPECT_FALSE(executor_->unwatch(id));  // a second unwatch is a miss
+  EXPECT_FALSE(executor_->rearm(id, POLLIN));
   poke();
   std::this_thread::sleep_for(100ms);
   EXPECT_EQ(fires.load(), 0);
 }
 
-TEST_F(IoBridgeTest, StopDrainsInFlightCallbacksAndIsIdempotent) {
-  std::atomic<int> fires{0};
-  bridge_->watch(fds_[0], POLLIN, [&](short) {
-    drain_byte();
-    std::this_thread::sleep_for(20ms);  // keep the callback in flight
-    fires.fetch_add(1);
-  });
-  poke();
-  // Give the event thread a moment to submit the callback, then stop:
-  // stop() must wait for the running callback rather than racing its
-  // capture.
-  std::this_thread::sleep_for(10ms);
-  bridge_->stop();
-  EXPECT_EQ(fires.load(), 1);
-  bridge_->stop();  // idempotent
-  bridge_->rearm(1, POLLIN);  // no-ops on a stopped bridge
-  bridge_->unwatch(1);
-}
-
-TEST_F(IoBridgeTest, WatchAfterStopRegistersNothing) {
-  bridge_->stop();
-  std::atomic<int> fires{0};
-  bridge_->watch(fds_[0], POLLIN, [&fires](short) { fires.fetch_add(1); });
-  poke();
-  std::this_thread::sleep_for(100ms);
-  EXPECT_EQ(fires.load(), 0);
-}
-
-TEST_F(IoBridgeTest, AnUnwatchedFdIsReleasedAtClose) {
+TEST_F(ExecutorWatchTest, UnwatchReportsWhetherTheCallbackWillRun) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
-  const int id = bridge_->watch(sv[0], POLLIN, [](short) {});
+  // Armed and not ready: rearm only takes the new mask, and unwatch
+  // true means the callback never runs.
+  std::atomic<int> silent{0};
+  const int armed = executor_->watch(sv[0], POLLIN,
+                                     [&silent](short) { silent.fetch_add(1); });
+  EXPECT_FALSE(executor_->rearm(armed, POLLIN));
+  EXPECT_TRUE(executor_->unwatch(armed));
+  ASSERT_EQ(::send(sv[1], "x", 1, 0), 1);
+  std::this_thread::sleep_for(100ms);
+  EXPECT_EQ(silent.load(), 0);
+
+  // The mask taken by an armed watch is the one that fires: POLLOUT on a
+  // writable socket. Once fired, unwatch reports false and the task runs
+  // exactly once.
+  std::atomic<int> fires{0};
+  std::atomic<short> revents{0};
+  const int fired = executor_->watch(sv[1], POLLIN, [&](short re) {
+    revents.store(re);
+    fires.fetch_add(1);
+  });
+  EXPECT_FALSE(executor_->rearm(fired, POLLOUT));
+  ASSERT_TRUE(eventually([&fires] { return fires.load() == 1; }));
+  EXPECT_TRUE(revents.load() & POLLOUT);
+  EXPECT_FALSE(executor_->unwatch(fired));
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(fires.load(), 1);
+  ::close(sv[0]);
+  ::close(sv[1]);
+}
+
+TEST_F(ExecutorWatchTest, AnUnwatchedFdIsReleasedAtClose) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+  const int id = executor_->watch(sv[0], POLLIN, [](short) {});
   std::this_thread::sleep_for(20ms);  // the event thread now waits on sv[0]
   // Nothing wakes that wait, yet once unwatch() returns the event thread
   // must hold no reference to the socket: closing it reaches the peer.
-  bridge_->unwatch(id);
+  EXPECT_TRUE(executor_->unwatch(id));
   ::close(sv[0]);
   char c;
   EXPECT_EQ(::recv(sv[1], &c, 1, MSG_DONTWAIT), 0);  // EOF, not EAGAIN
   ::close(sv[1]);
-}
-
-/// Threads of this process, from /proc/self/task.
-int thread_count() {
-  const std::filesystem::directory_iterator tasks("/proc/self/task");
-  return static_cast<int>(std::distance(begin(tasks), end(tasks)));
-}
-
-TEST_F(IoBridgeTest, ABridgeOwnsNoThread) {
-  const int before = thread_count();
-  IoBridge a(*executor_);
-  IoBridge b(*executor_);
-  EXPECT_EQ(thread_count(), before);
 }
 
 }  // namespace

@@ -166,6 +166,23 @@ int raw_connect(int port) {
   return fd;
 }
 
+/// One blocking connect() to 127.0.0.1:port: 0 when it completed, else
+/// its errno. The socket is closed either way.
+int connect_errno(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  const int error =
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0
+          ? 0
+          : errno;
+  ::close(fd);
+  return error;
+}
+
 void raw_send(int fd, const std::vector<std::uint8_t>& bytes) {
   std::size_t off = 0;
   while (off < bytes.size()) {
@@ -473,28 +490,19 @@ TEST(NetServer, StoppingAnIdleServerReleasesItsListener) {
   // No connection and no timer wake the event thread after stop(), yet
   // the listener must be gone: a connect() is refused at once instead of
   // landing in a backlog nobody accepts from.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_NE(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  EXPECT_EQ(errno, ECONNREFUSED);
-  ::close(fd);
+  EXPECT_EQ(connect_errno(port), ECONNREFUSED);
 }
 
-TEST(NetServer, ConnectionClosedFromAPumpTickReachesThePeer) {
+TEST(NetServer, ConnectionClosedFromATimeoutTimerReachesThePeer) {
   ServerConfig cfg;
   cfg.metrics_prefix = "net_t5c";
   cfg.read_timeout_ms = 50.0;
   Harness h(cfg);
   ASSERT_TRUE(h.start());
 
-  // Half a header starts the read timeout; a pump tick then closes the
-  // connection. Nothing else wakes the event thread, and the peer must
-  // still see the close.
+  // Half a header starts the read timeout; the connection's timeout timer
+  // then closes it. Nothing else wakes the event thread, and the peer
+  // must still see the close.
   const int fd = raw_connect(h.server->port());
   raw_send(fd, {0x47, 0x4E});
   timeval tv{};
@@ -506,15 +514,15 @@ TEST(NetServer, ConnectionClosedFromAPumpTickReachesThePeer) {
   h.server->stop();
 }
 
-TEST(NetServer, RequestOnIdleConnectionIsNotHeldToTheIdlePumpTick) {
+TEST(NetServer, ReplyIsNotHeldForATimer) {
   ServerConfig cfg;
   cfg.metrics_prefix = "net_t1b";
   Harness h(cfg);
   ASSERT_TRUE(h.start());
 
-  // Each reply leaves the connection idle with its 50 ms pump tick armed;
-  // the next request arrives at once. Its finished rollout must be seen on
-  // the busy 2 ms tick, not when the idle tick fires about 50 ms later.
+  // Each reply leaves the connection idle with its idle timeout armed; the
+  // next request arrives at once. Its reply must go out when the rollout
+  // finishes, not when some timer next services the connection.
   Client client(h.client_config());
   ASSERT_TRUE(client.rollout(small_request(*h.sim, 1)).ok());
   double least_wait_ms = 1e9;
@@ -529,6 +537,82 @@ TEST(NetServer, RequestOnIdleConnectionIsNotHeldToTheIdlePumpTick) {
   }
   EXPECT_LT(least_wait_ms, 25.0);
 
+  h.server->stop();
+}
+
+TEST(NetServer, ConnectDuringDrainIsRefusedAtOnce) {
+  ServerConfig cfg;
+  cfg.metrics_prefix = "net_t5d";
+  Harness h(cfg, sched_cfg(1, 8));
+  ASSERT_TRUE(h.start());
+  const int port = h.server->port();
+
+  // One job held in flight by the paused scheduler keeps the drain open.
+  h.scheduler->pause();
+  std::thread holder([&] {
+    Client client(h.client_config());
+    EXPECT_TRUE(client.rollout(small_request(*h.sim, 2)).ok());
+  });
+  Client probe(h.client_config());
+  ASSERT_TRUE(probe.stats().ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (h.scheduler->queue_depth() < 1 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(h.scheduler->queue_depth(), 1) << "job never queued";
+
+  std::thread stopper([&] { h.server->stop(); });
+  // The probe's idle connection answers until the drain shows: in a reply,
+  // or as the close of a connection with nothing left in flight.
+  while (std::chrono::steady_clock::now() < deadline) {
+    const Client::StatsResult stats = probe.stats();
+    if (!stats.ok() || stats.reply.draining != 0) break;
+  }
+
+  // The listener is already closed, not left to the end of the drain.
+  EXPECT_EQ(connect_errno(port), ECONNREFUSED);
+
+  h.scheduler->resume();
+  holder.join();
+  stopper.join();
+}
+
+TEST(NetServer, SilentConnectionIsClosedByIdleTimeout) {
+  ServerConfig cfg;
+  cfg.metrics_prefix = "net_t5e";
+  cfg.idle_timeout_ms = 100.0;
+  Harness h(cfg);
+  ASSERT_TRUE(h.start());
+
+  // Connected, never sends: the idle timeout still frees its slot.
+  const int fd = raw_connect(h.server->port());
+  timeval tv{};
+  tv.tv_sec = 2;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+  char c;
+  EXPECT_EQ(::recv(fd, &c, 1, 0), 0) << "no FIN within 2 s";
+  ::close(fd);
+  h.server->stop();
+}
+
+TEST(NetServer, BusyConnectionSchedulesNoTimer) {
+  ServerConfig cfg;
+  cfg.metrics_prefix = "net_t5f";
+  cfg.idle_timeout_ms = 0.0;
+  cfg.read_timeout_ms = 0.0;
+  Harness h(cfg);  // no batch window
+  ASSERT_TRUE(h.start());
+
+  // With no timeout, no deadline and no batch window nothing can expire,
+  // so serving a request on a fresh connection arms no timer at all.
+  obs::Counter& scheduled =
+      obs::MetricsRegistry::global().counter("exec.timer.scheduled");
+  const std::uint64_t before = scheduled.value();
+  Client client(h.client_config());
+  const ClientResult result = client.rollout(small_request(*h.sim, 20));
+  ASSERT_TRUE(result.ok()) << result.error << result.transport_error;
+  EXPECT_EQ(scheduled.value(), before);
   h.server->stop();
 }
 

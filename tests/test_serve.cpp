@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <thread>
 
@@ -217,6 +219,44 @@ TEST_F(ServeTest, QueueFullRejectsWithoutBlocking) {
   EXPECT_EQ(snap.rejected_queue_full, 1u);
   EXPECT_EQ(snap.completed, 2u);
   EXPECT_EQ(snap.peak_queue_depth, 2);
+}
+
+TEST_F(ServeTest, CompletionNoticeRunsOnceAfterTheFutureIsSet) {
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->put("m", make_small_sim());
+  ModelRegistry::Handle sim = registry->get("m");
+  JobScheduler scheduler(registry, SchedulerConfig{1, 1});
+
+  scheduler.pause();
+  std::future<RolloutResult> queued;
+  std::atomic<int> notices{0};
+  std::atomic<bool> ready_at_notice{false};
+  JobTicket ticket = scheduler.submit(small_request(*sim, 2), [&] {
+    ready_at_notice.store(queued.wait_for(std::chrono::seconds(0)) ==
+                          std::future_status::ready);
+    notices.fetch_add(1);
+  });
+  queued = std::move(ticket.result);
+
+  // A rejection resolves inside submit(), so its notice has run by the
+  // time submit() returns.
+  std::atomic<int> rejected_notices{0};
+  JobTicket rejected = scheduler.submit(
+      small_request(*sim, 2), [&] { rejected_notices.fetch_add(1); });
+  EXPECT_EQ(rejected_notices.load(), 1);
+  EXPECT_EQ(rejected.result.get().status, JobStatus::QueueFull);
+
+  scheduler.resume();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (notices.load() == 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(notices.load(), 1);
+  EXPECT_TRUE(ready_at_notice.load());
+  EXPECT_EQ(queued.get().status, JobStatus::Ok);
+  scheduler.shutdown();
+  EXPECT_EQ(notices.load(), 1);
+  EXPECT_EQ(rejected_notices.load(), 1);
 }
 
 TEST_F(ServeTest, DeadlineExceededWhileQueued) {
