@@ -253,7 +253,9 @@ void Executor::worker_loop(int index) {
     }
     lk.lock();
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    sleep_cv_.wait_for(lk, std::chrono::milliseconds(50), [&] {
+    // No timeout: every submit and the destructor bump the epoch under
+    // sleep_m_, so a parked worker wakes only when there is work.
+    sleep_cv_.wait(lk, [&] {
       return stop_.load(std::memory_order_acquire) || work_epoch_ != epoch;
     });
     sleepers_.fetch_sub(1, std::memory_order_seq_cst);

@@ -44,8 +44,8 @@ std::chrono::steady_clock::duration from_ms(double ms) {
 
 }  // namespace
 
-Server::Server(serve::JobScheduler& scheduler, ServerConfig config)
-    : scheduler_(scheduler),
+Server::Server(serve::RolloutService& service, ServerConfig config)
+    : service_(service),
       config_(std::move(config)),
       accepted_(obs::MetricsRegistry::global().counter(
           config_.metrics_prefix + ".accepted")),
@@ -271,8 +271,8 @@ void Server::handle_request(Connection& conn, const FrameView& frame,
   }
 
   serve::JobTicket ticket =
-      scheduler_.submit(std::move(request), conn.on_resolved);
-  // The scheduler resolves rejections (QueueFull / expired deadline /
+      service_.submit(std::move(request), conn.on_resolved);
+  // The service resolves rejections (QueueFull / expired deadline /
   // ShutDown) immediately; take_completions translates them. QueueFull is
   // additionally counted as backpressure when it surfaces there.
   Pending pending;
@@ -284,7 +284,7 @@ void Server::handle_request(Connection& conn, const FrameView& frame,
   const int inflight =
       global_inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
   inflight_gauge_.set(inflight);
-  queue_depth_gauge_.set(scheduler_.queue_depth());
+  queue_depth_gauge_.set(service_.queue_depth());
 }
 
 void Server::handle_stats(Connection& conn, const FrameView& frame) {
@@ -299,13 +299,13 @@ void Server::handle_stats(Connection& conn, const FrameView& frame) {
   stats_requests_.add();
   // Deliberately answered even while draining: watching the drain finish
   // is exactly what a live scrape is for.
-  queue_depth_gauge_.set(scheduler_.queue_depth());
+  queue_depth_gauge_.set(service_.queue_depth());
   WireStatsReply reply;
   reply.uptime_ms = ms_since(started_, Clock::now());
   reply.inflight = static_cast<std::uint32_t>(
       std::max(0, global_inflight_.load(std::memory_order_relaxed)));
   reply.queue_depth =
-      static_cast<std::uint32_t>(std::max(0, scheduler_.queue_depth()));
+      static_cast<std::uint32_t>(std::max(0, service_.queue_depth()));
   reply.active_connections = static_cast<std::uint32_t>(
       std::max(0, active_connections_.load(std::memory_order_relaxed)));
   reply.draining = draining_.load(std::memory_order_acquire) ? 1 : 0;
@@ -330,15 +330,15 @@ void Server::handle_hello(Connection& conn, const FrameView& frame) {
     enqueue_error(conn, frame.request_id, NetError::Malformed, parse_error);
     return;
   }
+  serve::ServiceCapabilities caps = service_.capabilities();
   WireHelloReply reply;
   reply.draining = draining_.load(std::memory_order_acquire) ? 1 : 0;
-  reply.max_inflight =
-      static_cast<std::uint32_t>(std::max(1, config_.max_inflight_global));
+  reply.max_inflight = static_cast<std::uint32_t>(std::max(
+      0, caps.max_inflight.value_or(std::max(1, config_.max_inflight_global))));
   reply.current_inflight = static_cast<std::uint32_t>(
       std::max(0, global_inflight_.load(std::memory_order_relaxed)));
-  reply.workers =
-      static_cast<std::uint32_t>(std::max(0, scheduler_.workers()));
-  reply.models = scheduler_.registry()->names();
+  reply.workers = static_cast<std::uint32_t>(std::max(0, caps.workers));
+  reply.models = std::move(caps.models);
   if (reply.models.size() > kMaxHelloModels)
     reply.models.resize(kMaxHelloModels);
   WriteItem item;
@@ -372,11 +372,17 @@ void Server::enqueue_result(Connection& conn, const Pending& pending,
                             const serve::RolloutResult& result) {
   GNS_TRACE_SCOPE_T("net.conn.encode", result.trace_id);
   const std::uint64_t request_id = pending.request_id;
-  if (result.status == serve::JobStatus::QueueFull) {
-    // Scheduler-level backpressure surfaces as Busy, same as the server's
-    // own in-flight caps: clients have one retry path.
-    rejected_backpressure_.add();
-    enqueue_error(conn, request_id, NetError::Busy, "scheduler queue full");
+  if (result.status == serve::JobStatus::QueueFull ||
+      result.status == serve::JobStatus::BackendLost) {
+    // Service-level backpressure surfaces as Busy, same as the server's own
+    // in-flight caps: clients have one retry path. A router's lost backend
+    // is its own typed error: the request must not be retried blindly.
+    const bool busy = result.status == serve::JobStatus::QueueFull;
+    if (busy) rejected_backpressure_.add();
+    enqueue_error(conn, request_id,
+                  busy ? NetError::Busy : NetError::BackendLost,
+                  !result.error.empty() ? result.error
+                                        : serve::to_string(result.status));
     return;
   }
 
@@ -430,7 +436,7 @@ void Server::enqueue_result(Connection& conn, const Pending& pending,
   item.enqueued_ns = obs::trace_now_ns();
   conn.wqueue.push_back(std::move(item));
   frames_tx_.add();
-  scheduler_.stats().on_serialize(status.phases.serialize_us);
+  service_.on_serialize(status.phases.serialize_us);
 }
 
 void Server::enqueue_error(Connection& conn, std::uint64_t request_id,
@@ -467,8 +473,8 @@ bool Server::flush_writes(Connection& conn) {
       // behind it for this request (its chunks ran first, FIFO) is out, so
       // enqueue -> now is the request's write/flush phase.
       const std::int64_t now_ns = obs::trace_now_ns();
-      scheduler_.stats().on_write(
-          static_cast<double>(now_ns - front.enqueued_ns) * 1e-3);
+      service_.on_write(static_cast<double>(now_ns - front.enqueued_ns) *
+                        1e-3);
       obs::record_manual_span("net.conn.flush", front.enqueued_ns, now_ns,
                               front.trace_id);
     }
@@ -693,9 +699,9 @@ void Server::close_connection(Connection& conn) {
   if (conn.timer != 0 && executor.cancel_timer(conn.timer)) --exec_pending_;
   conn.timer = 0;
   // The peer is gone: nobody will read these results. Cancel what the
-  // scheduler has not started and release the in-flight slots.
+  // service has not finished and release the in-flight slots.
   for (Pending& pending : conn.inflight) {
-    scheduler_.cancel(pending.job_id);
+    service_.cancel(pending.job_id);
     global_inflight_.fetch_sub(1, std::memory_order_relaxed);
   }
   inflight_gauge_.set(

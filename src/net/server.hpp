@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file server.hpp
-/// TCP front-end of the rollout serving subsystem.
+/// TCP front-end of the rollout serving subsystem. It serves a
+/// serve::RolloutService: the JobScheduler, or a router fronting a fleet.
 ///
 /// Threading model: the server owns no threads. The listening socket and
 /// every accepted connection are oneshot fd watches on the global
@@ -9,19 +10,21 @@
 /// same work-stealing pool that runs the scheduler's rollout chains and
 /// the per-step compute, so net I/O shares cores with compute. A
 /// connection's service pass appends reads to a per-connection buffer,
-/// decodes complete frames and submits them to the serve::JobScheduler,
-/// encodes resolved futures into a per-connection write queue, and drains
-/// writes on POLLOUT. Nothing polls: a pass runs on one of three events —
-/// the connection's watch, a job's completion notice from the scheduler,
-/// or the connection's timeout timer, which is armed only while a read or
-/// idle deadline can expire. Each connection's passes hold its mutex, so
-/// they run one at a time.
+/// decodes complete frames and submits them to the service, encodes
+/// resolved futures into a per-connection write queue, and drains writes
+/// on POLLOUT. Nothing polls: a pass runs on one of three events — the
+/// connection's watch, a job's completion notice from the service, or the
+/// connection's timeout timer, which is armed only while a read or idle
+/// deadline can expire. Each connection's passes hold its mutex, so they
+/// run one at a time.
 ///
 /// Backpressure is explicit and bounded everywhere: a request beyond the
-/// per-connection or global in-flight cap — or one the scheduler rejects
-/// with QueueFull — is answered with ErrorReply{Busy} immediately; the
-/// server never queues unboundedly on behalf of a client (read buffers are
-/// capped by the protocol's frame cap, write queues by the in-flight cap).
+/// per-connection or global in-flight cap — or one the service resolves
+/// QueueFull — is answered with ErrorReply{Busy} immediately; the server
+/// never queues unboundedly on behalf of a client (read buffers are capped
+/// by the protocol's frame cap, write queues by the in-flight cap). A job
+/// that resolves BackendLost (a router's backend died after its first
+/// chunk) is answered with ErrorReply{BackendLost}.
 ///
 /// Deadlines propagate: a request's deadline_ms is re-based to the moment
 /// the frame finished decoding, so time spent in the server's buffers
@@ -30,7 +33,7 @@
 /// occupying a batch slot.
 ///
 /// Observability: every request's trace_id is threaded from decode through
-/// the scheduler to the final flush, so one Perfetto trace shows the
+/// the service to the final flush, so one Perfetto trace shows the
 /// cross-layer life of a request; per-phase latency lands in the
 /// scheduler's serve.phase.* histograms. kStatsRequest frames are answered
 /// inline by the connection's service task with a metrics + health
@@ -61,7 +64,7 @@
 #include "exec/executor.hpp"
 #include "net/protocol.hpp"
 #include "obs/metrics.hpp"
-#include "serve/scheduler.hpp"
+#include "serve/service.hpp"
 
 namespace gns::net {
 
@@ -86,11 +89,11 @@ struct ServerConfig {
   std::string metrics_prefix = "net";  ///< net.* instrument prefix
 };
 
-/// TCP server bridging the wire protocol onto a JobScheduler. The
-/// scheduler (and its registry) must outlive the server.
+/// TCP server bridging the wire protocol onto a RolloutService. The
+/// service must outlive the server.
 class Server {
  public:
-  Server(serve::JobScheduler& scheduler, ServerConfig config = {});
+  Server(serve::RolloutService& service, ServerConfig config = {});
   /// Calls stop() if still running.
   ~Server();
 
@@ -122,7 +125,7 @@ class Server {
   /// One submitted request whose future has not resolved yet.
   struct Pending {
     std::uint64_t request_id = 0;       ///< wire id, echoed in replies
-    std::uint64_t job_id = 0;           ///< scheduler id, for cancel()
+    std::uint64_t job_id = 0;           ///< service job id, for cancel()
     std::future<serve::RolloutResult> future;
     Clock::time_point decoded;  ///< when the request finished decoding
   };
@@ -148,7 +151,7 @@ class Server {
     /// The read/idle timeout timer; 0 when none is armed or firing.
     exec::Executor::TimerId timer = 0;
     Clock::time_point timer_due{};
-    /// Passed to the scheduler with every request: queues a service pass
+    /// Passed to the service with every request: queues a service pass
     /// once the job resolves. Built at accept.
     std::function<void()> on_resolved;
     std::vector<std::uint8_t> rbuf;
@@ -162,7 +165,7 @@ class Server {
     bool close_after_flush = false;  ///< fatal decode error: drop politely
   };
 
-  /// Where a completion notice finds its server. The scheduler can resolve
+  /// Where a completion notice finds its server. The service can resolve
   /// an abandoned job after stop() has returned, so a notice holds this
   /// cell, never the server itself; stop() clears `server` before it waits
   /// for its tasks.
@@ -194,16 +197,17 @@ class Server {
   void handle_request(Connection& conn, const FrameView& frame,
                       double buffered_ms);
   /// Answers a kStatsRequest with a metrics + health snapshot. Runs in the
-  /// connection's service task; touches only atomics, the scheduler's
+  /// connection's service task; touches only atomics, the service's
   /// queue-depth accessor, and the metrics registry.
   void handle_stats(Connection& conn, const FrameView& frame);
-  /// Answers a kHello with this backend's capability advertisement
-  /// (protocol version, registry model names, in-flight capacity). Runs in
-  /// the connection's service task, like handle_stats.
+  /// Answers a kHello with the service's capability advertisement
+  /// (protocol version, model names, in-flight capacity). Runs in the
+  /// connection's service task, like handle_stats.
   void handle_hello(Connection& conn, const FrameView& frame);
   /// Moves resolved futures into the write queue.
   void take_completions(Connection& conn);
-  /// Streams one resolved result as RolloutChunks + a StatusReply.
+  /// Streams one resolved result as RolloutChunks + a StatusReply, or
+  /// answers QueueFull / BackendLost with an ErrorReply.
   void enqueue_result(Connection& conn, const Pending& pending,
                       const serve::RolloutResult& result);
   void enqueue_error(Connection& conn, std::uint64_t request_id,
@@ -214,7 +218,7 @@ class Server {
   /// socket. Under conn.m.
   void close_connection(Connection& conn);
 
-  serve::JobScheduler& scheduler_;
+  serve::RolloutService& service_;
   ServerConfig config_;
 
   int port_ = 0;

@@ -5,13 +5,14 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+
+#include "util/check.hpp"
 
 namespace gns::router {
 
@@ -21,10 +22,11 @@ using Clock = std::chrono::steady_clock;
 
 /// Idle connections kept per backend; more just close on checkin.
 constexpr std::size_t kMaxIdleConns = 8;
+constexpr std::size_t kReadChunkBytes = 64 * 1024;
 
-double ms_until(Clock::time_point deadline) {
-  return std::chrono::duration<double, std::milli>(deadline - Clock::now())
-      .count();
+Clock::duration from_ms(double ms) {
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double, std::milli>(std::max(0.0, ms)));
 }
 
 }  // namespace
@@ -49,197 +51,355 @@ bool parse_backend_address(const std::string& spec, BackendAddress& out) {
 
 // ---- BackendConn -----------------------------------------------------------
 
-BackendConn::BackendConn(BackendAddress address)
-    : address_(std::move(address)) {}
+BackendConn::BackendConn(BackendAddress address, double connect_timeout_ms,
+                         TaskCount& tasks)
+    : address_(std::move(address)),
+      connect_timeout_(from_ms(connect_timeout_ms)),
+      tasks_(tasks) {}
 
-BackendConn::~BackendConn() { close(); }
+BackendConn::~BackendConn() {
+  std::lock_guard<std::mutex> lock(m_);
+  close_locked();
+}
 
-bool BackendConn::connect(double timeout_ms) {
-  close();
+void BackendConn::exchange(std::vector<std::uint8_t> frame,
+                           double frame_timeout_ms, OnFrame on_frame,
+                           OnFailure on_failure) {
+  std::lock_guard<std::mutex> lock(m_);
+  // Only its holder exchanges on a connection, fresh or reusable(); Busy is
+  // the last exchange's final callback starting the next.
+  GNS_CHECK_MSG(state_ == State::Fresh || state_ == State::Idle ||
+                    (state_ == State::Busy && !peer_closed_),
+                "exchange on a closed backend connection");
+  ++exchange_;
+  on_frame_ = std::move(on_frame);
+  on_failure_ = std::move(on_failure);
+  wbuf_ = std::move(frame);
+  woff_ = 0;
+  frame_timeout_ = from_ms(frame_timeout_ms);
+  if (state_ == State::Fresh) {
+    state_ = State::Connecting;
+    deadline_ = Clock::now() + connect_timeout_;
+    tasks_.add();
+    exec::Executor::global().submit([weak = weak_from_this(), tasks = &tasks_] {
+      if (std::shared_ptr<BackendConn> self = weak.lock())
+        self->start_connect();
+      tasks->done();
+    });
+    return;
+  }
+  state_ = State::Busy;
+  deadline_ = Clock::now() + frame_timeout_;
+  rearm_locked(POLLIN | POLLOUT);
+  arm_timer_locked(deadline_);
+}
+
+void BackendConn::start_connect() {
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
   addrinfo* results = nullptr;
-  const std::string port = std::to_string(address_.port);
-  if (::getaddrinfo(address_.host.c_str(), port.c_str(), &hints, &results) !=
-      0)
-    return false;
-  for (addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
-    fd_ = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd_ < 0) continue;
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(timeout_ms / 1000.0);
-    tv.tv_usec = static_cast<suseconds_t>(
-        (timeout_ms - static_cast<double>(tv.tv_sec) * 1000.0) * 1000.0);
-    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (::connect(fd_, ai->ai_addr, ai->ai_addrlen) == 0) {
-      ::freeaddrinfo(results);
-      buf_.clear();
-      consumed_ = 0;
-      return true;
+  std::string why = "cannot resolve " + address_.host;
+  int fd = -1;
+  if (::getaddrinfo(address_.host.c_str(),
+                    std::to_string(address_.port).c_str(), &hints,
+                    &results) == 0) {
+    for (addrinfo* ai = results; ai != nullptr && fd < 0; ai = ai->ai_next) {
+      fd = ::socket(ai->ai_family,
+                    ai->ai_socktype | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                    ai->ai_protocol);
+      if (fd >= 0 && ::connect(fd, ai->ai_addr, ai->ai_addrlen) != 0 &&
+          errno != EINPROGRESS) {
+        why = std::string("connect failed: ") + std::strerror(errno);
+        ::close(fd);
+        fd = -1;
+      }
     }
-    ::close(fd_);
-    fd_ = -1;
+    ::freeaddrinfo(results);
   }
-  ::freeaddrinfo(results);
-  return false;
+  std::function<void()> report;
+  {
+    std::lock_guard<std::mutex> lock(m_);
+    if (state_ != State::Connecting) {  // closed while resolving
+      if (fd >= 0) ::close(fd);
+      return;
+    }
+    if (fd < 0) {
+      report = fail_locked(why);
+    } else {
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      fd_ = fd;
+      // The connect completes when the socket turns writable.
+      tasks_.add();
+      watch_ = exec::Executor::global().watch(
+          fd_, POLLOUT,
+          [weak = weak_from_this(), tasks = &tasks_](short revents) {
+            if (std::shared_ptr<BackendConn> self = weak.lock())
+              self->on_ready(revents);
+            tasks->done();
+          });
+      arm_timer_locked(deadline_);
+    }
+  }
+  if (report) report();
+}
+
+void BackendConn::on_ready(short revents) {
+  std::vector<std::uint8_t> data;
+  std::string why;  // set once the connection is lost
+  std::uint64_t exchange = 0;
+  OnFrame on_frame;
+  {
+    std::lock_guard<std::mutex> lock(m_);
+    if (state_ == State::Connecting) {
+      int err = 0;
+      socklen_t len = sizeof(err);
+      ::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &err, &len);
+      if (err == 0 && (revents & POLLOUT) == 0) err = ECONNREFUSED;
+      if (err != 0) why = std::string("connect failed: ") + std::strerror(err);
+      state_ = State::Busy;
+      deadline_ = Clock::now() + frame_timeout_;
+      arm_timer_locked(deadline_);
+    }
+    if (state_ != State::Busy) return;  // closed meanwhile
+    while (why.empty() && woff_ < wbuf_.size()) {
+      const ssize_t n = ::send(fd_, wbuf_.data() + woff_,
+                               wbuf_.size() - woff_, MSG_NOSIGNAL);
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR))
+        break;
+      if (n < 0)
+        why = std::string("send failed: ") + std::strerror(errno);
+      else
+        woff_ += static_cast<std::size_t>(n);
+    }
+    // A reply can arrive just before a reset: read it before judging.
+    const std::size_t buffered = rbuf_.size();
+    std::uint8_t chunk[kReadChunkBytes];
+    while (why.empty()) {
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n > 0) {
+        rbuf_.insert(rbuf_.end(), chunk, chunk + n);
+        continue;
+      }
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR))
+        break;
+      why = n == 0 ? "backend closed the connection"
+                   : std::string("recv failed: ") + std::strerror(errno);
+    }
+    // Lost: the exchange's last reply may still be handed out, but the
+    // connection must not go back to the pool.
+    if (!why.empty()) peer_closed_ = true;
+    // Bytes restart the wait, before they are handed out: the timer must
+    // not close the connection under a callback that is reusing it.
+    if (rbuf_.size() > buffered) deadline_ = Clock::now() + frame_timeout_;
+    data.swap(rbuf_);
+    exchange = exchange_;
+    on_frame = on_frame_;
+  }
+
+  std::size_t used = 0;
+  bool done = false;
+  while (!done) {
+    net::FrameView frame;
+    net::DecodeError error;
+    const net::DecodeStatus status = net::try_decode_frame(
+        data.data() + used, data.size() - used, frame, error);
+    if (status == net::DecodeStatus::NeedMore) break;
+    if (status == net::DecodeStatus::Error) {
+      why = "protocol error from backend: " + error.message;
+      break;
+    }
+    used += frame.frame_bytes;
+    done = on_frame(frame);
+  }
+
+  std::function<void()> report;
+  {
+    std::lock_guard<std::mutex> lock(m_);
+    if (state_ == State::Closed) return;
+    const bool current = exchange == exchange_;
+    if (current && done) {
+      state_ = State::Idle;
+      on_frame_ = nullptr;
+      on_failure_ = nullptr;
+      if (timer_ != 0 && exec::Executor::global().cancel_timer(timer_)) {
+        tasks_.done();
+        timer_ = 0;
+      }
+    } else if (current) {
+      rbuf_.assign(data.begin() + static_cast<std::ptrdiff_t>(used),
+                   data.end());
+    }
+    if (done && used < data.size()) why = "backend sent bytes after a reply";
+    if (!why.empty())
+      report = fail_locked(why);
+    else if (current && !done)
+      rearm_locked(woff_ < wbuf_.size() ? static_cast<short>(POLLIN | POLLOUT)
+                                        : POLLIN);
+  }
+  if (report) report();
+}
+
+void BackendConn::on_timer() {
+  std::function<void()> report;
+  {
+    std::lock_guard<std::mutex> lock(m_);
+    timer_ = 0;
+    if (state_ != State::Connecting && state_ != State::Busy) return;
+    if (Clock::now() < deadline_)
+      arm_timer_locked(deadline_);
+    else
+      report = fail_locked(state_ == State::Connecting
+                               ? "connect timed out"
+                               : "backend reply timed out");
+  }
+  if (report) report();
+}
+
+void BackendConn::arm_timer_locked(Clock::time_point due) {
+  exec::Executor& executor = exec::Executor::global();
+  // A timer due no later than `due` stays: its callback finds the deadline
+  // moved and re-arms. One that already fired cannot be cancelled; its
+  // callback re-arms.
+  if (timer_ != 0) {
+    if (timer_due_ <= due || !executor.cancel_timer(timer_)) return;
+    tasks_.done();
+  }
+  tasks_.add();
+  timer_due_ = due;
+  timer_ = executor.schedule_at(
+      due, [weak = weak_from_this(), tasks = &tasks_] {
+        if (std::shared_ptr<BackendConn> self = weak.lock()) self->on_timer();
+        tasks->done();
+      });
+}
+
+void BackendConn::rearm_locked(short events) {
+  tasks_.add();
+  if (!exec::Executor::global().rearm(watch_, events)) tasks_.done();
+}
+
+std::function<void()> BackendConn::fail_locked(const std::string& why) {
+  OnFailure report = std::move(on_failure_);
+  close_locked();
+  if (!report) return {};
+  return [report = std::move(report), why] { report(why); };
+}
+
+void BackendConn::close_locked() {
+  if (state_ == State::Closed) return;
+  state_ = State::Closed;
+  exec::Executor& executor = exec::Executor::global();
+  if (watch_ > 0 && executor.unwatch(watch_)) tasks_.done();
+  if (timer_ != 0 && executor.cancel_timer(timer_)) {
+    tasks_.done();
+    timer_ = 0;
+  }
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  on_frame_ = nullptr;
+  on_failure_ = nullptr;
 }
 
 void BackendConn::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  buf_.clear();
-  consumed_ = 0;
+  std::lock_guard<std::mutex> lock(m_);
+  close_locked();
 }
 
-bool BackendConn::send_frame(const std::vector<std::uint8_t>& frame) {
-  std::size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n =
-        ::send(fd_, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-BackendConn::ReadStatus BackendConn::read_frame(net::FrameView& frame,
-                                                std::string& error,
-                                                double timeout_ms) {
-  if (consumed_ > 0) {
-    buf_.erase(buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-    consumed_ = 0;
-  }
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             std::max(0.0, timeout_ms)));
-  for (;;) {
-    net::DecodeError decode_error;
-    const net::DecodeStatus status =
-        net::try_decode_frame(buf_.data(), buf_.size(), frame, decode_error);
-    if (status == net::DecodeStatus::Ok) {
-      consumed_ = frame.frame_bytes;
-      return ReadStatus::Ok;
-    }
-    if (status == net::DecodeStatus::Error) {
-      error = "protocol error from backend: " + decode_error.message;
-      return ReadStatus::Error;
-    }
-
-    const double remaining = ms_until(deadline);
-    if (remaining <= 0.0) {
-      error = "backend reply timed out";
-      return ReadStatus::Timeout;
-    }
-    pollfd pfd{fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1,
-                          static_cast<int>(std::min(remaining, 1000.0)) + 1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      error = std::string("poll failed: ") + std::strerror(errno);
-      return ReadStatus::Error;
-    }
-    if (rc == 0) continue;  // tick; deadline re-checked above
-    std::uint8_t chunk[64 * 1024];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) {
-      error = "backend closed the connection";
-      return ReadStatus::Closed;
-    }
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
-        continue;
-      error = std::string("recv failed: ") + std::strerror(errno);
-      return ReadStatus::Error;
-    }
-    buf_.insert(buf_.end(), chunk, chunk + n);
-  }
+bool BackendConn::reusable() {
+  std::lock_guard<std::mutex> lock(m_);
+  return (state_ == State::Idle || state_ == State::Busy) && !peer_closed_;
 }
 
 // ---- Backend ---------------------------------------------------------------
 
-Backend::Backend(BackendAddress address, BackendTuning tuning)
+Backend::Backend(BackendAddress address, BackendTuning tuning,
+                 TaskCount& tasks)
     : address_(std::move(address)),
       tuning_(tuning),
+      tasks_(tasks),
       backoff_ms_(tuning.readmit_backoff_ms) {}
 
-std::unique_ptr<BackendConn> Backend::checkout(std::string& error) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!idle_.empty()) {
-      std::unique_ptr<BackendConn> conn = std::move(idle_.back());
-      idle_.pop_back();
-      return conn;
-    }
+std::shared_ptr<BackendConn> Backend::take_idle() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  while (!idle_.empty()) {
+    std::shared_ptr<BackendConn> conn = std::move(idle_.back());
+    idle_.pop_back();
+    if (conn->reusable()) return conn;  // a closed one just drops
   }
-  auto conn = std::make_unique<BackendConn>(address_);
-  if (!conn->connect(tuning_.connect_timeout_ms)) {
-    error = "connect to " + label() + " failed";
-    return nullptr;
-  }
-  if (!handshake(*conn, error)) return nullptr;
+  return nullptr;
+}
+
+std::shared_ptr<BackendConn> Backend::dial(double hello_timeout_ms,
+                                           HelloDone done) {
+  auto conn = std::make_shared<BackendConn>(
+      address_, tuning_.connect_timeout_ms, tasks_);
+  hello(conn, hello_timeout_ms, std::move(done));
   return conn;
 }
 
-void Backend::checkin(std::unique_ptr<BackendConn> conn) {
-  if (!conn || !conn->connected()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  // An eviction between checkout and checkin closed the pool; a stale
-  // connection must not outlive that decision.
-  if (health_ == BackendHealth::Evicted) return;
-  if (idle_.size() < kMaxIdleConns) idle_.push_back(std::move(conn));
-}
-
-bool Backend::handshake(BackendConn& conn, std::string& error) {
+void Backend::hello(const std::shared_ptr<BackendConn>& conn,
+                    double hello_timeout_ms, HelloDone done) {
   net::WireHello hello;
   hello.kind = net::WireHello::kRouter;
-  const std::uint64_t request_id = conn.next_request_id();
-  if (!conn.send_frame(net::encode_hello(request_id, hello))) {
-    error = "hello send to " + label() + " failed";
-    return false;
-  }
-  net::FrameView frame;
-  const BackendConn::ReadStatus status =
-      conn.read_frame(frame, error, tuning_.hello_timeout_ms);
-  if (status != BackendConn::ReadStatus::Ok) {
-    if (error.empty()) error = "hello to " + label() + " got no reply";
-    return false;
-  }
+  conn->exchange(
+      net::encode_hello(conn->next_request_id(), hello), hello_timeout_ms,
+      [this, conn, done](const net::FrameView& frame) {
+        const std::string error = learn(frame);
+        if (!error.empty()) conn->close();
+        done(conn, error);
+        return true;
+      },
+      [this, conn, done](const std::string& why) {
+        done(conn, "hello to " + label() + " failed: " + why);
+      });
+}
 
+std::string Backend::learn(const net::FrameView& reply) {
   std::string parse_error;
-  if (frame.type == net::MessageType::HelloReply) {
-    net::WireHelloReply reply;
-    if (!net::decode_hello_reply(frame, reply, parse_error)) {
-      error = "bad hello reply from " + label() + ": " + parse_error;
-      return false;
-    }
+  if (reply.type == net::MessageType::ErrorReply) {
+    net::WireError error;
+    if (!net::decode_error_reply(reply, error, parse_error))
+      error.message = parse_error;
+    return "hello to " + label() + " rejected: " + error.message;
+  }
+  net::WireHelloReply hello;
+  if (reply.type != net::MessageType::HelloReply)
+    return "unexpected reply type to hello from " + label();
+  if (!net::decode_hello_reply(reply, hello, parse_error))
+    return "bad hello reply from " + label() + ": " + parse_error;
+  std::lock_guard<std::mutex> lock(mutex_);
+  caps_.draining = hello.draining != 0;
+  caps_.models.assign(hello.models.begin(), hello.models.end());
+  caps_.capacity =
+      static_cast<int>(std::min<std::uint32_t>(hello.max_inflight, 1u << 20));
+  caps_.workers = static_cast<int>(hello.workers);
+  caps_known_ = true;
+  return {};
+}
+
+void Backend::checkin(std::shared_ptr<BackendConn> conn) {
+  {
     std::lock_guard<std::mutex> lock(mutex_);
-    caps_.draining = reply.draining != 0;
-    caps_.models.assign(reply.models.begin(), reply.models.end());
-    caps_.capacity = static_cast<int>(
-        std::min<std::uint32_t>(reply.max_inflight, 1u << 20));
-    caps_.workers = static_cast<int>(reply.workers);
-    caps_known_ = true;
-    return true;
+    // An eviction between checkout and checkin closed the pool; a stale
+    // connection must not outlive that decision.
+    if (health_ != BackendHealth::Evicted && idle_.size() < kMaxIdleConns &&
+        conn->reusable()) {
+      idle_.push_back(std::move(conn));
+      return;
+    }
   }
-  if (frame.type == net::MessageType::ErrorReply) {
-    net::WireError wire_error;
-    if (!net::decode_error_reply(frame, wire_error, parse_error))
-      wire_error.message = parse_error;
-    error = "hello to " + label() + " rejected: " + wire_error.message;
-    return false;
+  conn->close();
+}
+
+void Backend::close_idle() {
+  std::vector<std::shared_ptr<BackendConn>> doomed;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    doomed.swap(idle_);
   }
-  error = "unexpected reply type to hello from " + label();
-  return false;
+  for (const std::shared_ptr<BackendConn>& conn : doomed) conn->close();
 }
 
 BackendCapabilities Backend::capabilities() const {
@@ -277,21 +437,16 @@ void Backend::mark_healthy() {
 }
 
 void Backend::evict() {
-  std::vector<std::unique_ptr<BackendConn>> doomed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     health_ = BackendHealth::Evicted;
-    evicted_until_ =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               backoff_ms_));
+    evicted_until_ = Clock::now() + from_ms(backoff_ms_);
     backoff_ms_ = std::min(backoff_ms_ * 2.0, tuning_.readmit_backoff_max_ms);
     // A fresh re-admission must also re-handshake: the peer may come back
     // as a different binary (new models, new version).
     caps_known_ = false;
-    doomed.swap(idle_);
   }
-  // Closed outside the lock; ~BackendConn does the work.
+  close_idle();
 }
 
 bool Backend::readmit_due() const {

@@ -4,30 +4,30 @@
 /// One backend of a rollout fleet, as the router sees it.
 ///
 /// A Backend owns three things:
-///  - its capability record, learned from the HELLO handshake the first
-///    time a connection comes up (served models, in-flight capacity). A
-///    backend that cannot answer the HELLO — it closes, times out, or
-///    replies with an error — fails the checkout like any other I/O
-///    failure;
-///  - a pool of idle BackendConns (blocking, exclusively checked out) so
-///    concurrent proxied requests each get their own connection without a
-///    per-request TCP + HELLO round trip;
+///  - its capability record, learned from HELLO replies (served models,
+///    in-flight capacity, draining);
+///  - a pool of idle BackendConns, each checked out by one request at a
+///    time, so concurrent proxied requests each get their own connection
+///    without a per-request TCP + HELLO round trip;
 ///  - its health state: Healthy until an I/O failure or probe timeout
 ///    evicts it, then Evicted with an exponentially growing re-admission
 ///    backoff until a probe handshake succeeds again.
 ///
-/// Thread safety: every public method is safe to call from any router
-/// thread. A checked-out BackendConn is exclusively owned by its caller
-/// and is NOT thread-safe itself.
+/// A BackendConn blocks no thread: its socket is nonblocking, and it waits
+/// on one executor fd watch and one executor timer. Every public method of
+/// both classes is safe to call from any thread.
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "exec/executor.hpp"
 #include "net/protocol.hpp"
 
 namespace gns::router {
@@ -63,38 +63,95 @@ struct BackendCapabilities {
   int workers = 0;                  ///< peer's scheduler workers (hint)
 };
 
-/// One blocking TCP connection to a backend, exclusively owned by the
-/// checker-outer. Framing only — capability/health logic lives in Backend.
-class BackendConn {
+/// Executor callbacks armed or submitted and not yet finished. Each is
+/// counted before it is armed or submitted, and uncounted when its task
+/// ends or when unwatch()/cancel_timer() returns true.
+class TaskCount {
  public:
-  enum class ReadStatus { Ok, Closed, Timeout, Error };
+  void add() {
+    std::lock_guard<std::mutex> lock(m_);
+    ++count_;
+  }
+  void done() {
+    std::lock_guard<std::mutex> lock(m_);
+    if (--count_ == 0) idle_.notify_all();
+  }
+  /// Blocks until the count is zero.
+  void wait_idle() {
+    std::unique_lock<std::mutex> lock(m_);
+    idle_.wait(lock, [this] { return count_ == 0; });
+  }
 
-  explicit BackendConn(BackendAddress address);
+ private:
+  std::mutex m_;
+  std::condition_variable idle_;
+  int count_ = 0;
+};
+
+/// One nonblocking TCP connection to a backend. Framing only — capability
+/// and health logic live in Backend.
+class BackendConn : public std::enable_shared_from_this<BackendConn> {
+ public:
+  /// Each reply frame, valid for the call only. True ends the exchange
+  /// and leaves the connection idle; false waits for the next frame.
+  using OnFrame = std::function<bool(const net::FrameView&)>;
+  /// A close, timeout or I/O error; the connection is already closed.
+  using OnFailure = std::function<void(const std::string& why)>;
+
+  BackendConn(BackendAddress address, double connect_timeout_ms,
+              TaskCount& tasks);
   ~BackendConn();
-  BackendConn(const BackendConn&) = delete;
-  BackendConn& operator=(const BackendConn&) = delete;
 
-  /// Fresh getaddrinfo + connect (never a cached resolution).
-  [[nodiscard]] bool connect(double timeout_ms);
-  [[nodiscard]] bool connected() const { return fd_ >= 0; }
+  /// Sends `frame`, then hands each reply frame to on_frame until it
+  /// returns true; each wait for a frame is bounded by frame_timeout_ms.
+  /// A fresh connection first resolves its address (getaddrinfo, never a
+  /// cached resolution) and connects. The callbacks run on executor tasks,
+  /// never inside this call.
+  void exchange(std::vector<std::uint8_t> frame, double frame_timeout_ms,
+                OnFrame on_frame, OnFailure on_failure);
+  /// A pending exchange's callbacks never run after this (a running one
+  /// may finish).
   void close();
-
-  [[nodiscard]] bool send_frame(const std::vector<std::uint8_t>& frame);
-  /// Blocks until one whole frame is buffered (deadline timeout_ms). The
-  /// FrameView borrows this connection's buffer: valid until the next
-  /// read_frame/close.
-  [[nodiscard]] ReadStatus read_frame(net::FrameView& frame,
-                                      std::string& error, double timeout_ms);
-
+  /// Connected (idle, or handing out its last reply) and not closing.
+  [[nodiscard]] bool reusable();
   /// Request ids are per-connection (the wire scopes them that way).
   [[nodiscard]] std::uint64_t next_request_id() { return next_request_id_++; }
 
  private:
-  BackendAddress address_;
+  using Clock = std::chrono::steady_clock;
+  enum class State { Fresh, Connecting, Idle, Busy, Closed };
+
+  /// A task of its own: getaddrinfo can block on a host name.
+  void start_connect();
+  void on_ready(short revents);
+  void on_timer();
+  /// Keeps the one timer due no later than `due`.
+  void arm_timer_locked(Clock::time_point due);
+  void rearm_locked(short events);
+  /// Closes; returns the call, made after unlocking, that reports `why`.
+  std::function<void()> fail_locked(const std::string& why);
+  void close_locked();
+
+  const BackendAddress address_;
+  const Clock::duration connect_timeout_;
+  TaskCount& tasks_;
+
+  std::mutex m_;  ///< guards the rest; never held while calling out
+  State state_ = State::Fresh;
   int fd_ = -1;
-  std::uint64_t next_request_id_ = 1;
-  std::vector<std::uint8_t> buf_;  ///< partial-frame carryover
-  std::size_t consumed_ = 0;       ///< frame handed out by the last read
+  int watch_ = -1;
+  exec::Executor::TimerId timer_ = 0;  ///< armed or firing; 0 when none
+  Clock::time_point timer_due_{};
+  Clock::time_point deadline_{};  ///< of the connect or the frame wait
+  Clock::duration frame_timeout_{};
+  bool peer_closed_ = false;    ///< EOF or error seen: never reuse
+  std::uint64_t exchange_ = 0;  ///< bumped by each exchange()
+  OnFrame on_frame_;
+  OnFailure on_failure_;
+  std::vector<std::uint8_t> wbuf_;
+  std::size_t woff_ = 0;
+  std::vector<std::uint8_t> rbuf_;
+  std::atomic<std::uint64_t> next_request_id_{1};
 };
 
 enum class BackendHealth : std::uint8_t {
@@ -103,32 +160,33 @@ enum class BackendHealth : std::uint8_t {
   Evicted,
 };
 
-[[nodiscard]] inline const char* to_string(BackendHealth h) {
-  switch (h) {
-    case BackendHealth::Unknown: return "unknown";
-    case BackendHealth::Healthy: return "healthy";
-    case BackendHealth::Evicted: return "evicted";
-  }
-  return "?";
-}
-
 class Backend {
  public:
-  Backend(BackendAddress address, BackendTuning tuning);
+  /// Called once a HELLO exchange ends: with an empty error the connection
+  /// is open and handshaked, else it is closed.
+  using HelloDone = std::function<void(const std::shared_ptr<BackendConn>&,
+                                       const std::string& error)>;
+
+  Backend(BackendAddress address, BackendTuning tuning, TaskCount& tasks);
 
   [[nodiscard]] const BackendAddress& address() const { return address_; }
   [[nodiscard]] std::string label() const {
     return address_.host + ":" + std::to_string(address_.port);
   }
 
-  /// Checks out an exclusive connection: an idle pooled one, or a fresh
-  /// connect (+ HELLO handshake when capabilities are not yet known).
-  /// nullptr with `error` set on failure — the caller decides whether that
-  /// evicts. Never blocks longer than connect+hello timeouts.
-  [[nodiscard]] std::unique_ptr<BackendConn> checkout(std::string& error);
-  /// Returns a connection that is still in a clean frame boundary (a
-  /// half-read stream must be closed instead, not checked in).
-  void checkin(std::unique_ptr<BackendConn> conn);
+  /// An idle pooled connection, checked out to the caller, or nullptr.
+  [[nodiscard]] std::shared_ptr<BackendConn> take_idle();
+  /// Sends a HELLO on `conn`, whose reply is due within hello_timeout_ms
+  /// and refreshes the capabilities. `done` runs on an executor task; the
+  /// caller decides whether a failure evicts.
+  void hello(const std::shared_ptr<BackendConn>& conn,
+             double hello_timeout_ms, HelloDone done);
+  /// hello() on a fresh connection, which it returns at once.
+  std::shared_ptr<BackendConn> dial(double hello_timeout_ms, HelloDone done);
+  /// Pools a connection at a clean frame boundary; one that is closed,
+  /// past the pool's size or an eviction, is closed instead.
+  void checkin(std::shared_ptr<BackendConn> conn);
+  void close_idle();
 
   [[nodiscard]] BackendCapabilities capabilities() const;
   /// Least-in-flight placement asks this: does the backend serve `model`?
@@ -154,16 +212,18 @@ class Backend {
   /// I/O failure or probe timeout: close the idle pool, extend the
   /// re-admission backoff.
   void evict();
-  /// Evicted and past the backoff deadline — the probe loop should try a
+  /// Evicted and past the backoff deadline — the probe sweep should try a
   /// re-admission handshake now.
   [[nodiscard]] bool readmit_due() const;
 
  private:
-  /// HELLO on a fresh connection; fills caps under mutex_.
-  [[nodiscard]] bool handshake(BackendConn& conn, std::string& error);
+  /// Takes the capabilities from a HELLO reply; the error when it is not
+  /// one.
+  std::string learn(const net::FrameView& reply);
 
   const BackendAddress address_;
   const BackendTuning tuning_;
+  TaskCount& tasks_;
 
   mutable std::mutex mutex_;
   BackendCapabilities caps_;
@@ -171,7 +231,7 @@ class Backend {
   BackendHealth health_ = BackendHealth::Unknown;
   double backoff_ms_;
   std::chrono::steady_clock::time_point evicted_until_{};
-  std::vector<std::unique_ptr<BackendConn>> idle_;
+  std::vector<std::shared_ptr<BackendConn>> idle_;
 
   std::atomic<int> inflight_{0};
 };

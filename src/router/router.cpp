@@ -1,20 +1,8 @@
 #include "router/router.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <set>
 
-#include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
@@ -23,164 +11,108 @@ namespace gns::router {
 
 namespace {
 
-constexpr std::size_t kReadChunkBytes = 64 * 1024;
-constexpr std::size_t kCompactThreshold = 256 * 1024;
-/// How long an idle session lingers once a drain begins. A client racing
-/// the drain gets a typed ShuttingDown (same as against a draining
-/// server) instead of a silent close; after the grace the session exits
-/// so the drain itself stays fast.
-constexpr double kDrainLingerMs = 250.0;
-
-double ms_since(std::chrono::steady_clock::time_point then,
-                std::chrono::steady_clock::time_point now) {
-  return std::chrono::duration<double, std::milli>(now - then).count();
+std::chrono::steady_clock::duration from_ms(double ms) {
+  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double, std::milli>(ms));
 }
 
-bool send_all(int fd, const std::uint8_t* data, std::size_t len) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
+/// RouterConfig's client-side fields; the rest keep the server's defaults.
+net::ServerConfig server_config(const RouterConfig& config) {
+  net::ServerConfig server;
+  server.host = config.host;
+  server.port = config.port;
+  server.max_connections = config.max_connections;
+  server.idle_timeout_ms = config.client_idle_timeout_ms;
+  server.drain_timeout_ms = config.drain_timeout_ms;
+  server.metrics_prefix = config.metrics_prefix;
+  return server;
 }
 
-timeval to_timeval(double ms) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(ms / 1000.0);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (ms - static_cast<double>(tv.tv_sec) * 1000.0) * 1000.0);
-  return tv;
+obs::Counter& counter(const RouterConfig& config, const char* name) {
+  return obs::MetricsRegistry::global().counter(config.metrics_prefix + "." +
+                                                name);
 }
 
 }  // namespace
 
+struct Router::Proxy {
+  std::uint64_t id = 0;
+  serve::RolloutRequest request;
+  std::function<void()> on_resolved;
+  std::promise<serve::RolloutResult> promise;
+  std::int64_t started_ns = 0;  ///< for the router.proxy span
+
+  // Guarded by Router::mutex_. `result` holds the current attempt's frames,
+  // and the final result once the proxy has left proxies_.
+  serve::RolloutResult result;
+  std::vector<Backend*> tried;
+  PickOutcome outcome = PickOutcome::AllDown;
+  bool saw_busy = false;
+  bool saw_failure = false;
+  bool saw_incapable = false;
+  // The current attempt; it has streamed once result.frames is not empty.
+  Backend* backend = nullptr;  ///< holds one in-flight slot while set
+  std::shared_ptr<BackendConn> conn;
+  std::uint64_t wire_id = 0;
+};
+
 Router::Router(RouterConfig config)
     : config_(std::move(config)),
-      requests_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".requests")),
-      retries_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".retries")),
-      failovers_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".failovers")),
-      evictions_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".evictions")),
-      readmissions_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".readmissions")),
-      backend_lost_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".backend_lost")),
-      busy_rejected_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".busy_rejected")),
-      probes_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".probes")),
+      server_(*this, server_config(config_)),
+      requests_(counter(config_, "requests")),
+      retries_(counter(config_, "retries")),
+      failovers_(counter(config_, "failovers")),
+      evictions_(counter(config_, "evictions")),
+      readmissions_(counter(config_, "readmissions")),
+      backend_lost_(counter(config_, "backend_lost")),
+      busy_rejected_(counter(config_, "busy_rejected")),
+      probes_(counter(config_, "probes")),
       backends_healthy_(obs::MetricsRegistry::global().gauge(
-          config_.metrics_prefix + ".backends_healthy")),
-      inflight_gauge_(obs::MetricsRegistry::global().gauge(
-          config_.metrics_prefix + ".inflight")),
-      active_clients_gauge_(obs::MetricsRegistry::global().gauge(
-          config_.metrics_prefix + ".active_connections")) {
+          config_.metrics_prefix + ".backends_healthy")) {
   GNS_CHECK_MSG(!config_.backends.empty(),
                 "Router needs at least one backend address");
+  if (config_.max_attempts <= 0)
+    config_.max_attempts = static_cast<int>(config_.backends.size());
   for (const BackendAddress& address : config_.backends)
-    backends_.push_back(std::make_unique<Backend>(address, config_.tuning));
+    backends_.push_back(
+        std::make_unique<Backend>(address, config_.tuning, tasks_));
 }
 
 Router::~Router() { stop(); }
 
 bool Router::start() {
-  GNS_CHECK_MSG(!running_.load(), "Router::start called twice");
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    GNS_ERROR("router: socket() failed: " << std::strerror(errno));
-    return false;
+  if (!server_.start()) return false;
+  {
+    // First sweep a full interval after start: placement is optimistic
+    // about un-probed backends anyway, and a quiet startup keeps tests (and
+    // operators' logs) deterministic.
+    std::lock_guard<std::mutex> lock(mutex_);
+    arm_sweep_locked(Clock::now() + from_ms(config_.probe_interval_ms));
   }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    GNS_ERROR("router: bad bind address '" << config_.host << "'");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(listen_fd_, 128) != 0) {
-    GNS_ERROR("router: bind/listen on " << config_.host << ":" << config_.port
-                                        << " failed: "
-                                        << std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-  port_ = ntohs(bound.sin_port);
-  // Non-blocking accepts: the acceptor drains the backlog after each poll
-  // and must get EAGAIN (not block) when it is empty.
-  ::fcntl(listen_fd_, F_SETFL,
-          ::fcntl(listen_fd_, F_GETFL, 0) | O_NONBLOCK);
-
-  started_ = Clock::now();
-  draining_.store(false, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  acceptor_ = std::thread([this] { acceptor_loop(); });
-  prober_ = std::thread([this] { probe_loop(); });
   GNS_INFO("router: fronting " << backends_.size() << " backends on "
-                               << config_.host << ":" << port_);
+                               << config_.host << ":" << server_.port());
   return true;
 }
 
 void Router::stop() {
   std::call_once(stop_once_, [this] {
-    if (!running_.load(std::memory_order_acquire)) return;
-    GNS_INFO("router: draining (stop admitting, finish proxied streams)");
-    draining_.store(true, std::memory_order_release);
-    // 1. Stop accepting.
-    if (acceptor_.joinable()) acceptor_.join();
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    // 2. Sessions observe draining_, answer queued requests with
-    //    ShuttingDown, finish the stream they are proxying, then exit.
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               config_.drain_timeout_ms));
-    while (active_clients_.load(std::memory_order_acquire) > 0 &&
-           Clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
+    if (!server_.running()) return;
+    GNS_INFO("router: draining (stop admitting, finish proxied requests)");
+    // 1. The server's drain: in-flight proxies finish, up to
+    //    drain_timeout_ms; it cancels the rest.
+    server_.stop();
+    // 2. No further sweep.
     {
-      std::lock_guard<std::mutex> lock(sessions_mutex_);
-      if (active_clients_.load(std::memory_order_acquire) > 0) {
-        GNS_WARN("router: drain timeout, severing "
-                 << active_clients_.load() << " client connections");
-        for (const std::shared_ptr<Session>& session : sessions_) {
-          const int fd = session->fd.load(std::memory_order_acquire);
-          if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-        }
-      }
+      std::lock_guard<std::mutex> lock(mutex_);
+      stopping_ = true;
+      if (sweep_timer_ != 0 &&
+          exec::Executor::global().cancel_timer(sweep_timer_))
+        tasks_.done();
+      sweep_timer_ = 0;
     }
-    if (prober_.joinable()) prober_.join();
-    std::list<std::shared_ptr<Session>> sessions;
-    {
-      std::lock_guard<std::mutex> lock(sessions_mutex_);
-      sessions.swap(sessions_);
-    }
-    for (const std::shared_ptr<Session>& session : sessions)
-      session->thread.join();
-    running_.store(false, std::memory_order_release);
-    obs::flush_env_files();
+    // 3. Wait for the router's own callbacks, then close the pools.
+    tasks_.wait_idle();
+    for (const auto& backend : backends_) backend->close_idle();
     GNS_INFO("router: drained and stopped");
   });
 }
@@ -199,361 +131,267 @@ std::vector<BackendSnapshot> Router::snapshot() const {
   return out;
 }
 
-void Router::acceptor_loop() {
-  while (!draining_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (rc < 0 && errno != EINTR) break;
-    if (rc <= 0 || !(pfd.revents & POLLIN)) continue;
-    for (;;) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) break;
-      if (active_clients_.load(std::memory_order_relaxed) >=
-          config_.max_connections) {
-        ::close(fd);
-        continue;
-      }
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      // Sends to the client are blocking; bound them so a dead peer cannot
-      // wedge a session thread forever.
-      const timeval tv = to_timeval(config_.tuning.io_timeout_ms);
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-      auto session = std::make_shared<Session>();
-      session->fd.store(fd, std::memory_order_release);
-      active_clients_.fetch_add(1, std::memory_order_relaxed);
-      active_clients_gauge_.set(
-          active_clients_.load(std::memory_order_relaxed));
-      std::lock_guard<std::mutex> lock(sessions_mutex_);
-      // An exited thread keeps its stack mapped until joined: reap the
-      // finished sessions so the mappings track live clients, not every
-      // client the router has ever served.
-      for (auto it = sessions_.begin(); it != sessions_.end();) {
-        if (!(*it)->done.load(std::memory_order_acquire)) {
-          ++it;
-          continue;
-        }
-        (*it)->thread.join();
-        it = sessions_.erase(it);
-      }
-      session->thread =
-          std::thread([this, session] { serve_client(session); });
-      sessions_.push_back(std::move(session));
-    }
-  }
-}
-
-void Router::serve_client(std::shared_ptr<Session> session) {
-  std::vector<std::uint8_t> rbuf;
-  std::size_t consumed = 0;
-  Clock::time_point last_activity = Clock::now();
-  Clock::time_point drain_seen{};
-  bool drain_observed = false;
-  bool closing = false;
-
-  while (!closing) {
-    const int fd = session->fd.load(std::memory_order_acquire);
-    if (fd < 0) break;
-
-    // Decode and dispatch everything buffered.
-    for (;;) {
-      net::FrameView frame;
-      net::DecodeError decode_error;
-      const net::DecodeStatus status = net::try_decode_frame(
-          rbuf.data() + consumed, rbuf.size() - consumed, frame,
-          decode_error);
-      if (status == net::DecodeStatus::NeedMore) break;
-      if (status == net::DecodeStatus::Error) {
-        send_error(*session, decode_error.request_id, decode_error.code,
-                   decode_error.message);
-        if (decode_error.fatal) {
-          closing = true;
-          break;
-        }
-        consumed += decode_error.skip_bytes;
-        continue;
-      }
-      if (!dispatch_frame(*session, frame)) {
-        closing = true;
-        break;
-      }
-      consumed += frame.frame_bytes;
-      last_activity = Clock::now();
-    }
-    if (consumed == rbuf.size()) {
-      rbuf.clear();
-      consumed = 0;
-    } else if (consumed > kCompactThreshold) {
-      rbuf.erase(rbuf.begin(), rbuf.begin() +
-                                   static_cast<std::ptrdiff_t>(consumed));
-      consumed = 0;
-    }
-    if (closing) break;
-    if (draining_.load(std::memory_order_acquire)) {
-      if (!drain_observed) {
-        drain_observed = true;
-        drain_seen = Clock::now();
-      }
-      // Past the linger an idle draining session owes the client nothing.
-      if (rbuf.size() == consumed &&
-          ms_since(drain_seen, Clock::now()) > kDrainLingerMs)
-        break;
-    }
-
-    pollfd pfd{fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, /*timeout_ms=*/200);
-    if (rc < 0 && errno != EINTR) break;
-    if (rc > 0 && (pfd.revents & POLLIN)) {
-      std::uint8_t chunk[kReadChunkBytes];
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n == 0) break;
-      if (n < 0 &&
-          !(errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK))
-        break;
-      if (n > 0) {
-        rbuf.insert(rbuf.end(), chunk, chunk + n);
-        last_activity = Clock::now();
-      }
-    } else if (rc > 0 &&
-               (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
-      break;
-    }
-    if (config_.client_idle_timeout_ms > 0 && rbuf.size() == consumed &&
-        ms_since(last_activity, Clock::now()) >
-            config_.client_idle_timeout_ms)
-      break;
-  }
-
-  const int fd = session->fd.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) ::close(fd);
-  active_clients_.fetch_sub(1, std::memory_order_acq_rel);
-  active_clients_gauge_.set(
-      std::max(0, active_clients_.load(std::memory_order_relaxed)));
-  session->done.store(true, std::memory_order_release);
-}
-
-bool Router::dispatch_frame(Session& session, const net::FrameView& frame) {
-  switch (frame.type) {
-    case net::MessageType::RolloutRequest:
-      if (draining_.load(std::memory_order_acquire)) {
-        send_error(session, frame.request_id, net::NetError::ShuttingDown,
-                   "router is draining");
-        return true;
-      }
-      return proxy_rollout(session, frame);
-    case net::MessageType::StatsRequest:
-      answer_stats(session, frame);
-      return true;
-    case net::MessageType::Hello:
-      answer_hello(session, frame);
-      return true;
-    default:
-      send_error(session, frame.request_id, net::NetError::Malformed,
-                 "unexpected message type from client");
-      return true;
-  }
-}
-
-bool Router::proxy_rollout(Session& session, const net::FrameView& frame) {
-  serve::RolloutRequest request;
-  std::string parse_error;
-  if (!net::decode_rollout_request(frame, request, parse_error)) {
-    send_error(session, frame.request_id, net::NetError::Malformed,
-               parse_error);
-    return true;
-  }
+serve::JobTicket Router::submit(serve::RolloutRequest request,
+                                std::function<void()> on_resolved) {
+  auto proxy = std::make_shared<Proxy>();
+  proxy->request = std::move(request);
+  proxy->on_resolved = std::move(on_resolved);
+  proxy->started_ns = obs::trace_now_ns();
+  serve::JobTicket ticket;
+  ticket.result = proxy->promise.get_future();
   requests_.add();
-  GNS_TRACE_SCOPE_T("router.proxy", request.trace_id);
+  advance(proxy, [&] {
+    ticket.id = proxy->id = next_proxy_++;
+    proxies_.emplace(proxy->id, proxy);
+    return place_locked(proxy);
+  });
+  return ticket;
+}
 
-  const int max_attempts =
-      config_.max_attempts > 0 ? config_.max_attempts
-                               : static_cast<int>(backends_.size());
-  std::vector<Backend*> tried;
-  PickOutcome outcome = PickOutcome::AllDown;
-  bool saw_busy = false;
-  bool saw_failure = false;
-  bool saw_incapable = false;
-
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    Backend* backend = pick_backend(request.model, tried, outcome);
-    if (backend == nullptr) break;
-    tried.push_back(backend);
-    inflight_gauge_.set(inflight_.fetch_add(1, std::memory_order_relaxed) +
-                        1);
-    const ProxyOutcome result =
-        proxy_once(session, frame.request_id, request, *backend);
-    backend->add_inflight(-1);
-    inflight_gauge_.set(std::max(
-        0, inflight_.fetch_sub(1, std::memory_order_relaxed) - 1));
-
-    switch (result) {
-      case ProxyOutcome::Done:
-        return true;
-      case ProxyOutcome::ClientLost:
-        return false;
-      case ProxyOutcome::RetryBusy:
-        saw_busy = true;
-        continue;
-      case ProxyOutcome::RetryDraining:
-        saw_failure = true;
-        continue;
-      case ProxyOutcome::RetryIncapable:
-        saw_incapable = true;
-        continue;
-      case ProxyOutcome::RetryDead:
-        // The failover everything above is for: the request never started
-        // streaming, so a sibling serves it and the client never knows.
-        failovers_.add();
-        saw_failure = true;
-        continue;
-      case ProxyOutcome::FatalStreamLost:
-        backend_lost_.add();
-        send_error(session, frame.request_id, net::NetError::BackendLost,
-                   "backend " + backend->label() +
-                       " died after streaming began; do not retry "
-                       "blindly — partial frames were delivered");
-        return true;
-    }
+bool Router::cancel(std::uint64_t job_id) {
+  std::shared_ptr<Proxy> proxy;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = proxies_.find(job_id);
+    if (it == proxies_.end()) return false;
+    proxy = it->second;
+    if (proxy->conn != nullptr) proxy->conn->close();
+    end_attempt_locked(*proxy);
+    serve::RolloutResult result;
+    result.status = serve::JobStatus::Cancelled;
+    result.trace_id = proxy->request.trace_id;
+    finish_locked(*proxy, std::move(result));
   }
-
-  if ((outcome == PickOutcome::NoBackendForModel || saw_incapable) &&
-      !saw_busy && !saw_failure) {
-    // Mirror what a direct server answers, so clients have one code path.
-    net::WireStatus status;
-    status.status = serve::JobStatus::ModelNotFound;
-    status.error = "no backend serves model '" + request.model + "'";
-    status.trace_id = request.trace_id;
-    if (!send_to_client(session,
-                        net::encode_status_reply(frame.request_id, status)))
-      return false;
-    return true;
-  }
-
-  busy_rejected_.add();
-  std::string reason = saw_busy ? "every capable backend is at capacity"
-                       : saw_failure
-                           ? "no backend could serve the request; retry"
-                           : "no healthy backend available";
-  send_error(session, frame.request_id, net::NetError::Busy, reason);
+  publish(*proxy);
   return true;
 }
 
-Router::ProxyOutcome Router::proxy_once(Session& session,
-                                        std::uint64_t client_request_id,
-                                        const serve::RolloutRequest& request,
-                                        Backend& backend) {
-  std::string error;
-  std::unique_ptr<BackendConn> conn = backend.checkout(error);
-  if (conn == nullptr) {
-    evict_backend(backend, error);
-    return ProxyOutcome::RetryDead;
+serve::ServiceCapabilities Router::capabilities() const {
+  // The healthy fleet's union of models, summed capacity and workers.
+  std::set<std::string> models;
+  long capacity = 0;
+  long workers = 0;
+  for (const auto& backend : backends_) {
+    if (backend->health() == BackendHealth::Evicted) continue;
+    const BackendCapabilities caps = backend->capabilities();
+    models.insert(caps.models.begin(), caps.models.end());
+    capacity += backend->placement_capacity();
+    workers += caps.workers;
   }
-  // Placement on a never-contacted backend is optimistic; the checkout
-  // above ran the handshake, so the model claim is now checkable.
-  if (!backend.serves(request.model)) {
-    backend.checkin(std::move(conn));
-    return ProxyOutcome::RetryIncapable;
-  }
-  const std::uint64_t backend_id = conn->next_request_id();
-  if (!conn->send_frame(net::encode_rollout_request(backend_id, request))) {
-    evict_backend(backend, "send to " + backend.label() + " failed");
-    return ProxyOutcome::RetryDead;
-  }
-
-  bool streamed = false;
-  for (;;) {
-    net::FrameView frame;
-    std::string read_error;
-    const BackendConn::ReadStatus status =
-        conn->read_frame(frame, read_error, config_.tuning.io_timeout_ms);
-    if (status != BackendConn::ReadStatus::Ok) {
-      evict_backend(backend, read_error);
-      return streamed ? ProxyOutcome::FatalStreamLost
-                      : ProxyOutcome::RetryDead;
-    }
-    if (frame.request_id != backend_id) {
-      conn->close();
-      evict_backend(backend, "backend answered an unknown request id");
-      return streamed ? ProxyOutcome::FatalStreamLost
-                      : ProxyOutcome::RetryDead;
-    }
-
-    std::string parse_error;
-    switch (frame.type) {
-      case net::MessageType::RolloutChunk: {
-        net::WireChunk chunk;
-        if (!net::decode_rollout_chunk(frame, chunk, parse_error)) {
-          conn->close();
-          evict_backend(backend, "bad chunk: " + parse_error);
-          return streamed ? ProxyOutcome::FatalStreamLost
-                          : ProxyOutcome::RetryDead;
-        }
-        if (!send_to_client(session, net::encode_rollout_chunk(
-                                         client_request_id, chunk))) {
-          // Nobody left to stream to. Closing the backend connection makes
-          // the server cancel what it has not finished.
-          conn->close();
-          return ProxyOutcome::ClientLost;
-        }
-        streamed = true;
-        continue;
-      }
-      case net::MessageType::StatusReply: {
-        net::WireStatus wire_status;
-        if (!net::decode_status_reply(frame, wire_status, parse_error)) {
-          conn->close();
-          evict_backend(backend, "bad status reply: " + parse_error);
-          return streamed ? ProxyOutcome::FatalStreamLost
-                          : ProxyOutcome::RetryDead;
-        }
-        backend.mark_healthy();
-        backend.checkin(std::move(conn));
-        if (!send_to_client(session, net::encode_status_reply(
-                                         client_request_id, wire_status)))
-          return ProxyOutcome::ClientLost;
-        return ProxyOutcome::Done;
-      }
-      case net::MessageType::ErrorReply: {
-        net::WireError wire_error;
-        if (!net::decode_error_reply(frame, wire_error, parse_error)) {
-          conn->close();
-          evict_backend(backend, "bad error reply: " + parse_error);
-          return streamed ? ProxyOutcome::FatalStreamLost
-                          : ProxyOutcome::RetryDead;
-        }
-        if (wire_error.code == net::NetError::Busy && !streamed) {
-          // The backend is alive, just full: keep the connection, try a
-          // sibling, and only surface Busy when everyone is.
-          backend.checkin(std::move(conn));
-          retries_.add();
-          return ProxyOutcome::RetryBusy;
-        }
-        if (wire_error.code == net::NetError::ShuttingDown && !streamed) {
-          conn->close();
-          backend.set_draining(true);
-          retries_.add();
-          return ProxyOutcome::RetryDraining;
-        }
-        // Any other backend-side rejection is this request's real answer.
-        backend.checkin(std::move(conn));
-        if (!send_to_client(session, net::encode_error_reply(
-                                         client_request_id, wire_error)))
-          return ProxyOutcome::ClientLost;
-        return ProxyOutcome::Done;
-      }
-      default:
-        conn->close();
-        evict_backend(backend, "unexpected frame type from backend");
-        return streamed ? ProxyOutcome::FatalStreamLost
-                        : ProxyOutcome::RetryDead;
-    }
-  }
+  serve::ServiceCapabilities out;
+  out.workers = static_cast<int>(std::min<long>(workers, 1L << 20));
+  out.models.assign(models.begin(), models.end());
+  out.max_inflight = static_cast<int>(std::min<long>(capacity, 1L << 20));
+  return out;
 }
 
-Backend* Router::pick_backend(const std::string& model,
-                              const std::vector<Backend*>& exclude,
-                              PickOutcome& outcome) {
-  std::lock_guard<std::mutex> lock(placement_mutex_);
+void Router::advance(const std::shared_ptr<Proxy>& proxy,
+                     const std::function<bool()>& step) {
+  bool ended = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ended = step();
+  }
+  if (ended) publish(*proxy);
+}
+
+void Router::publish(Proxy& proxy) {
+  obs::record_manual_span("router.proxy", proxy.started_ns,
+                          obs::trace_now_ns(), proxy.request.trace_id);
+  proxy.promise.set_value(std::move(proxy.result));
+  if (proxy.on_resolved) proxy.on_resolved();
+}
+
+bool Router::place_locked(const std::shared_ptr<Proxy>& proxy) {
+  Proxy& p = *proxy;
+  Backend* backend =
+      p.tried.size() < static_cast<std::size_t>(config_.max_attempts)
+          ? pick_backend_locked(p.request.model, p.tried, p.outcome)
+          : nullptr;
+  if (backend != nullptr) {
+    p.tried.push_back(backend);
+    p.backend = backend;
+    if (std::shared_ptr<BackendConn> conn = backend->take_idle())
+      return send_locked(proxy, conn);
+    p.conn = backend->dial(
+        config_.tuning.hello_timeout_ms,
+        [this, proxy](const std::shared_ptr<BackendConn>& conn,
+                      const std::string& error) {
+          advance(proxy, [&] {
+            if (proxy->conn == conn && error.empty() && conn->reusable())
+              return send_locked(proxy, conn);
+            conn->close();  // cancelled meanwhile, or no usable HELLO
+            return proxy->conn == conn &&
+                   on_lost_locked(proxy, error.empty() ? "closed after hello"
+                                                       : error);
+          });
+        });
+    return false;
+  }
+
+  serve::RolloutResult result;
+  result.trace_id = p.request.trace_id;
+  if ((p.outcome == PickOutcome::NoBackendForModel || p.saw_incapable) &&
+      !p.saw_busy && !p.saw_failure) {
+    // Mirror what a direct server answers, so clients have one code path.
+    result.status = serve::JobStatus::ModelNotFound;
+    result.error = "no backend serves model '" + p.request.model + "'";
+  } else {
+    busy_rejected_.add();
+    result.status = serve::JobStatus::QueueFull;
+    result.error = p.saw_busy ? "every capable backend is at capacity"
+                   : p.saw_failure
+                       ? "no backend could serve the request; retry"
+                       : "no healthy backend available";
+  }
+  return finish_locked(p, std::move(result));
+}
+
+bool Router::send_locked(const std::shared_ptr<Proxy>& proxy,
+                         const std::shared_ptr<BackendConn>& conn) {
+  Proxy& p = *proxy;
+  // Placement on a never-contacted backend is optimistic; the handshake
+  // has run by now, so the model claim is checkable.
+  if (!p.backend->serves(p.request.model)) {
+    p.backend->checkin(conn);
+    end_attempt_locked(p);
+    p.saw_incapable = true;
+    return place_locked(proxy);
+  }
+  p.conn = conn;
+  p.wire_id = conn->next_request_id();
+  p.result.frames.clear();
+  conn->exchange(
+      net::encode_rollout_request(p.wire_id, p.request),
+      config_.tuning.io_timeout_ms,
+      [this, proxy, conn](const net::FrameView& frame) {
+        bool more = false;
+        advance(proxy, [&] {
+          return proxy->conn == conn && on_reply_locked(proxy, frame, more);
+        });
+        return !more;
+      },
+      [this, proxy, conn](const std::string& why) {
+        advance(proxy, [&] {
+          return proxy->conn == conn && on_lost_locked(proxy, why);
+        });
+      });
+  return false;
+}
+
+bool Router::on_reply_locked(const std::shared_ptr<Proxy>& proxy,
+                             const net::FrameView& frame, bool& more) {
+  Proxy& p = *proxy;
+  Backend& backend = *p.backend;
+  const std::shared_ptr<BackendConn> conn = p.conn;
+  std::string parse_error;
+  net::WireChunk chunk;
+  net::WireStatus status;
+  net::WireError error;
+  const bool chunked = frame.type == net::MessageType::RolloutChunk &&
+                       net::decode_rollout_chunk(frame, chunk, parse_error) &&
+                       chunk.first_frame == p.result.frames.size();
+  const bool finished = frame.type == net::MessageType::StatusReply &&
+                        net::decode_status_reply(frame, status, parse_error) &&
+                        status.total_frames == p.result.frames.size();
+  const bool rejected = frame.type == net::MessageType::ErrorReply &&
+                        net::decode_error_reply(frame, error, parse_error);
+  if (frame.request_id != p.wire_id || !(chunked || finished || rejected)) {
+    conn->close();
+    return on_lost_locked(proxy, "bad reply from backend " + parse_error);
+  }
+  if (chunked) {
+    for (std::uint32_t f = 0; f < chunk.num_frames(); ++f) {
+      const auto first = chunk.data.begin() +
+                         static_cast<std::ptrdiff_t>(f) * chunk.frame_len;
+      p.result.frames.emplace_back(first, first + chunk.frame_len);
+    }
+    more = true;
+    return false;
+  }
+  if (rejected && p.result.frames.empty() &&
+      (error.code == net::NetError::Busy ||
+       error.code == net::NetError::ShuttingDown)) {
+    // Busy: alive, just full; keep the connection and only surface Busy
+    // when every sibling is. ShuttingDown: stop placing on it.
+    if (error.code == net::NetError::Busy) {
+      backend.checkin(conn);
+      p.saw_busy = true;
+    } else {
+      conn->close();
+      backend.set_draining(true);
+      p.saw_failure = true;
+    }
+    end_attempt_locked(p);
+    retries_.add();
+    return place_locked(proxy);
+  }
+
+  serve::RolloutResult result = std::move(p.result);
+  if (finished) {
+    backend.mark_healthy();
+    result.status = status.status;
+    result.error = std::move(status.error);
+    result.queue_ms = status.queue_ms;
+    result.exec_ms = status.exec_ms;
+    result.total_ms = status.total_ms;
+    result.trace_id = status.trace_id;
+    result.cached = status.cached;
+    result.cache_outcome = status.cache_outcome;
+    result.phases = status.phases;
+  } else {
+    // Any other rejection is this request's answer: a stacked router's
+    // BackendLost passes through, the rest fail the request.
+    result.status = error.code == net::NetError::BackendLost
+                        ? serve::JobStatus::BackendLost
+                        : serve::JobStatus::ExecutionError;
+    result.error = std::move(error.message);
+    result.trace_id = p.request.trace_id;
+  }
+  backend.checkin(conn);
+  end_attempt_locked(p);
+  return finish_locked(p, std::move(result));
+}
+
+bool Router::on_lost_locked(const std::shared_ptr<Proxy>& proxy,
+                            const std::string& why) {
+  Proxy& p = *proxy;
+  Backend& backend = *p.backend;
+  evict_backend(backend, why);
+  end_attempt_locked(p);
+  if (p.result.frames.empty()) {
+    // The failover everything above is for: nothing streamed, so a
+    // sibling serves the request and the client never knows.
+    failovers_.add();
+    p.saw_failure = true;
+    return place_locked(proxy);
+  }
+  // Past the first chunk the contract is a typed error, never a retry.
+  backend_lost_.add();
+  serve::RolloutResult result;
+  result.status = serve::JobStatus::BackendLost;
+  result.error = "backend " + backend.label() +
+                 " died after its first chunk (" + why + "); not retried";
+  result.trace_id = p.request.trace_id;
+  return finish_locked(p, std::move(result));
+}
+
+void Router::end_attempt_locked(Proxy& proxy) {
+  if (proxy.backend != nullptr) proxy.backend->add_inflight(-1);
+  proxy.backend = nullptr;
+  proxy.conn.reset();
+}
+
+bool Router::finish_locked(Proxy& proxy, serve::RolloutResult result) {
+  if (proxies_.erase(proxy.id) == 0) return false;  // cancel() claimed it
+  result.job_id = proxy.id;
+  proxy.result = std::move(result);
+  return true;
+}
+
+Backend* Router::pick_backend_locked(const std::string& model,
+                                     const std::vector<Backend*>& exclude,
+                                     PickOutcome& outcome) {
   Backend* best = nullptr;
   bool any_healthy = false;
   bool any_unavailable = false;  // capable but saturated or draining
@@ -602,153 +440,62 @@ void Router::update_health_gauge() {
   backends_healthy_.set(healthy);
 }
 
-void Router::probe_loop() {
-  // First sweep a full interval after start: placement is optimistic
-  // about un-probed backends anyway, and a quiet startup keeps tests (and
-  // operators' logs) deterministic.
-  double since_probe_ms = 0.0;
-  Clock::time_point last = Clock::now();
-  while (!draining_.load(std::memory_order_acquire)) {
-    const Clock::time_point now = Clock::now();
-    since_probe_ms += ms_since(last, now);
-    last = now;
-    if (since_probe_ms < config_.probe_interval_ms) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(25));
-      continue;
-    }
-    since_probe_ms = 0.0;
-    for (const auto& backend : backends_) {
-      if (draining_.load(std::memory_order_acquire)) return;
-      probe_backend(*backend);
-    }
-    update_health_gauge();
-  }
+void Router::arm_sweep_locked(Clock::time_point due) {
+  tasks_.add();
+  sweep_timer_ = exec::Executor::global().schedule_at(due, [this] {
+    sweep();
+    tasks_.done();
+  });
 }
 
-void Router::probe_backend(Backend& backend) {
-  std::string error;
-  if (backend.health() == BackendHealth::Evicted) {
-    if (!backend.readmit_due()) return;
-    // Re-admission handshakes from scratch: the peer may have restarted as
-    // a different binary with different models.
-    std::unique_ptr<BackendConn> conn = backend.checkout(error);
-    if (conn == nullptr) {
-      backend.evict();  // extends the backoff; still one eviction event
+void Router::sweep() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    sweep_timer_ = 0;
+    sweep_started_ = Clock::now();
+  }
+  probe(0);
+}
+
+void Router::probe(std::size_t index) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) return;  // stop() waits for this sweep: end it here
+    if (index == backends_.size()) {
+      update_health_gauge();
+      arm_sweep_locked(std::max(
+          Clock::now(), sweep_started_ + from_ms(config_.probe_interval_ms)));
       return;
     }
-    backend.mark_healthy();
-    backend.checkin(std::move(conn));
-    readmissions_.add();
-    GNS_INFO("router: re-admitted backend " << backend.label());
-    return;
   }
-
-  std::unique_ptr<BackendConn> conn = backend.checkout(error);
-  if (conn == nullptr) {
-    evict_backend(backend, "probe: " + error);
+  Backend& backend = *backends_[index];
+  const bool evicted = backend.health() == BackendHealth::Evicted;
+  if (evicted && !backend.readmit_due()) {
+    probe(index + 1);
     return;
   }
   probes_.add();
-  // A StatsRequest with a deadline. Beyond liveness it refreshes the
-  // draining flag, so an independently draining backend stops receiving
-  // placements within one probe interval.
-  const std::uint64_t request_id = conn->next_request_id();
-  net::WireStatsRequest stats_request;
-  stats_request.format = net::WireStatsRequest::kJson;
-  if (!conn->send_frame(
-          net::encode_stats_request(request_id, stats_request))) {
-    evict_backend(backend, "probe send failed");
-    return;
-  }
-  net::FrameView frame;
-  const BackendConn::ReadStatus status =
-      conn->read_frame(frame, error, config_.probe_timeout_ms);
-  net::WireStatsReply reply;
-  std::string parse_error;
-  if (status != BackendConn::ReadStatus::Ok ||
-      frame.type != net::MessageType::StatsReply ||
-      frame.request_id != request_id ||
-      !net::decode_stats_reply(frame, reply, parse_error)) {
-    conn->close();
-    evict_backend(backend, "probe: " + (error.empty() ? parse_error : error));
-    return;
-  }
-  backend.set_draining(reply.draining != 0);
-  backend.mark_healthy();
-  backend.checkin(std::move(conn));
-}
-
-void Router::answer_stats(Session& session, const net::FrameView& frame) {
-  net::WireStatsRequest request;
-  std::string parse_error;
-  if (!net::decode_stats_request(frame, request, parse_error)) {
-    send_error(session, frame.request_id, net::NetError::Malformed,
-               parse_error);
-    return;
-  }
-  net::WireStatsReply reply;
-  reply.uptime_ms = ms_since(started_, Clock::now());
-  reply.inflight = static_cast<std::uint32_t>(
-      std::max(0, inflight_.load(std::memory_order_relaxed)));
-  reply.queue_depth = 0;  // the router never queues; Busy is immediate
-  reply.active_connections = static_cast<std::uint32_t>(
-      std::max(0, active_clients_.load(std::memory_order_relaxed)));
-  reply.draining = draining_.load(std::memory_order_acquire) ? 1 : 0;
-  reply.format = request.format;
-  reply.body = request.format == net::WireStatsRequest::kPrometheus
-                   ? obs::MetricsRegistry::global().to_prometheus()
-                   : obs::MetricsRegistry::global().to_json();
-  (void)send_to_client(session,
-                       net::encode_stats_reply(frame.request_id, reply));
-}
-
-void Router::answer_hello(Session& session, const net::FrameView& frame) {
-  net::WireHello hello;
-  std::string parse_error;
-  if (!net::decode_hello(frame, hello, parse_error)) {
-    send_error(session, frame.request_id, net::NetError::Malformed,
-               parse_error);
-    return;
-  }
-  // Aggregate capability of the healthy fleet: union of models, summed
-  // capacity. A router in front of routers works the same as one in front
-  // of servers.
-  net::WireHelloReply reply;
-  reply.draining = draining_.load(std::memory_order_acquire) ? 1 : 0;
-  std::set<std::string> models;
-  long capacity = 0;
-  long workers = 0;
-  for (const auto& backend : backends_) {
-    if (backend->health() == BackendHealth::Evicted) continue;
-    const BackendCapabilities caps = backend->capabilities();
-    for (const std::string& model : caps.models) models.insert(model);
-    capacity += backend->placement_capacity();
-    workers += caps.workers;
-  }
-  reply.max_inflight = static_cast<std::uint32_t>(
-      std::min<long>(capacity, 1L << 20));
-  reply.current_inflight = static_cast<std::uint32_t>(
-      std::max(0, inflight_.load(std::memory_order_relaxed)));
-  reply.workers =
-      static_cast<std::uint32_t>(std::min<long>(workers, 1L << 20));
-  reply.models.assign(models.begin(), models.end());
-  if (reply.models.size() > net::kMaxHelloModels)
-    reply.models.resize(net::kMaxHelloModels);
-  (void)send_to_client(session,
-                       net::encode_hello_reply(frame.request_id, reply));
-}
-
-bool Router::send_to_client(Session& session,
-                            const std::vector<std::uint8_t>& frame) {
-  const int fd = session.fd.load(std::memory_order_acquire);
-  if (fd < 0) return false;
-  return send_all(fd, frame.data(), frame.size());
-}
-
-void Router::send_error(Session& session, std::uint64_t request_id,
-                        net::NetError code, const std::string& message) {
-  (void)send_to_client(session,
-                       net::encode_error_reply(request_id, {code, message}));
+  // A HELLO with a deadline on a pooled or fresh connection (an evicted
+  // backend's pool is closed); its reply refreshes models and draining.
+  Backend::HelloDone done = [this, &backend, evicted, index](
+                                const std::shared_ptr<BackendConn>& conn,
+                                const std::string& error) {
+    if (!error.empty()) {
+      evict_backend(backend, "probe: " + error);  // or extend its backoff
+    } else {
+      backend.mark_healthy();
+      backend.checkin(conn);
+      if (evicted) {
+        readmissions_.add();
+        GNS_INFO("router: re-admitted backend " << backend.label());
+      }
+    }
+    probe(index + 1);
+  };
+  if (std::shared_ptr<BackendConn> conn = backend.take_idle())
+    backend.hello(conn, config_.probe_timeout_ms, std::move(done));
+  else
+    backend.dial(config_.probe_timeout_ms, std::move(done));
 }
 
 }  // namespace gns::router

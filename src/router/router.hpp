@@ -3,66 +3,37 @@
 /// \file router.hpp
 /// Front door of a rollout fleet: one process that speaks the same wire
 /// protocol as `serve_rollouts --listen` and load-balances every
-/// RolloutRequest across N backend servers.
+/// RolloutRequest across N backend servers. DESIGN.md §11 has the
+/// placement, failover, health and drain contract.
 ///
-/// Placement needs no config file: backends are given as host:port pairs
-/// and everything else is learned over the wire. On first contact the
-/// router sends a HELLO; the backend answers with its protocol version,
-/// loaded model names, and in-flight capacity. Work goes to the
-/// least-in-flight healthy backend that serves the requested model and has
-/// a free slot.
+/// Placement needs no config file: a HELLO handshake learns each backend's
+/// models and in-flight capacity, and work goes to the least-in-flight
+/// healthy backend that serves the model and has a free slot. The router
+/// relays a rollout whole: it collects a backend's chunks and resolves on
+/// its StatusReply. A backend that dies before its first chunk is retried
+/// on a sibling; one that dies after it is a typed BackendLost. A probe
+/// sweep sends each backend a HELLO with a deadline; a miss, or an I/O
+/// failure on any request, evicts it until a later probe re-admits it.
 ///
-/// Failure semantics, the contract the fault-injection suite pins:
-///  - a backend that dies BEFORE its first chunk is evicted and the
-///    request transparently retries on a sibling — rollouts are
-///    idempotent, the client sees one clean stream, bitwise identical to a
-///    direct rollout;
-///  - a backend that dies AFTER streaming began cannot be retried without
-///    duplicating frames: the client gets a typed ErrorReply{BackendLost};
-///  - a Busy backend is skipped for a sibling; when every capable backend
-///    is busy the Busy travels end-to-end so the client's backoff loop —
-///    the fleet's real admission queue — takes over;
-///  - trace_ids pass through both hops untouched, so one id greps across
-///    client, router, and backend logs.
-///
-/// Health: a probe loop sends each backend a periodic StatsRequest with a
-/// deadline. A timeout or I/O failure — from the probe or from any proxied
-/// request — evicts the backend: its pool closes and placement skips it.
-/// Eviction starts an exponentially growing re-admission backoff; once
-/// due, the probe loop re-handshakes (HELLO again: the peer may have come
-/// back as a different binary) and a success re-admits.
-///
-/// The router answers StatsRequest with its OWN metrics (router.* —
-/// evictions, failovers, per-backend health) and HELLO with the aggregate
-/// capability of its healthy fleet (union of models, summed capacity), so
-/// routers stack behind routers.
-///
-/// Drain ordering for a whole fleet: drain the router FIRST (stop
-/// admitting, finish proxied streams, close backend connections), then
-/// drain the backends — the reverse order would drop the router's
-/// in-flight work. Router::stop() implements the router half; no accepted
-/// request is dropped.
-///
-/// Threading: one acceptor thread, one probe thread, one thread per client
-/// connection (blocking proxy loop — a router fronts few clients each
-/// issuing streams, not thousands of idle sockets). The acceptor joins
-/// finished client threads before it admits the next client, so a
-/// long-lived router holds only its live sessions. Backend connections
-/// are pooled per backend and exclusively checked out per request.
+/// The router owns no threads. Its client side is a net::Server serving it
+/// as a serve::RolloutService (accept, decode, timeouts, drain, stats and
+/// HELLO). Each backend connection is a nonblocking socket with one
+/// executor watch and one timer, and the sweep is one executor timer. Only
+/// getaddrinfo on a backend given by host name can block a worker.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <list>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "net/protocol.hpp"
+#include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "router/backend.hpp"
+#include "serve/service.hpp"
 
 namespace gns::router {
 
@@ -94,53 +65,34 @@ struct BackendSnapshot {
   int inflight = 0;
 };
 
-class Router {
+class Router final : private serve::RolloutService {
  public:
   explicit Router(RouterConfig config);
-  ~Router();  ///< calls stop()
+  ~Router() override;  ///< calls stop()
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Binds and starts the acceptor + probe threads. Does NOT wait for any
-  /// backend: dead ones stay Unknown/Evicted until the probe loop reaches
+  /// Binds the client listener and arms the probe sweep. Does NOT wait for
+  /// any backend: dead ones stay Unknown/Evicted until a sweep reaches
   /// them, and requests simply avoid them.
   [[nodiscard]] bool start();
 
-  /// Graceful drain: stop accepting, answer new requests with
-  /// ShuttingDown, let in-flight proxied streams finish (bounded by
-  /// drain_timeout_ms), close backend connections. Idempotent.
+  /// Graceful drain — drain the router before its backends: the server
+  /// stops accepting, answers new requests with ShuttingDown and lets
+  /// in-flight requests finish (bounded by drain_timeout_ms); then the
+  /// sweep stops and the backend connections close. Idempotent.
   void stop();
 
-  [[nodiscard]] bool running() const {
-    return running_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] int port() const { return port_; }
+  [[nodiscard]] bool running() const { return server_.running(); }
+  [[nodiscard]] int port() const { return server_.port(); }
   [[nodiscard]] std::vector<BackendSnapshot> snapshot() const;
 
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// One client connection and the thread serving it; registered so
-  /// stop() can shutdown() stragglers past the drain deadline. `done` is
-  /// the thread's last write: once it is set, a join returns at once.
-  struct Session {
-    std::atomic<int> fd{-1};
-    std::atomic<bool> done{false};
-    std::thread thread;
-  };
-
-  enum class ProxyOutcome {
-    Done,           ///< a terminal frame reached the client
-    ClientLost,     ///< the client went away mid-stream; tear down
-    RetryBusy,      ///< backend answered Busy; try a sibling
-    RetryDraining,  ///< backend is draining; try a sibling
-    RetryDead,      ///< backend died before its first chunk; evicted
-    /// Placement was optimistic (capabilities unknown) but the checkout
-    /// handshake revealed the backend does not serve the model.
-    RetryIncapable,
-    FatalStreamLost  ///< backend died after streaming began
-  };
+  /// One client request being placed and relayed.
+  struct Proxy;
 
   enum class PickOutcome {
     Picked,
@@ -149,51 +101,67 @@ class Router {
     AllDown             ///< nothing healthy at all
   };
 
-  void acceptor_loop();
-  void probe_loop();
-  void probe_backend(Backend& backend);
-  void serve_client(std::shared_ptr<Session> session);
-  /// Dispatches one decoded client frame. False when the session must end.
-  bool dispatch_frame(Session& session, const net::FrameView& frame);
-  bool proxy_rollout(Session& session, const net::FrameView& frame);
-  ProxyOutcome proxy_once(Session& session, std::uint64_t client_request_id,
-                          const serve::RolloutRequest& request,
-                          Backend& backend);
-  void answer_stats(Session& session, const net::FrameView& frame);
-  void answer_hello(Session& session, const net::FrameView& frame);
+  // serve::RolloutService: what the client-side server calls.
+  [[nodiscard]] serve::JobTicket submit(
+      serve::RolloutRequest request,
+      std::function<void()> on_resolved) override;
+  /// Closes the request's backend connection, so the backend cancels what
+  /// it has not finished, and resolves it Cancelled.
+  bool cancel(std::uint64_t job_id) override;
+  [[nodiscard]] int queue_depth() const override { return 0; }
+  [[nodiscard]] serve::ServiceCapabilities capabilities() const override;
+
+  /// Runs one step of `proxy` under mutex_. Each *_locked step returns
+  /// true when it ended the proxy, which advance() then publishes.
+  void advance(const std::shared_ptr<Proxy>& proxy,
+               const std::function<bool()>& step);
+  /// Fulfils an ended proxy's future and sends its notice, unlocked.
+  static void publish(Proxy& proxy);
+  /// Places the proxy on the next backend, or ends it when none is left.
+  bool place_locked(const std::shared_ptr<Proxy>& proxy);
+  bool send_locked(const std::shared_ptr<Proxy>& proxy,
+                   const std::shared_ptr<BackendConn>& conn);
+  /// One reply frame; `more` is set while the relay waits for the next.
+  bool on_reply_locked(const std::shared_ptr<Proxy>& proxy,
+                       const net::FrameView& frame, bool& more);
+  /// The current backend failed: evict it, then fail over, or end the
+  /// proxy BackendLost after its first chunk.
+  bool on_lost_locked(const std::shared_ptr<Proxy>& proxy,
+                      const std::string& why);
+  /// Releases the current backend's slot and connection.
+  static void end_attempt_locked(Proxy& proxy);
+  /// Claims the proxy for `result`; false when cancel() claimed it first.
+  bool finish_locked(Proxy& proxy, serve::RolloutResult result);
 
   /// Picks the least-in-flight capable backend and reserves one in-flight
   /// slot on it; the caller releases the slot with add_inflight(-1).
-  Backend* pick_backend(const std::string& model,
-                        const std::vector<Backend*>& exclude,
-                        PickOutcome& outcome);
+  Backend* pick_backend_locked(const std::string& model,
+                               const std::vector<Backend*>& exclude,
+                               PickOutcome& outcome);
   void evict_backend(Backend& backend, const std::string& why);
   void update_health_gauge();
 
-  bool send_to_client(Session& session,
-                      const std::vector<std::uint8_t>& frame);
-  void send_error(Session& session, std::uint64_t request_id,
-                  net::NetError code, const std::string& message);
+  // Probe sweep: one executor timer, re-armed once its last probe ends.
+  void arm_sweep_locked(Clock::time_point due);
+  void sweep();
+  /// Probes backends_[index], then the next one.
+  void probe(std::size_t index);
 
   RouterConfig config_;
+  TaskCount tasks_;  ///< the router's executor callbacks; stop() waits
   std::vector<std::unique_ptr<Backend>> backends_;
+  net::Server server_;
 
-  int listen_fd_ = -1;
-  int port_ = 0;
-  Clock::time_point started_{};
-  std::atomic<bool> running_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<int> active_clients_{0};
-  std::atomic<int> inflight_{0};
   std::once_flag stop_once_;
-  /// Held across pick_backend's scan and reservation, so sessions placing
-  /// at the same time see each other's slots.
-  std::mutex placement_mutex_;
 
-  std::thread acceptor_;
-  std::thread prober_;
-  std::mutex sessions_mutex_;
-  std::list<std::shared_ptr<Session>> sessions_;
+  /// Guards the proxies, placement and the sweep state. Lock order:
+  /// mutex_, then a Backend's or a BackendConn's own mutex.
+  mutable std::mutex mutex_;
+  std::map<std::uint64_t, std::shared_ptr<Proxy>> proxies_;
+  std::uint64_t next_proxy_ = 1;
+  bool stopping_ = false;  ///< no new sweeps
+  exec::Executor::TimerId sweep_timer_ = 0;
+  Clock::time_point sweep_started_{};
 
   // router.* instruments (cached handles; registry owns them).
   obs::Counter& requests_;
@@ -205,8 +173,6 @@ class Router {
   obs::Counter& busy_rejected_;
   obs::Counter& probes_;
   obs::Gauge& backends_healthy_;
-  obs::Gauge& inflight_gauge_;
-  obs::Gauge& active_clients_gauge_;
 };
 
 }  // namespace gns::router

@@ -27,6 +27,7 @@ enum class JobStatus {
   ModelNotFound,     ///< registry has no model under the requested name
   ExecutionError,    ///< rollout threw (bad shapes, NaN guard, ...)
   ShutDown,          ///< scheduler shut down without draining this job
+  BackendLost,  ///< router: backend died after chunk one (ErrorReply only)
 };
 
 [[nodiscard]] inline const char* to_string(JobStatus s) {
@@ -38,6 +39,7 @@ enum class JobStatus {
     case JobStatus::ModelNotFound: return "model_not_found";
     case JobStatus::ExecutionError: return "execution_error";
     case JobStatus::ShutDown: return "shut_down";
+    case JobStatus::BackendLost: return "backend_lost";
   }
   return "unknown";
 }

@@ -176,7 +176,7 @@ JobTicket JobScheduler::submit(RolloutRequest request,
   result.status = rejection;
   switch (rejection) {
     case JobStatus::QueueFull:
-      result.error = "queue at capacity";
+      result.error = "scheduler queue full";
       break;
     case JobStatus::DeadlineExceeded:
       result.error = "deadline already expired at submit";

@@ -72,6 +72,7 @@
 #include "exec/executor.hpp"
 #include "serve/job.hpp"
 #include "serve/registry.hpp"
+#include "serve/service.hpp"
 #include "serve/stats.hpp"
 #include "store/rollout_cache.hpp"
 
@@ -98,14 +99,7 @@ struct SchedulerConfig {
   std::shared_ptr<store::RolloutCache> cache;
 };
 
-/// submit()'s return: the job id (usable with cancel()) and the future
-/// that resolves to the job's terminal RolloutResult.
-struct JobTicket {
-  std::uint64_t id = 0;
-  std::future<RolloutResult> result;
-};
-
-class JobScheduler {
+class JobScheduler final : public RolloutService {
  public:
   /// The registry must outlive the scheduler. Stats are owned here and
   /// readable at any time via stats().
@@ -114,28 +108,23 @@ class JobScheduler {
 
   /// Drains the queue (shutdown(true)) and waits for every task and timer
   /// this scheduler put on the executor.
-  ~JobScheduler();
+  ~JobScheduler() override;
 
   JobScheduler(const JobScheduler&) = delete;
   JobScheduler& operator=(const JobScheduler&) = delete;
 
-  /// Enqueues a job. Never blocks: a full queue, a stopped scheduler, or
-  /// an already-expired deadline (request.deadline_ms < 0) resolves the
-  /// future immediately with QueueFull / ShutDown / DeadlineExceeded.
-  ///
-  /// `on_resolved`, when set, is called once, right after the future's
-  /// value is set, on whichever thread resolved the job — inside submit()
-  /// itself for a rejection or a cache hit. It is a notice only (the
-  /// future carries the result): it must not block, and must not take a
-  /// lock the caller of submit() holds.
-  [[nodiscard]] JobTicket submit(RolloutRequest request,
-                                 std::function<void()> on_resolved = {});
+  /// Enqueues a job (RolloutService::submit). A full queue, a stopped
+  /// scheduler, or an already-expired deadline (request.deadline_ms < 0)
+  /// resolves the future immediately with QueueFull / ShutDown /
+  /// DeadlineExceeded; so does a cache hit, with its frames.
+  [[nodiscard]] JobTicket submit(
+      RolloutRequest request, std::function<void()> on_resolved = {}) override;
 
   /// Requests cancellation. A queued job resolves Cancelled without
   /// running; a running job stops after its current step and returns the
   /// frames computed so far. Returns false when the job is unknown or
   /// already resolved.
-  bool cancel(std::uint64_t job_id);
+  bool cancel(std::uint64_t job_id) override;
 
   /// Stops dispatching new jobs (running chains finish). Queued jobs keep
   /// their place and their deadlines keep ticking. Used for deterministic
@@ -148,10 +137,18 @@ class JobScheduler {
   /// Idempotent; the destructor calls shutdown(true).
   void shutdown(bool drain = true);
 
-  [[nodiscard]] int queue_depth() const;
+  [[nodiscard]] int queue_depth() const override;
   /// Concurrency cap: max concurrent rollout chains. Advertised in HELLO
   /// capability replies.
   [[nodiscard]] int workers() const { return config_.workers; }
+  /// workers() and the registry's names; in flight, the front-end's cap.
+  [[nodiscard]] ServiceCapabilities capabilities() const override {
+    return {config_.workers, registry_->names(), std::nullopt};
+  }
+  void on_serialize(double serialize_us) override {
+    stats_.on_serialize(serialize_us);
+  }
+  void on_write(double write_us) override { stats_.on_write(write_us); }
   [[nodiscard]] ServerStats& stats() { return stats_; }
   [[nodiscard]] const ServerStats& stats() const { return stats_; }
   /// The model registry this scheduler executes against — what a HELLO

@@ -15,7 +15,8 @@
 ///                   rejection;
 ///   ServerStats   — throughput, queue depth, and p50/p95/p99 latency
 ///                   histograms, dumpable as CSV/JSON for
-///                   scripts/plot_results.py.
+///                   scripts/plot_results.py;
+///   RolloutService — the calls net::Server makes; JobScheduler has them.
 ///
 /// See examples/serve_rollouts.cpp for an end-to-end driver and
 /// bench/bench_serve_throughput.cpp for worker-scaling measurements.
@@ -24,4 +25,5 @@
 #include "serve/job.hpp"        // IWYU pragma: export
 #include "serve/registry.hpp"   // IWYU pragma: export
 #include "serve/scheduler.hpp"  // IWYU pragma: export
+#include "serve/service.hpp"    // IWYU pragma: export
 #include "serve/stats.hpp"      // IWYU pragma: export

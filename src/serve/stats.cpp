@@ -102,6 +102,7 @@ void ServerStats::on_resolved(const RolloutResult& result, int queue_depth) {
       break;
     case JobStatus::ModelNotFound:
     case JobStatus::ExecutionError:
+    case JobStatus::BackendLost:
       failed_.add();
       break;
   }

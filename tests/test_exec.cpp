@@ -8,6 +8,7 @@
 #include <poll.h>
 #include <sched.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -15,8 +16,10 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <fstream>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -224,6 +227,54 @@ TEST(ExecutorTest, LeavesWorkersUnpinnedWhenThereAreMoreWorkersThanCpus) {
   Executor ex(workers);
   for (const cpu_set_t& mask : worker_masks(ex, workers))
     EXPECT_TRUE(CPU_EQUAL(&mask, &allowed));
+}
+
+/// The kernel thread ids of all `workers` workers, read like worker_masks.
+std::vector<pid_t> worker_tids(Executor& ex, int workers) {
+  std::atomic<int> arrived{0};
+  std::mutex m;
+  std::vector<pid_t> tids;
+  for (int t = 0; t < workers; ++t)
+    ex.submit([&] {
+      arrived.fetch_add(1);
+      const bool all = eventually([&] { return arrived.load() == workers; });
+      const auto tid = static_cast<pid_t>(::syscall(SYS_gettid));
+      std::lock_guard<std::mutex> lock(m);
+      if (all) tids.push_back(tid);
+    });
+  EXPECT_TRUE(eventually([&] {
+    std::lock_guard<std::mutex> lock(m);
+    return static_cast<int>(tids.size()) == workers;
+  }));
+  std::lock_guard<std::mutex> lock(m);
+  return tids;
+}
+
+/// voluntary_ctxt_switches of thread `tid` of this process, -1 if unread.
+long voluntary_switches(pid_t tid) {
+  std::ifstream status("/proc/self/task/" + std::to_string(tid) + "/status");
+  const std::string key = "voluntary_ctxt_switches:";
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind(key, 0) == 0) return std::stol(line.substr(key.size()));
+  return -1;
+}
+
+TEST(ExecutorTest, IdleWorkersStayParked) {
+  Executor ex(2);
+  const std::vector<pid_t> tids = worker_tids(ex, 2);
+  ASSERT_EQ(tids.size(), 2u);
+  ASSERT_NE(tids[0], tids[1]);
+  std::this_thread::sleep_for(50ms);  // both workers park
+  std::vector<long> before;
+  for (const pid_t tid : tids) {
+    before.push_back(voluntary_switches(tid));
+    ASSERT_GE(before.back(), 0);
+  }
+  // Nothing is submitted: a parked worker has no reason to wake up.
+  std::this_thread::sleep_for(300ms);
+  for (std::size_t i = 0; i < tids.size(); ++i)
+    EXPECT_LE(voluntary_switches(tids[i]) - before[i], 1)
+        << "worker " << i << " woke while the executor was idle";
 }
 
 // ---------------------------------------------------------------------------

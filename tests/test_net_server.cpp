@@ -363,6 +363,11 @@ TEST(NetServer, BackpressureBusyThenRetrySucceeds) {
   Harness h(cfg, sched_cfg(1, 8));
   ASSERT_TRUE(h.start());
 
+  // Counters are process-wide: read them as deltas, so the test repeats.
+  obs::Counter& busy_count =
+      obs::MetricsRegistry::global().counter("net_t4.rejected_backpressure");
+  const std::uint64_t busy_before = busy_count.value();
+
   // Paused workers pin the first job in-flight deterministically.
   h.scheduler->pause();
   std::thread first([&] {
@@ -401,9 +406,8 @@ TEST(NetServer, BackpressureBusyThenRetrySucceeds) {
     EXPECT_GE(r.busy_retries, 1);
   });
   // Hold the server full until the retrying client has been rejected once.
-  obs::Counter& busy_count =
-      obs::MetricsRegistry::global().counter("net_t4.rejected_backpressure");
-  while (busy_count.value() < 2) {  // no-retry client + second's 1st attempt
+  // No-retry client + second's 1st attempt.
+  while (busy_count.value() - busy_before < 2) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "second client never saw Busy";
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -705,6 +709,9 @@ TEST(NetServer, RetiredProtocolVersionGetsFatalBadVersion) {
 
   // A client still speaking v2: a well-formed request whose header names a
   // retired version. The server must refuse it, not serve it.
+  obs::Counter& bad_version =
+      obs::MetricsRegistry::global().counter("net_t8.reject.bad_version");
+  const std::uint64_t bad_version_before = bad_version.value();
   auto wire = encode_rollout_request(77, small_request(*h.sim, 5));
   wire[4] = 2;  // header version byte
   const int fd = raw_connect(h.server->port());
@@ -726,10 +733,7 @@ TEST(NetServer, RetiredProtocolVersionGetsFatalBadVersion) {
             buf.begin() + static_cast<std::ptrdiff_t>(frame.frame_bytes));
   EXPECT_FALSE(raw_read_frame(fd, buf, frame));
   ::close(fd);
-  EXPECT_EQ(obs::MetricsRegistry::global()
-                .counter("net_t8.reject.bad_version")
-                .value(),
-            1u);
+  EXPECT_EQ(bad_version.value() - bad_version_before, 1u);
   h.server->stop();
 }
 

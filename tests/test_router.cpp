@@ -3,18 +3,21 @@
 // killed before its first chunk fails over transparently (bitwise-identical
 // stream), one killed after streaming surfaces a typed BackendLost, slow
 // backends are evicted and re-admitted, a full fleet surfaces Busy, drain
-// loses zero accepted jobs, and finished client sessions release their
-// threads.
+// loses zero accepted jobs, finished client connections leave nothing
+// behind, the router owns no threads, and a client stalled mid-frame
+// does not hold up the drain.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "core/trainer.hpp"
+#include "exec/executor.hpp"
 #include "net/net.hpp"
 #include "net_fault.hpp"
 #include "obs/obs.hpp"
@@ -509,8 +513,15 @@ TEST(RouterFleet, DrainUnderLoadLosesZeroAcceptedJobs) {
            kClients;
   }));
   // A connection accepted before the drain begins, submitting during it.
+  // A completed connect() is not yet an accept: wait for the router to
+  // take it, or the drain may close the listener with it in the backlog.
   net::Client late(client_cfg(router));
   ASSERT_TRUE(late.connect());
+  ASSERT_TRUE(eventually([] {
+    return obs::MetricsRegistry::global()
+               .gauge("rt7.active_connections")
+               .value() >= kClients + 1;
+  }));
 
   std::thread stopper([&] { router.stop(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -555,10 +566,11 @@ TEST(RouterFleet, FinishedClientSessionsAreReleased) {
   Router router(router_cfg("rt8", {a.server->port()}));
   ASSERT_TRUE(router.start());
 
-  // Each client connection gets its own session thread. A thread that has
-  // exited but was never joined keeps its stack and guard page mapped, so
-  // 200 short-lived clients would leave ~400 mappings behind; a router
-  // that reaps its finished sessions holds on to almost none.
+  // A finished client must leave nothing mapped behind. A router that gave
+  // each client a thread and never joined the exited ones kept their
+  // stacks and guard pages mapped: 200 short-lived clients left ~400
+  // mappings. One that releases its finished connections holds on to
+  // almost none.
   const long before = mapping_count();
   for (int i = 0; i < 200; ++i) {
     net::WireHelloReply hello;
@@ -572,6 +584,86 @@ TEST(RouterFleet, FinishedClientSessionsAreReleased) {
   EXPECT_LT(mapping_count() - before, 50);
 
   router.stop();
+  a.server->stop();
+}
+
+/// Entries of /proc/self/task: one per thread of this process.
+long thread_count() {
+  long threads = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++threads;
+  return threads;
+}
+
+double gauge(const std::string& name) {
+  return obs::MetricsRegistry::global().gauge(name).value();
+}
+
+TEST(RouterFleet, RouterOwnsNoThreads) {
+  // The executor's workers and event thread, and the backend, come first:
+  // they are the threads the router shares.
+  (void)exec::Executor::global();
+  BackendHarness a(backend_cfg("rt9a"));
+  ASSERT_TRUE(a.start());
+  const long before = thread_count();
+
+  Router router(router_cfg("rt9", {a.server->port()}));
+  ASSERT_TRUE(router.start());
+  EXPECT_EQ(thread_count(), before);
+
+  // Open clients are executor watches, not threads.
+  std::vector<int> fds;
+  for (int i = 0; i < 8; ++i) fds.push_back(raw_connect(router.port()));
+  ASSERT_TRUE(
+      eventually([] { return gauge("rt9.active_connections") == 8.0; }));
+  EXPECT_EQ(thread_count(), before);
+
+  for (const int fd : fds) ::close(fd);
+  router.stop();
+  a.server->stop();
+}
+
+/// True when the peer closes `fd` (recv reads 0) within two seconds.
+bool reads_eof(int fd) {
+  timeval tv{};
+  tv.tv_sec = 2;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::uint8_t byte = 0;
+  return ::recv(fd, &byte, 1, 0) == 0;
+}
+
+TEST(RouterFleet, StalledPartialFrameDoesNotHoldTheDrain) {
+  BackendHarness a(backend_cfg("rt10a"));
+  ASSERT_TRUE(a.start());
+  RouterConfig cfg = router_cfg("rt10", {a.server->port()});
+  cfg.drain_timeout_ms = 2000.0;
+  Router router(cfg);
+  ASSERT_TRUE(router.start());
+
+  // One client stops 10 bytes into a frame header; another stays
+  // connected and idle. Neither has a request in flight, so the drain
+  // owes them nothing.
+  const double rx_before = counter("rt10.bytes_rx");
+  const int stalled = raw_connect(router.port());
+  const int idle = raw_connect(router.port());
+  const auto wire = net::encode_hello(1, net::WireHello{});
+  ASSERT_EQ(::send(stalled, wire.data(), 10, MSG_NOSIGNAL), 10);
+  ASSERT_TRUE(
+      eventually([] { return gauge("rt10.active_connections") == 2.0; }));
+  ASSERT_TRUE(eventually(
+      [&] { return counter("rt10.bytes_rx") - rx_before >= 10.0; }));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  router.stop();
+  const double stop_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_LT(stop_ms, 500.0);
+  EXPECT_TRUE(reads_eof(stalled));
+  EXPECT_TRUE(reads_eof(idle));
+  ::close(stalled);
+  ::close(idle);
   a.server->stop();
 }
 
