@@ -268,11 +268,7 @@ bool Executor::on_worker_thread() const { return t_owner == this; }
 
 Executor::TimerId Executor::schedule_after(double delay_ms,
                                            std::function<void()> fn) {
-  return schedule_at(Clock::now() +
-                         std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double, std::milli>(
-                                 delay_ms < 0.0 ? 0.0 : delay_ms)),
-                     std::move(fn));
+  return schedule_at(Clock::now() + from_ms(delay_ms), std::move(fn));
 }
 
 Executor::TimerId Executor::schedule_at(Clock::time_point due,

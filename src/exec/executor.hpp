@@ -28,6 +28,7 @@
 /// any GNS_EXEC_WORKERS (see DESIGN.md §13 for the argument).
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -49,6 +50,12 @@ namespace gns::exec {
 /// Worker count the global executor will use: GNS_EXEC_WORKERS, else
 /// std::thread::hardware_concurrency().
 int default_workers();
+
+/// `ms` milliseconds (clamped at 0) as a duration of the executor's clock.
+[[nodiscard]] inline EventThread::Clock::duration from_ms(double ms) {
+  return std::chrono::duration_cast<EventThread::Clock::duration>(
+      std::chrono::duration<double, std::milli>(ms < 0.0 ? 0.0 : ms));
+}
 
 /// Point-in-time executor counters for benches and the stats endpoint.
 struct ExecutorStats {
@@ -145,6 +152,32 @@ class Executor {
   std::atomic<std::uint64_t> busy_ns_{0};
 
   EventThread events_;
+};
+
+/// An owner's executor callbacks that are armed or submitted and not yet
+/// finished, so the owner can wait until none can run. Each is counted
+/// (add) before it is armed or submitted, and uncounted (done) when its
+/// task ends, or when unwatch()/cancel_timer() returns true.
+class TaskCount {
+ public:
+  void add() {
+    std::lock_guard<std::mutex> lock(m_);
+    ++count_;
+  }
+  void done() {
+    std::lock_guard<std::mutex> lock(m_);
+    if (--count_ == 0) idle_.notify_all();
+  }
+  /// Blocks until the count is zero.
+  void wait_idle() {
+    std::unique_lock<std::mutex> lock(m_);
+    idle_.wait(lock, [this] { return count_ == 0; });
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable idle_;
+  int count_ = 0;
 };
 
 }  // namespace gns::exec

@@ -37,11 +37,6 @@ double ms_since(std::chrono::steady_clock::time_point then,
   return std::chrono::duration<double, std::milli>(now - then).count();
 }
 
-std::chrono::steady_clock::duration from_ms(double ms) {
-  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::milli>(ms));
-}
-
 }  // namespace
 
 Server::Server(serve::RolloutService& service, ServerConfig config)
@@ -132,11 +127,11 @@ bool Server::start() {
     // The first accept task can run before watch() returns; it re-arms
     // through listen_watch_, so publish the id under the same lock.
     std::lock_guard<std::mutex> lock(listen_mutex_);
-    ++exec_pending_;
+    tasks_.add();
     listen_watch_ = exec::Executor::global().watch(
         listen_fd_, POLLIN, [this](short) {
           exec_accept();
-          --exec_pending_;
+          tasks_.done();
         });
   }
   GNS_INFO("net: serving on " << config_.host << ":" << port_ << " ("
@@ -425,10 +420,12 @@ void Server::enqueue_result(Connection& conn, const Pending& pending,
   status.phases = result.phases;
   // The serialize phase covers the chunk encoding above; the status frame
   // itself is header-sized and cheap, so charging it as already-elapsed
-  // time keeps the wire value honest without encoding twice. write_us is
-  // unknowable until the flush — it stays 0 on the wire and lands in the
-  // serve.phase.write_us histogram instead.
-  status.phases.serialize_us = serialize_timer.millis() * 1e3;
+  // time keeps the wire value honest without encoding twice. A relayed
+  // result already holds its backend's encode time: the wire value is the
+  // sum over every hop. write_us is unknowable until the flush — it stays
+  // 0 on the wire and lands in the serve.phase.write_us histogram instead.
+  const double serialize_us = serialize_timer.millis() * 1e3;
+  status.phases.serialize_us += serialize_us;
   WriteItem item;
   item.bytes = encode_status_reply(request_id, status);
   item.terminal = true;
@@ -436,7 +433,7 @@ void Server::enqueue_result(Connection& conn, const Pending& pending,
   item.enqueued_ns = obs::trace_now_ns();
   conn.wqueue.push_back(std::move(item));
   frames_tx_.add();
-  service_.on_serialize(status.phases.serialize_us);
+  service_.on_serialize(serialize_us);
 }
 
 void Server::enqueue_error(Connection& conn, std::uint64_t request_id,
@@ -523,10 +520,10 @@ void Server::exec_accept() {
       Server* server = cell->server;
       std::shared_ptr<Connection> c = weak.lock();
       if (server == nullptr || c == nullptr) return;
-      ++server->exec_pending_;
+      server->tasks_.add();
       exec::Executor::global().submit([server, c] {
         server->exec_service(c, 0);
-        --server->exec_pending_;
+        server->tasks_.done();
       });
     };
     {
@@ -537,16 +534,16 @@ void Server::exec_accept() {
     // Register under conn->m: the first event task can fire on another
     // worker immediately and reads watch_id when it re-arms.
     std::lock_guard<std::mutex> lk(conn->m);
-    ++exec_pending_;
+    tasks_.add();
     conn->watch_id = executor.watch(fd, POLLIN, [this, conn](short re) {
       exec_service(conn, re);
-      --exec_pending_;
+      tasks_.done();
     });
     // A client that never sends still meets the idle timeout.
     arm_timeout(conn, timeout_due(*conn));
   }
-  ++exec_pending_;
-  if (!executor.rearm(listen_watch_, POLLIN)) --exec_pending_;
+  tasks_.add();
+  if (!executor.rearm(listen_watch_, POLLIN)) tasks_.done();
 }
 
 void Server::exec_service(const std::shared_ptr<Connection>& conn,
@@ -581,9 +578,9 @@ void Server::exec_service(const std::shared_ptr<Connection>& conn,
     if (alive) {
       const short events =
           conn->wqueue.empty() ? POLLIN : static_cast<short>(POLLIN | POLLOUT);
-      ++exec_pending_;
+      tasks_.add();
       if (!exec::Executor::global().rearm(conn->watch_id, events))
-        --exec_pending_;
+        tasks_.done();
       arm_timeout(conn, due);
       return;
     }
@@ -598,12 +595,12 @@ std::optional<Server::Clock::time_point> Server::timeout_due(
     const Connection& conn) const {
   if (conn.has_partial) {
     if (config_.read_timeout_ms <= 0) return std::nullopt;
-    return conn.partial_since + from_ms(config_.read_timeout_ms);
+    return conn.partial_since + exec::from_ms(config_.read_timeout_ms);
   }
   if (config_.idle_timeout_ms <= 0 || !conn.inflight.empty() ||
       !conn.wqueue.empty())
     return std::nullopt;
-  return conn.last_activity + from_ms(config_.idle_timeout_ms);
+  return conn.last_activity + exec::from_ms(config_.idle_timeout_ms);
 }
 
 void Server::arm_timeout(const std::shared_ptr<Connection>& conn,
@@ -614,11 +611,11 @@ void Server::arm_timeout(const std::shared_ptr<Connection>& conn,
   // already fired cannot be cancelled; its pass decides.
   if (conn->timer != 0 && (!due || conn->timer_due > *due)) {
     if (!executor.cancel_timer(conn->timer)) return;
-    --exec_pending_;
+    tasks_.done();
     conn->timer = 0;
   }
   if (!due || conn->timer != 0) return;
-  ++exec_pending_;
+  tasks_.add();
   conn->timer_due = *due;
   conn->timer = executor.schedule_at(*due, [this, conn] {
     {
@@ -626,7 +623,7 @@ void Server::arm_timeout(const std::shared_ptr<Connection>& conn,
       conn->timer = 0;
     }
     exec_service(conn, 0);
-    --exec_pending_;
+    tasks_.done();
   });
 }
 
@@ -640,7 +637,7 @@ void Server::stop() {
     //    that the server is draining finds the port closed.
     {
       std::lock_guard<std::mutex> lock(listen_mutex_);
-      if (exec::Executor::global().unwatch(listen_watch_)) --exec_pending_;
+      if (exec::Executor::global().unwatch(listen_watch_)) tasks_.done();
       ::close(listen_fd_);
       listen_fd_ = -1;
       draining_.store(true, std::memory_order_release);
@@ -650,7 +647,7 @@ void Server::stop() {
     //    have resolved and flushed; bounded by drain_timeout_ms, after
     //    which stragglers are abandoned and logged.
     const Clock::time_point deadline =
-        Clock::now() + from_ms(config_.drain_timeout_ms);
+        Clock::now() + exec::from_ms(config_.drain_timeout_ms);
     for (;;) {
       bool dirty = false;
       {
@@ -684,8 +681,7 @@ void Server::stop() {
     }
     // 5. Quiesce: wait for the watch, timer and service-pass tasks already
     //    submitted (they see closed connections and return early).
-    while (exec_pending_.load() > 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    tasks_.wait_idle();
     running_.store(false, std::memory_order_release);
     obs::flush_env_files();
     GNS_INFO("net: drained and stopped");
@@ -695,8 +691,8 @@ void Server::stop() {
 void Server::close_connection(Connection& conn) {
   exec::Executor& executor = exec::Executor::global();
   conn.closed = true;
-  if (executor.unwatch(conn.watch_id)) --exec_pending_;
-  if (conn.timer != 0 && executor.cancel_timer(conn.timer)) --exec_pending_;
+  if (executor.unwatch(conn.watch_id)) tasks_.done();
+  if (conn.timer != 0 && executor.cancel_timer(conn.timer)) tasks_.done();
   conn.timer = 0;
   // The peer is gone: nobody will read these results. Cancel what the
   // service has not finished and release the in-flight slots.

@@ -257,11 +257,9 @@ class Server {
   std::map<std::uint64_t, std::shared_ptr<Connection>> econns_;
   std::uint64_t next_econn_ = 1;
   std::shared_ptr<NoticeCell> notices_ = std::make_shared<NoticeCell>();
-  /// Armed watches, armed timers and submitted service passes. Each is
-  /// counted before it is armed or submitted, and uncounted when its task
-  /// ends or when unwatch()/cancel_timer() returns true; stop() waits for
-  /// 0, so no callback outlives the server.
-  std::atomic<int> exec_pending_{0};
+  /// Armed watches, armed timers and submitted service passes; stop()
+  /// waits for none, so no callback outlives the server.
+  exec::TaskCount tasks_;
 };
 
 }  // namespace gns::net

@@ -12,8 +12,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "util/check.hpp"
-
 namespace gns::router {
 
 namespace {
@@ -23,11 +21,6 @@ using Clock = std::chrono::steady_clock;
 /// Idle connections kept per backend; more just close on checkin.
 constexpr std::size_t kMaxIdleConns = 8;
 constexpr std::size_t kReadChunkBytes = 64 * 1024;
-
-Clock::duration from_ms(double ms) {
-  return std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double, std::milli>(std::max(0.0, ms)));
-}
 
 }  // namespace
 
@@ -52,9 +45,9 @@ bool parse_backend_address(const std::string& spec, BackendAddress& out) {
 // ---- BackendConn -----------------------------------------------------------
 
 BackendConn::BackendConn(BackendAddress address, double connect_timeout_ms,
-                         TaskCount& tasks)
+                         exec::TaskCount& tasks)
     : address_(std::move(address)),
-      connect_timeout_(from_ms(connect_timeout_ms)),
+      connect_timeout_(exec::from_ms(connect_timeout_ms)),
       tasks_(tasks) {}
 
 BackendConn::~BackendConn() {
@@ -66,17 +59,25 @@ void BackendConn::exchange(std::vector<std::uint8_t> frame,
                            double frame_timeout_ms, OnFrame on_frame,
                            OnFailure on_failure) {
   std::lock_guard<std::mutex> lock(m_);
-  // Only its holder exchanges on a connection, fresh or reusable(); Busy is
-  // the last exchange's final callback starting the next.
-  GNS_CHECK_MSG(state_ == State::Fresh || state_ == State::Idle ||
-                    (state_ == State::Busy && !peer_closed_),
-                "exchange on a closed backend connection");
+  // Only its holder exchanges on a connection it took fresh or
+  // reusable(). A final callback can pool it before on_ready() has seen
+  // the rest of its read, and bytes past the reply then close it under
+  // the next holder: that exchange fails like a lost connection.
+  if (state_ == State::Closed || peer_closed_) {
+    tasks_.add();
+    exec::Executor::global().submit(
+        [on_failure = std::move(on_failure), tasks = &tasks_] {
+          on_failure("backend connection closed");
+          tasks->done();
+        });
+    return;
+  }
   ++exchange_;
   on_frame_ = std::move(on_frame);
   on_failure_ = std::move(on_failure);
   wbuf_ = std::move(frame);
   woff_ = 0;
-  frame_timeout_ = from_ms(frame_timeout_ms);
+  frame_timeout_ = exec::from_ms(frame_timeout_ms);
   if (state_ == State::Fresh) {
     state_ = State::Connecting;
     deadline_ = Clock::now() + connect_timeout_;
@@ -315,7 +316,7 @@ bool BackendConn::reusable() {
 // ---- Backend ---------------------------------------------------------------
 
 Backend::Backend(BackendAddress address, BackendTuning tuning,
-                 TaskCount& tasks)
+                 exec::TaskCount& tasks)
     : address_(std::move(address)),
       tuning_(tuning),
       tasks_(tasks),
@@ -440,7 +441,7 @@ void Backend::evict() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     health_ = BackendHealth::Evicted;
-    evicted_until_ = Clock::now() + from_ms(backoff_ms_);
+    evicted_until_ = Clock::now() + exec::from_ms(backoff_ms_);
     backoff_ms_ = std::min(backoff_ms_ * 2.0, tuning_.readmit_backoff_max_ms);
     // A fresh re-admission must also re-handshake: the peer may come back
     // as a different binary (new models, new version).

@@ -19,7 +19,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -63,31 +62,6 @@ struct BackendCapabilities {
   int workers = 0;                  ///< peer's scheduler workers (hint)
 };
 
-/// Executor callbacks armed or submitted and not yet finished. Each is
-/// counted before it is armed or submitted, and uncounted when its task
-/// ends or when unwatch()/cancel_timer() returns true.
-class TaskCount {
- public:
-  void add() {
-    std::lock_guard<std::mutex> lock(m_);
-    ++count_;
-  }
-  void done() {
-    std::lock_guard<std::mutex> lock(m_);
-    if (--count_ == 0) idle_.notify_all();
-  }
-  /// Blocks until the count is zero.
-  void wait_idle() {
-    std::unique_lock<std::mutex> lock(m_);
-    idle_.wait(lock, [this] { return count_ == 0; });
-  }
-
- private:
-  std::mutex m_;
-  std::condition_variable idle_;
-  int count_ = 0;
-};
-
 /// One nonblocking TCP connection to a backend. Framing only — capability
 /// and health logic live in Backend.
 class BackendConn : public std::enable_shared_from_this<BackendConn> {
@@ -99,14 +73,15 @@ class BackendConn : public std::enable_shared_from_this<BackendConn> {
   using OnFailure = std::function<void(const std::string& why)>;
 
   BackendConn(BackendAddress address, double connect_timeout_ms,
-              TaskCount& tasks);
+              exec::TaskCount& tasks);
   ~BackendConn();
 
   /// Sends `frame`, then hands each reply frame to on_frame until it
   /// returns true; each wait for a frame is bounded by frame_timeout_ms.
   /// A fresh connection first resolves its address (getaddrinfo, never a
-  /// cached resolution) and connects. The callbacks run on executor tasks,
-  /// never inside this call.
+  /// cached resolution) and connects. One closed since its holder took it
+  /// (a backend that sent bytes after its last reply) fails at once. The
+  /// callbacks run on executor tasks, never inside this call.
   void exchange(std::vector<std::uint8_t> frame, double frame_timeout_ms,
                 OnFrame on_frame, OnFailure on_failure);
   /// A pending exchange's callbacks never run after this (a running one
@@ -134,7 +109,7 @@ class BackendConn : public std::enable_shared_from_this<BackendConn> {
 
   const BackendAddress address_;
   const Clock::duration connect_timeout_;
-  TaskCount& tasks_;
+  exec::TaskCount& tasks_;
 
   std::mutex m_;  ///< guards the rest; never held while calling out
   State state_ = State::Fresh;
@@ -167,7 +142,7 @@ class Backend {
   using HelloDone = std::function<void(const std::shared_ptr<BackendConn>&,
                                        const std::string& error)>;
 
-  Backend(BackendAddress address, BackendTuning tuning, TaskCount& tasks);
+  Backend(BackendAddress address, BackendTuning tuning, exec::TaskCount& tasks);
 
   [[nodiscard]] const BackendAddress& address() const { return address_; }
   [[nodiscard]] std::string label() const {
@@ -223,7 +198,7 @@ class Backend {
 
   const BackendAddress address_;
   const BackendTuning tuning_;
-  TaskCount& tasks_;
+  exec::TaskCount& tasks_;
 
   mutable std::mutex mutex_;
   BackendCapabilities caps_;

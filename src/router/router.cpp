@@ -11,11 +11,6 @@ namespace gns::router {
 
 namespace {
 
-std::chrono::steady_clock::duration from_ms(double ms) {
-  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::milli>(ms));
-}
-
 /// RouterConfig's client-side fields; the rest keep the server's defaults.
 net::ServerConfig server_config(const RouterConfig& config) {
   net::ServerConfig server;
@@ -87,7 +82,7 @@ bool Router::start() {
     // about un-probed backends anyway, and a quiet startup keeps tests (and
     // operators' logs) deterministic.
     std::lock_guard<std::mutex> lock(mutex_);
-    arm_sweep_locked(Clock::now() + from_ms(config_.probe_interval_ms));
+    arm_sweep_locked(Clock::now() + exec::from_ms(config_.probe_interval_ms));
   }
   GNS_INFO("router: fronting " << backends_.size() << " backends on "
                                << config_.host << ":" << server_.port());
@@ -288,9 +283,18 @@ bool Router::on_reply_locked(const std::shared_ptr<Proxy>& proxy,
   net::WireChunk chunk;
   net::WireStatus status;
   net::WireError error;
-  const bool chunked = frame.type == net::MessageType::RolloutChunk &&
-                       net::decode_rollout_chunk(frame, chunk, parse_error) &&
-                       chunk.first_frame == p.result.frames.size();
+  // Chunks arrive in order, each frame as long as a window frame, and no
+  // more frames than steps: the relayed result is then one the server can
+  // re-chunk, and its size is the request's.
+  const std::size_t frame_len =
+      p.request.window.empty() ? 0 : p.request.window.front().size();
+  const bool chunked =
+      frame.type == net::MessageType::RolloutChunk &&
+      net::decode_rollout_chunk(frame, chunk, parse_error) &&
+      chunk.first_frame == p.result.frames.size() &&
+      chunk.frame_len == frame_len && chunk.num_frames() > 0 &&
+      p.result.frames.size() + chunk.num_frames() <=
+          static_cast<std::size_t>(std::max(0, p.request.steps));
   const bool finished = frame.type == net::MessageType::StatusReply &&
                         net::decode_status_reply(frame, status, parse_error) &&
                         status.total_frames == p.result.frames.size();
@@ -298,7 +302,9 @@ bool Router::on_reply_locked(const std::shared_ptr<Proxy>& proxy,
                         net::decode_error_reply(frame, error, parse_error);
   if (frame.request_id != p.wire_id || !(chunked || finished || rejected)) {
     conn->close();
-    return on_lost_locked(proxy, "bad reply from backend " + parse_error);
+    return on_lost_locked(
+        proxy, "bad reply from backend: " +
+                   (parse_error.empty() ? "unexpected frame" : parse_error));
   }
   if (chunked) {
     for (std::uint32_t f = 0; f < chunk.num_frames(); ++f) {
@@ -463,8 +469,9 @@ void Router::probe(std::size_t index) {
     if (stopping_) return;  // stop() waits for this sweep: end it here
     if (index == backends_.size()) {
       update_health_gauge();
-      arm_sweep_locked(std::max(
-          Clock::now(), sweep_started_ + from_ms(config_.probe_interval_ms)));
+      const Clock::time_point due =
+          sweep_started_ + exec::from_ms(config_.probe_interval_ms);
+      arm_sweep_locked(std::max(Clock::now(), due));
       return;
     }
   }

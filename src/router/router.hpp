@@ -11,9 +11,12 @@
 /// healthy backend that serves the model and has a free slot. The router
 /// relays a rollout whole: it collects a backend's chunks and resolves on
 /// its StatusReply. A backend that dies before its first chunk is retried
-/// on a sibling; one that dies after it is a typed BackendLost. A probe
-/// sweep sends each backend a HELLO with a deadline; a miss, or an I/O
-/// failure on any request, evicts it until a later probe re-admits it.
+/// on a sibling; one that dies after it is a typed BackendLost. A reply
+/// that cannot be the request's answer (a chunk out of order, frames not
+/// as long as the window's, more frames than steps) counts as a death at
+/// that frame. A probe sweep sends each backend a HELLO with a deadline;
+/// a miss, or an I/O failure on any request, evicts it until a later
+/// probe re-admits it.
 ///
 /// The router owns no threads. Its client side is a net::Server serving it
 /// as a serve::RolloutService (accept, decode, timeouts, drain, stats and
@@ -148,7 +151,7 @@ class Router final : private serve::RolloutService {
   void probe(std::size_t index);
 
   RouterConfig config_;
-  TaskCount tasks_;  ///< the router's executor callbacks; stop() waits
+  exec::TaskCount tasks_;  ///< the router's executor callbacks; stop() waits
   std::vector<std::unique_ptr<Backend>> backends_;
   net::Server server_;
 

@@ -115,12 +115,9 @@ JobTicket JobScheduler::submit(RolloutRequest request,
   job.cancelled = std::make_shared<std::atomic<bool>>(false);
   job.submitted = Clock::now();
   job.has_deadline = job.request.deadline_ms > 0.0;
-  job.deadline =
-      job.has_deadline
-          ? job.submitted + std::chrono::duration_cast<Clock::duration>(
-                                std::chrono::duration<double, std::milli>(
-                                    job.request.deadline_ms))
-          : Clock::time_point::max();
+  job.deadline = job.has_deadline
+                     ? job.submitted + exec::from_ms(job.request.deadline_ms)
+                     : Clock::time_point::max();
 
   JobTicket ticket;
   ticket.result = job.promise.get_future();
@@ -556,10 +553,7 @@ void JobScheduler::drain_ready() {
             config_.batch_window_us > 0.0 && !stopping_) {
           // Never hold a member past its own deadline just to fill the
           // batch: the wait is capped by the earliest member deadline.
-          wake = Clock::now() +
-                 std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double, std::micro>(
-                         config_.batch_window_us));
+          wake = Clock::now() + exec::from_ms(config_.batch_window_us / 1e3);
           for (const Job& job : batch) {
             if (job.has_deadline) wake = std::min(wake, job.deadline);
           }

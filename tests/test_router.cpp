@@ -5,12 +5,14 @@
 // backends are evicted and re-admitted, a full fleet surfaces Busy, drain
 // loses zero accepted jobs, finished client connections leave nothing
 // behind, the router owns no threads, and a client stalled mid-frame
-// does not hold up the drain.
+// does not hold up the drain. A scripted backend that breaks the protocol
+// (malformed chunks, bytes after its reply) is failed over, never trusted.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -20,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -665,6 +668,265 @@ TEST(RouterFleet, StalledPartialFrameDoesNotHoldTheDrain) {
   ::close(stalled);
   ::close(idle);
   a.server->stop();
+}
+
+// ---- A backend that breaks the protocol on purpose --------------------------
+
+/// A backend played by the test on a thread of its own: it answers a HELLO
+/// as a server of model "m" would, and each RolloutRequest with the bytes
+/// `reply` returns for it.
+class FakeBackend {
+ public:
+  using Reply = std::function<std::vector<std::uint8_t>(
+      std::uint64_t request_id, const serve::RolloutRequest& request)>;
+
+  explicit FakeBackend(Reply reply) : reply_(std::move(reply)) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(listen_fd_, 64), 0);
+    socklen_t len = sizeof(addr);
+    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { loop(); });
+  }
+  ~FakeBackend() {
+    stop_ = true;
+    thread_.join();
+    ::close(listen_fd_);
+  }
+  FakeBackend(const FakeBackend&) = delete;
+  FakeBackend& operator=(const FakeBackend&) = delete;
+
+  [[nodiscard]] int port() const { return port_; }
+
+ private:
+  struct Conn {
+    int fd = -1;
+    std::vector<std::uint8_t> buf;
+  };
+
+  void loop() {
+    std::vector<Conn> conns;
+    while (!stop_) {
+      std::vector<pollfd> fds{{listen_fd_, POLLIN, 0}};
+      for (const Conn& conn : conns) fds.push_back({conn.fd, POLLIN, 0});
+      if (::poll(fds.data(), fds.size(), 10) <= 0) continue;
+      for (std::size_t i = conns.size(); i-- > 0;) {
+        if (fds[i + 1].revents == 0 || serve(conns[i])) continue;
+        ::close(conns[i].fd);
+        conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+      if (fds[0].revents & POLLIN) {
+        const int fd = ::accept(listen_fd_, nullptr, nullptr);
+        if (fd >= 0) conns.push_back({fd, {}});
+      }
+    }
+    for (const Conn& conn : conns) ::close(conn.fd);
+  }
+
+  /// Answers each whole frame `conn` has sent; false once it is gone.
+  bool serve(Conn& conn) {
+    std::uint8_t chunk[4096];
+    const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;
+    conn.buf.insert(conn.buf.end(), chunk, chunk + n);
+    net::FrameView frame;
+    net::DecodeError error;
+    while (net::try_decode_frame(conn.buf.data(), conn.buf.size(), frame,
+                                 error) == net::DecodeStatus::Ok) {
+      const std::vector<std::uint8_t> out = answer(frame);
+      conn.buf.erase(conn.buf.begin(),
+                     conn.buf.begin() +
+                         static_cast<std::ptrdiff_t>(frame.frame_bytes));
+      // One send, so a reply and what follows it arrive in one read.
+      if (::send(conn.fd, out.data(), out.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(out.size()))
+        return false;
+    }
+    return true;
+  }
+
+  std::vector<std::uint8_t> answer(const net::FrameView& frame) {
+    if (frame.type == net::MessageType::Hello) {
+      net::WireHelloReply hello;
+      hello.max_inflight = 64;
+      hello.workers = 1;
+      hello.models = {"m"};
+      return net::encode_hello_reply(frame.request_id, hello);
+    }
+    serve::RolloutRequest request;
+    std::string parse_error;
+    EXPECT_TRUE(net::decode_rollout_request(frame, request, parse_error))
+        << parse_error;
+    return reply_(frame.request_id, request);
+  }
+
+  const Reply reply_;
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+/// `frames` as one RolloutChunk starting at rollout frame `first`.
+std::vector<std::uint8_t> chunk_frame(
+    std::uint64_t request_id, std::uint32_t first,
+    const std::vector<std::vector<double>>& frames) {
+  net::WireChunk chunk;
+  chunk.first_frame = first;
+  chunk.frame_len = static_cast<std::uint32_t>(frames.front().size());
+  for (const auto& frame : frames)
+    chunk.data.insert(chunk.data.end(), frame.begin(), frame.end());
+  return net::encode_rollout_chunk(request_id, chunk);
+}
+
+/// A StatusReply for a rollout that completed with `total` frames.
+std::vector<std::uint8_t> ok_status_frame(std::uint64_t request_id,
+                                          std::uint32_t total) {
+  net::WireStatus status;
+  status.status = serve::JobStatus::Ok;
+  status.total_frames = total;
+  return net::encode_status_reply(request_id, status);
+}
+
+void append(std::vector<std::uint8_t>& out,
+            const std::vector<std::uint8_t>& bytes) {
+  out.insert(out.end(), bytes.begin(), bytes.end());
+}
+
+TEST(RouterFleet, MalformedChunksFailTheBackendNotTheRouter) {
+  BackendHarness b(backend_cfg("rt11b"));
+  ASSERT_TRUE(b.start());
+  const auto want = direct_rollout(*b.sim, 3);
+  std::vector<double> longer = want[0];  // one double past a window frame
+  longer.push_back(0.5);
+
+  // Each reply to a 3-step request is self-consistent, StatusReply
+  // included, but is not that request's answer: a frame longer than the
+  // window's, a fourth frame, and a second chunk whose frames are longer
+  // than the first's (which a relay that re-chunks cannot encode).
+  std::atomic<int> kind{0};
+  FakeBackend fake([&](std::uint64_t id, const serve::RolloutRequest&) {
+    std::vector<std::uint8_t> out;
+    switch (kind.load()) {
+      case 0:
+        append(out, chunk_frame(id, 0, {longer}));
+        append(out, ok_status_frame(id, 1));
+        break;
+      case 1:
+        append(out, chunk_frame(id, 0, {want[0], want[1], want[2], want[2]}));
+        append(out, ok_status_frame(id, 4));
+        break;
+      default:
+        append(out, chunk_frame(id, 0, {want[0]}));
+        append(out, chunk_frame(id, 1, {longer}));
+        append(out, ok_status_frame(id, 2));
+        break;
+    }
+    return out;
+  });
+
+  for (int k = 0; k < 3; ++k) {
+    kind = k;
+    const std::string prefix = "rt11_" + std::to_string(k);
+    // Config order places the request on the fake first.
+    Router router(router_cfg(prefix, {fake.port(), b.server->port()}));
+    ASSERT_TRUE(router.start());
+    net::Client client(client_cfg(router));
+    const net::ClientResult r = client.rollout(small_request(*b.sim, 3));
+    ASSERT_TRUE(r.transport_ok) << r.transport_error;
+    if (k < 2) {
+      // Nothing valid arrived: the sibling answers, and the client never
+      // knows.
+      ASSERT_TRUE(r.ok()) << "case " << k << ": " << r.error;
+      expect_bitwise_equal(r.frames, want);
+      EXPECT_GE(counter(prefix + ".failovers"), 1.0);
+    } else {
+      // The first chunk was valid: the same typed error as a backend that
+      // dies after it, and the next request goes to the sibling.
+      EXPECT_TRUE(r.is_net_error);
+      EXPECT_EQ(r.net_error, net::NetError::BackendLost);
+      const net::ClientResult next = client.rollout(small_request(*b.sim, 3));
+      ASSERT_TRUE(next.ok()) << next.transport_error << next.error;
+      expect_bitwise_equal(next.frames, want);
+    }
+    EXPECT_EQ(router.snapshot()[0].health, BackendHealth::Evicted)
+        << "case " << k;
+    router.stop();
+  }
+  b.server->stop();
+}
+
+TEST(RouterFleet, ByteAfterAReplyFailsOverInsteadOfAborting) {
+  BackendHarness b(backend_cfg("rt12b"));
+  ASSERT_TRUE(b.start());
+  const auto want = direct_rollout(*b.sim, 3);
+  // A correct rollout, then one byte no frame starts with.
+  FakeBackend fake([&](std::uint64_t id, const serve::RolloutRequest&) {
+    std::vector<std::uint8_t> out = chunk_frame(id, 0, want);
+    append(out, ok_status_frame(id, 3));
+    out.push_back(0);
+    return out;
+  });
+
+  // The stray byte closes the connection right after its final callback
+  // has run. A holder that took the connection from the pool in between
+  // gets a failure for its exchange, not an exception on a worker.
+  {
+    exec::TaskCount tasks;
+    auto conn = std::make_shared<BackendConn>(
+        BackendAddress{"127.0.0.1", fake.port()}, 2000.0, tasks);
+    std::promise<bool> replied;
+    conn->exchange(
+        net::encode_rollout_request(conn->next_request_id(),
+                                    small_request(*b.sim, 3)),
+        2000.0,
+        [&](const net::FrameView& frame) {
+          if (frame.type != net::MessageType::StatusReply) return false;
+          replied.set_value(true);
+          return true;
+        },
+        [&](const std::string&) { replied.set_value(false); });
+    ASSERT_TRUE(replied.get_future().get());
+    ASSERT_TRUE(eventually([&] { return !conn->reusable(); }));
+    std::promise<std::string> failed;
+    conn->exchange(
+        net::encode_hello(conn->next_request_id(), net::WireHello{}), 2000.0,
+        [](const net::FrameView&) { return true; },
+        [&](const std::string& why) { failed.set_value(why); });
+    std::future<std::string> why = failed.get_future();
+    ASSERT_EQ(why.wait_for(std::chrono::seconds(2)),
+              std::future_status::ready);
+    EXPECT_FALSE(why.get().empty());
+    conn->close();
+    tasks.wait_idle();
+  }
+
+  // Through a router, at any worker count: whichever way the byte lands,
+  // every request gets the bitwise answer from one backend or the other.
+  RouterConfig cfg = router_cfg("rt12", {fake.port(), b.server->port()});
+  Router router(cfg);
+  ASSERT_TRUE(router.start());
+  std::atomic<int> ok_count{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&] {
+      net::Client client(client_cfg(router));
+      for (int i = 0; i < 5; ++i) {
+        const net::ClientResult r = client.rollout(small_request(*b.sim, 3));
+        if (r.ok() && r.frames == want) ++ok_count;
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(ok_count.load(), 20);
+  router.stop();
+  b.server->stop();
 }
 
 }  // namespace
