@@ -5,8 +5,10 @@
 //
 // `--kernels` instead runs the hand-timed SIMD kernel suite: each
 // GNS_SIMD-dispatched kernel (gather/scatter, layer_norm, concat,
-// fused edge features, MPM step) timed scalar vs SIMD with a bitwise
-// cross-check, written to BENCH_kernels.json for the CI artifact.
+// fused edge features, MPM step) timed scalar vs SIMD, and the MLP rows
+// timed through every linear_act_rows leaf the CPU runs (scalar, AVX2,
+// AVX-512F), each with a bitwise cross-check against the scalar
+// reference, written to BENCH_kernels.json for the CI artifact.
 
 #include <benchmark/benchmark.h>
 
@@ -207,11 +209,68 @@ double time_ms(F&& f, int reps) {
   return best;
 }
 
+/// Same bytes, so -0.0 differs from +0.0 and a NaN equals itself.
+bool same_bits(const std::vector<ad::Real>& a,
+               const std::vector<ad::Real>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(ad::Real)) == 0;
+}
+
+/// The edge MLP of a Fig-3 processor round (96 → 32 → 32 → 32, ReLU
+/// hidden layers, then the LayerNorm) over 3,072 ReLU-sparse rows (about
+/// half the inputs zero), one thread, a tile of kRowTile rows at a time
+/// through every layer as Mlp::forward_rows runs it, through one leaf.
+struct MlpRowsCase {
+  static constexpr int kRows = 3072;
+  static constexpr int kIn = 96;
+  static constexpr int kWidth = 32;
+  std::vector<ad::Real> x, w[3], b[3], gamma, beta;
+
+  explicit MlpRowsCase(Rng& rng) {
+    auto fill = [&rng](std::vector<ad::Real>& v, std::size_t n) {
+      v.resize(n);
+      for (auto& e : v) e = rng.uniform(-1.0, 1.0);
+    };
+    fill(x, static_cast<std::size_t>(kRows) * kIn);
+    for (auto& e : x) e = e > 0 ? e : 0.0;
+    fill(w[0], static_cast<std::size_t>(kIn) * kWidth);
+    fill(w[1], static_cast<std::size_t>(kWidth) * kWidth);
+    fill(w[2], static_cast<std::size_t>(kWidth) * kWidth);
+    for (auto& bias : b) fill(bias, kWidth);
+    fill(gamma, kWidth);
+    fill(beta, kWidth);
+  }
+
+  std::vector<ad::Real> run(ad::RowsLeaf leaf) const {
+    using ad::FusedAct;
+    std::vector<ad::Real> out(static_cast<std::size_t>(kRows) * kWidth);
+    ad::Real h0[ad::kRowTile * kWidth], h1[ad::kRowTile * kWidth];
+    for (int r0 = 0; r0 < kRows; r0 += ad::kRowTile) {
+      const int rows = std::min(ad::kRowTile, kRows - r0);
+      ad::Real* y = out.data() + static_cast<std::size_t>(r0) * kWidth;
+      const ad::Real* in = x.data() + static_cast<std::size_t>(r0) * kIn;
+      ad::linear_act_rows_with(leaf, in, kIn, w[0].data(), b[0].data(), h0,
+                               kWidth, rows, kIn, kWidth, FusedAct::ReLU);
+      ad::linear_act_rows_with(leaf, h0, kWidth, w[1].data(), b[1].data(),
+                               h1, kWidth, rows, kWidth, kWidth,
+                               FusedAct::ReLU);
+      ad::linear_act_rows_with(leaf, h1, kWidth, w[2].data(), b[2].data(), y,
+                               kWidth, rows, kWidth, kWidth,
+                               FusedAct::Identity);
+      for (int r = 0; r < rows; ++r)
+        ad::layer_norm_row(y + r * kWidth, gamma.data(), beta.data(), 1e-5,
+                           y + r * kWidth, kWidth);
+    }
+    return out;
+  }
+};
+
 int run_kernel_suite() {
   using namespace gns::bench;
-  print_header("SIMD kernel suite: scalar vs AVX2-dispatched twins",
+  print_header("SIMD kernel suite: scalar vs every SIMD leaf",
                "vectorization changes cost, not bits");
-  std::printf("avx2: %s\n", simd::cpu_has_avx2() ? "yes" : "no");
+  std::printf("avx2: %s, avx512f: %s\n", simd::cpu_has_avx2() ? "yes" : "no",
+              simd::cpu_has_avx512f() ? "yes" : "no");
 
   constexpr int kNodes = 4000;
   constexpr int kEdges = 40000;
@@ -297,7 +356,7 @@ int run_kernel_suite() {
     simd::set_enabled(true);
     const std::vector<ad::Real> got = kc.run();
     const double simd_ms = time_ms(kc.run, kReps);
-    const bool bitwise = ref == got;
+    const bool bitwise = same_bits(ref, got);
     all_bitwise = all_bitwise && bitwise;
     const double speedup = simd_ms > 0.0 ? scalar_ms / simd_ms : 0.0;
     std::printf("%22s %12.3f %12.3f %8.2fx %9s\n", kc.name.c_str(), scalar_ms,
@@ -308,11 +367,44 @@ int run_kernel_suite() {
     fields.emplace_back(kc.name + "_bitwise", bitwise ? 1.0 : 0.0);
   }
   simd::set_enabled(true);
+
+  // The MLP rows, through each leaf the CPU runs; the speedup is the
+  // scalar leaf's time over the leaf linear_act_rows dispatches to.
+  const MlpRowsCase mlp_rows(rng);
+  const std::vector<ad::Real> mlp_ref = mlp_rows.run(ad::RowsLeaf::Scalar);
+  bool mlp_bitwise = true;
+  double mlp_scalar_ms = 0.0, mlp_dispatched_ms = 0.0;
+  const std::pair<ad::RowsLeaf, const char*> leaves[] = {
+      {ad::RowsLeaf::Scalar, "scalar"},
+      {ad::RowsLeaf::Avx2, "avx2"},
+      {ad::RowsLeaf::Avx512, "avx512"}};
+  std::printf("\n%22s %12s %9s\n", "mlp_rows leaf", "ms", "bitwise");
+  for (const auto& [leaf, name] : leaves) {
+    if (!ad::rows_leaf_available(leaf)) {
+      std::printf("%22s %12s %9s\n", name, "-", "-");
+      continue;
+    }
+    const bool bitwise = same_bits(mlp_rows.run(leaf), mlp_ref);
+    const double ms = time_ms([&] { mlp_rows.run(leaf); }, kReps);
+    mlp_bitwise = mlp_bitwise && bitwise;
+    if (leaf == ad::RowsLeaf::Scalar) mlp_scalar_ms = ms;
+    if (leaf == ad::rows_leaf()) mlp_dispatched_ms = ms;
+    std::printf("%22s %12.3f %9s\n", name, ms, bitwise ? "yes" : "NO");
+    fields.emplace_back(std::string("mlp_rows_") + name + "_ms", ms);
+  }
+  const double mlp_speedup =
+      mlp_dispatched_ms > 0.0 ? mlp_scalar_ms / mlp_dispatched_ms : 0.0;
+  std::printf("%22s %11.2fx\n", "mlp_rows speedup", mlp_speedup);
+  fields.emplace_back("mlp_rows_speedup", mlp_speedup);
+  fields.emplace_back("mlp_rows_bitwise", mlp_bitwise ? 1.0 : 0.0);
+  all_bitwise = all_bitwise && mlp_bitwise;
+
   fields.emplace_back("avx2", simd::cpu_has_avx2() ? 1.0 : 0.0);
+  fields.emplace_back("avx512", simd::cpu_has_avx512f() ? 1.0 : 0.0);
   fields.emplace_back("bitwise_identical", all_bitwise ? 1.0 : 0.0);
   write_json("kernels", fields);
   print_rule();
-  std::printf("bitwise identical scalar vs simd: %s\n",
+  std::printf("bitwise identical scalar vs every simd leaf: %s\n",
               all_bitwise ? "yes" : "NO — dispatch bug");
   return all_bitwise ? 0 : 1;
 }

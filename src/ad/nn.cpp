@@ -96,26 +96,37 @@ std::int64_t Mlp::row_macs() const {
   return macs;
 }
 
-void Mlp::forward_row(const Real* x, Real* y) const {
-  // Layer outputs alternate between two stack rows; the last one goes
-  // straight to y unless the LayerNorm still has to read it.
-  alignas(32) Real scratch[2][kMaxRowWidth];
+void Mlp::forward_rows(const Real* x, int ldx, Real* y, int ldy,
+                       int rows) const {
+  GNS_DCHECK(rows >= 1 && rows <= kRowTile);
+  // Layer outputs alternate between two stack tiles, each row as wide as
+  // its layer; the last layer writes straight to y unless the LayerNorm
+  // still has to read it.
+  alignas(64) Real scratch[2][kRowTile * kMaxRowWidth];
   const FusedAct hidden_act =
       (activation_ == Activation::ReLU) ? FusedAct::ReLU : FusedAct::Tanh;
   const std::size_t last = layers_.size() - 1;
   const Real* in = x;
+  int ldin = ldx;
   for (std::size_t i = 0; i <= last; ++i) {
     const Linear& layer = layers_[i];
-    Real* out = (i == last && !norm_) ? y : scratch[i % 2];
-    linear_act_row(in, layer.weight().data(),
-                   layer.bias().defined() ? layer.bias().data() : nullptr,
-                   out, layer.in_features(), layer.out_features(),
-                   i == last ? FusedAct::Identity : hidden_act);
+    const bool to_y = i == last && !norm_;
+    Real* out = to_y ? y : scratch[i % 2];
+    const int ldout = to_y ? ldy : layer.out_features();
+    linear_act_rows(in, ldin, layer.weight().data(),
+                    layer.bias().defined() ? layer.bias().data() : nullptr,
+                    out, ldout, rows, layer.in_features(),
+                    layer.out_features(),
+                    i == last ? FusedAct::Identity : hidden_act);
     in = out;
+    ldin = ldout;
   }
   if (norm_)
-    layer_norm_row(in, norm_->gamma().data(), norm_->beta().data(),
-                   norm_->eps(), y, out_);
+    for (int r = 0; r < rows; ++r)
+      layer_norm_row(in + static_cast<std::size_t>(r) * ldin,
+                     norm_->gamma().data(), norm_->beta().data(),
+                     norm_->eps(), y + static_cast<std::size_t>(r) * ldy,
+                     out_);
 }
 
 Tensor Mlp::forward(const Tensor& x) const {
@@ -127,9 +138,13 @@ Tensor Mlp::forward(const Tensor& x) const {
     Tensor out = make_op_result(n, out_, {}, {});
     const Real* xv = x.data();
     Real* yv = out.data();
-    exec::parallel_for(n, n * row_macs() > 1 << 16, [&](std::int64_t i) {
-      forward_row(xv + static_cast<std::size_t>(i) * in_,
-                  yv + static_cast<std::size_t>(i) * out_);
+    const std::int64_t tiles = (n + kRowTile - 1) / kRowTile;
+    exec::parallel_for(tiles, n * row_macs() > 1 << 16,
+                       [&](std::int64_t tile) {
+      const int r0 = static_cast<int>(tile) * kRowTile;
+      forward_rows(xv + static_cast<std::size_t>(r0) * in_, in_,
+                   yv + static_cast<std::size_t>(r0) * out_, out_,
+                   std::min(kRowTile, n - r0));
     });
     return out;
   }

@@ -9,9 +9,10 @@
 /// Mlp::forward has two paths. With grad mode on it builds the op chain
 /// (one linear_act per layer, then layer_norm), which the backward needs.
 /// With grad mode off (ad::NoGradGuard, as every inference caller holds)
-/// it runs forward_row on each row in one parallel region: every layer and
-/// the LayerNorm on stack scratch, with no tensor per layer. Both paths
-/// call the same row kernels (ops.hpp), so their outputs are bitwise equal.
+/// it runs forward_rows on tiles of kRowTile rows in one parallel region:
+/// every layer and the LayerNorm on stack scratch, with no tensor per
+/// layer. Both paths call the same row kernels (ops.hpp), so their outputs
+/// are bitwise equal.
 
 #include <memory>
 #include <string>
@@ -105,8 +106,8 @@ class Mlp : public Module {
       Rng& rng, bool output_layer_norm = false,
       Activation activation = Activation::ReLU);
 
-  /// Op chain with grad mode on; forward_row per row, in one parallel
-  /// region, with grad mode off (see the file comment).
+  /// Op chain with grad mode on; forward_rows per tile of kRowTile rows,
+  /// in one parallel region, with grad mode off (see the file comment).
   [[nodiscard]] Tensor forward(const Tensor& x) const;
   [[nodiscard]] std::vector<Tensor> parameters() const override;
 
@@ -115,11 +116,13 @@ class Mlp : public Module {
   [[nodiscard]] bool fits_row_path() const {
     return max_width_ <= kMaxRowWidth;
   }
-  /// One row through every layer and the optional LayerNorm, untaped:
-  /// y[0..out_features) from x[0..in_features). Bitwise equal to that row
-  /// of forward(). Allocates nothing; requires fits_row_path(). y must not
-  /// alias x.
-  void forward_row(const Real* x, Real* y) const;
+  /// `rows` (1 to kRowTile) rows through every layer and the optional
+  /// LayerNorm, untaped: row r of y, y[r·ldy .. r·ldy + out_features),
+  /// from row r of x, x[r·ldx .. r·ldx + in_features). Bitwise equal to
+  /// those rows of forward(). Allocates nothing; requires fits_row_path().
+  /// y must not alias x.
+  void forward_rows(const Real* x, int ldx, Real* y, int ldy,
+                    int rows) const;
   /// Multiply-adds per row over all layers (sizes parallel regions).
   [[nodiscard]] std::int64_t row_macs() const;
 

@@ -13,12 +13,13 @@
 /// receiver nodes, segment_softmax normalizes attention scores over each
 /// node's incoming edges.
 ///
-/// Two row kernels sit beside the ops: linear_act_row and layer_norm_row
-/// compute one output row of linear_act and layer_norm from raw pointers.
-/// The ops call them per row, and so does the untaped forward
-/// (Mlp::forward and GnsModel::forward with grad mode off), which chains
-/// them on stack scratch instead of building a tensor per op. One copy of
-/// each kernel serves both, which is what keeps the two paths bitwise equal.
+/// Two row kernels sit beside the ops: linear_act_rows and layer_norm_row
+/// compute output rows of linear_act and layer_norm from raw pointers.
+/// The ops call them, and so does the untaped forward (Mlp::forward and
+/// GnsModel::forward with grad mode off), which chains them on stack
+/// scratch, a tile of kRowTile rows at a time, instead of building a
+/// tensor per op. One copy of each kernel serves both, which is what keeps
+/// the two paths bitwise equal.
 
 #include <vector>
 
@@ -93,12 +94,35 @@ enum class FusedAct { Identity, ReLU, Tanh };
 Tensor linear_act(const Tensor& x, const Tensor& w, const Tensor& b,
                   FusedAct act);
 
-/// One output row of linear_act: y[0..m) = act(x[0..k)·W + b) with W
-/// row-major [k,m] and b [m] (or null: no bias). Overwrites y, which must
-/// not alias x. Dispatches to the AVX2 or scalar row kernel, whichever the
-/// CPU runs; linear_act calls it for each of its rows.
-void linear_act_row(const Real* x, const Real* w, const Real* b, Real* y,
-                    int k, int m, FusedAct act);
+/// Rows that linear_act_rows computes per pass over W, and the tile the
+/// untaped forward gathers its input rows into.
+inline constexpr int kRowTile = 4;
+
+/// `rows` output rows of linear_act: y_r[0..m) = act(x_r[0..k)·W + b) for
+/// r in [0, rows), where row r of x starts at x + r·ldx and of y at
+/// y + r·ldy, W is row-major [k,m] and b is [m] (or null: no bias).
+/// Overwrites y, which must not alias x. Each output element starts at
+/// +0.0, adds x_r[p]·W[p][j] for p ascending (a rounded multiply, then a
+/// rounded add, never fused, and never skipped for a zero input), then
+/// adds the bias and applies act. Runs rows_leaf(); linear_act calls it
+/// for its rows in tiles of kRowTile.
+void linear_act_rows(const Real* x, int ldx, const Real* w, const Real* b,
+                     Real* y, int ldy, int rows, int k, int m, FusedAct act);
+
+/// The leaf kernels behind linear_act_rows, all bitwise equal: the scalar
+/// reference, the AVX2 row blocks (one row per pass over W) and the
+/// AVX-512F tiles (kRowTile rows per pass over W).
+enum class RowsLeaf { Scalar, Avx2, Avx512 };
+/// The leaf linear_act_rows runs: Scalar when GNS_SIMD is off, else the
+/// widest one the CPU has.
+[[nodiscard]] RowsLeaf rows_leaf();
+/// True when this CPU can run `leaf` (Scalar: always).
+[[nodiscard]] bool rows_leaf_available(RowsLeaf leaf);
+/// linear_act_rows through `leaf`, which must be available; tests and
+/// the kernel suite compare the leaves with it.
+void linear_act_rows_with(RowsLeaf leaf, const Real* x, int ldx,
+                          const Real* w, const Real* b, Real* y, int ldy,
+                          int rows, int k, int m, FusedAct act);
 
 /// Always true: linear_act is Mlp's only forward path. Kept as a query so
 /// configuration stamps can report it.

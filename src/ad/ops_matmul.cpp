@@ -17,7 +17,8 @@ namespace {
 
 /// Straightforward cache-friendly (i,k,j) GEMM: C += A[NxK] * B[KxM].
 /// Parallel over output rows when the problem is large enough to amortize
-/// the fork/join.
+/// the fork/join. Every term is added, zero inputs included, as in the
+/// linear_act_rows leaves.
 void gemm_acc(const Real* a, const Real* b, Real* c, int n, int k, int m) {
   const std::int64_t work = static_cast<std::int64_t>(n) * k * m;
   exec::parallel_for(n, work > 1 << 16, [&](std::int64_t row) {
@@ -26,7 +27,6 @@ void gemm_acc(const Real* a, const Real* b, Real* c, int n, int k, int m) {
     const Real* arow = a + static_cast<std::size_t>(i) * k;
     for (int p = 0; p < k; ++p) {
       const Real av = arow[p];
-      if (av == Real(0)) continue;
       const Real* brow = b + static_cast<std::size_t>(p) * m;
       for (int j = 0; j < m; ++j) crow[j] += av * brow[j];
     }
@@ -67,17 +67,31 @@ void gemm_tn_acc(const Real* a, const Real* go, Real* gb, int n, int k,
   });
 }
 
-/// One fused output row, portable path: the exact gemm_acc accumulation
-/// from a +0.0 row (same ascending-p order, same zero-skip) followed by
-/// bias add and activation while the row is still cache-hot. Element-for-
-/// element this performs the identical FP operation sequence as matmul ->
-/// add -> act, so results are bitwise equal to the unfused chain.
+// ---- linear_act_rows leaves ------------------------------------------------
+//
+// Every leaf computes each output element with the same float operations
+// in the same order: start from +0.0; for p ascending add x[p]·W[p][j] (a
+// rounded multiply, then a rounded add); add the bias; apply act. That is
+// also matmul -> add -> act's element sequence, so every leaf is bitwise
+// equal to the unfused chain. No leaf skips a zero input: a per-row
+// branch would keep one W load from serving several rows of a tile, and
+// with a finite weight the term changes no bit. Its product is ±0, and an
+// accumulator that starts at +0.0 is never −0 (a round-to-nearest sum is
+// −0 only when both addends are), so adding ±0 returns it unchanged, NaN
+// and ±Inf included. A non-finite weight times a zero input gives NaN, in
+// every leaf and in matmul alike. The vector leaves use separate mul/add
+// intrinsics and the build passes -ffp-contract=off, so no compiler fuses
+// them into an FMA (which would skip the product's rounding). The AVX2 ReLU,
+// max(v, 0), matches `v > 0 ? v : 0` exactly: both give +0.0 for v = −0.0
+// and the second operand, 0, for NaN; the AVX-512F one is that compare,
+// lane for lane. Tanh stays scalar libm in every leaf.
+
+/// One output row, the reference leaf.
 void fused_row_scalar(const Real* arow, const Real* w, const Real* bias,
                       Real* crow, int k, int m, FusedAct act) {
   std::fill(crow, crow + m, Real(0));
   for (int p = 0; p < k; ++p) {
     const Real av = arow[p];
-    if (av == Real(0)) continue;
     const Real* wrow = w + static_cast<std::size_t>(p) * m;
     for (int j = 0; j < m; ++j) crow[j] += av * wrow[j];
   }
@@ -101,20 +115,21 @@ void fused_row_scalar(const Real* arow, const Real* w, const Real* bias,
   }
 }
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define GNS_LINEAR_ACT_AVX2_KERNEL 1
+void fused_rows_scalar(const Real* x, int ldx, const Real* w, const Real* b,
+                       Real* y, int ldy, int rows, int k, int m,
+                       FusedAct act) {
+  for (int r = 0; r < rows; ++r)
+    fused_row_scalar(x + static_cast<std::size_t>(r) * ldx, w, b,
+                     y + static_cast<std::size_t>(r) * ldy, k, m, act);
+}
 
-/// One NV*4-column block of one fused output row, AVX2. Bitwise-identical
-/// to fused_row_scalar: separate _mm256_mul_pd / _mm256_add_pd (never FMA
-/// — a fused multiply-add would skip the intermediate rounding), each lane
-/// runs the same correctly-rounded IEEE ops in the same ascending-p order
-/// with the same zero-skip, and _mm256_max_pd(v, 0) matches `v > 0 ? v : 0`
-/// exactly (both return +0.0 for v == -0.0 and the second operand, 0, for
-/// NaN). What the vector version buys is the block held in NV ymm
-/// accumulators across the whole p loop — independent dependency chains
-/// (8 at the hot 32-column width, enough to hide addpd latency) — instead
-/// of a memory round-trip per p. Tanh stays scalar libm so transcendentals
-/// match the unfused op.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define GNS_LINEAR_ACT_SIMD_KERNELS 1
+
+/// One NV*4-column block of one output row, AVX2. The block stays in NV
+/// ymm accumulators across the whole p loop: independent dependency
+/// chains (8 at the 32-column width, enough to hide addpd latency)
+/// instead of a memory round trip per p.
 template <int NV>
 __attribute__((target("avx2"))) void fused_avx2_block(const Real* arow,
                                                       const Real* wblk,
@@ -124,9 +139,7 @@ __attribute__((target("avx2"))) void fused_avx2_block(const Real* arow,
   __m256d acc[NV];
   for (int u = 0; u < NV; ++u) acc[u] = _mm256_setzero_pd();
   for (int p = 0; p < k; ++p) {
-    const Real av = arow[p];
-    if (av == Real(0)) continue;
-    const __m256d vav = _mm256_set1_pd(av);
+    const __m256d vav = _mm256_set1_pd(arow[p]);
     const Real* wrow = wblk + static_cast<std::size_t>(p) * m;
     for (int u = 0; u < NV; ++u)
       acc[u] = _mm256_add_pd(
@@ -144,9 +157,9 @@ __attribute__((target("avx2"))) void fused_avx2_block(const Real* arow,
     for (int u = 0; u < 4 * NV; ++u) cblk[u] = std::tanh(cblk[u]);
 }
 
-/// One fused output row, AVX2 path: widest block first (wider = more
-/// latency-hiding chains and fewer re-scans of arow), then narrower
-/// blocks, then a scalar column tail (e.g. the dim-2 decoder head).
+/// One output row, AVX2: widest block first (wider = more latency-hiding
+/// chains and fewer re-scans of arow), then narrower blocks, then a
+/// scalar column tail (e.g. the dim-2 decoder head).
 __attribute__((target("avx2"))) void fused_row_avx2(const Real* arow,
                                                     const Real* w,
                                                     const Real* bias,
@@ -165,15 +178,10 @@ __attribute__((target("avx2"))) void fused_row_avx2(const Real* arow,
   for (; j + 4 <= m; j += 4)
     fused_avx2_block<1>(arow, w + j, bias != nullptr ? bias + j : nullptr,
                         crow + j, k, m, act);
-  // Columns past the last multiple of 4: scalar, one accumulator per
-  // column, same op order as above.
   for (; j < m; ++j) {
     Real acc = Real(0);
-    for (int p = 0; p < k; ++p) {
-      const Real av = arow[p];
-      if (av == Real(0)) continue;
-      acc += av * w[static_cast<std::size_t>(p) * m + j];
-    }
+    for (int p = 0; p < k; ++p)
+      acc += arow[p] * w[static_cast<std::size_t>(p) * m + j];
     Real v = bias != nullptr ? acc + bias[j] : acc;
     if (act == FusedAct::ReLU)
       v = v > 0 ? v : Real(0);
@@ -183,17 +191,176 @@ __attribute__((target("avx2"))) void fused_row_avx2(const Real* arow,
   }
 }
 
-#endif  // GNS_LINEAR_ACT_AVX2_KERNEL
+void fused_rows_avx2(const Real* x, int ldx, const Real* w, const Real* b,
+                     Real* y, int ldy, int rows, int k, int m, FusedAct act) {
+  for (int r = 0; r < rows; ++r)
+    fused_row_avx2(x + static_cast<std::size_t>(r) * ldx, w, b,
+                   y + static_cast<std::size_t>(r) * ldy, k, m, act);
+}
 
-/// Fused forward: per output row, gemm accumulation + bias + activation in
-/// one pass (see the row kernels above for the bitwise-identity argument).
+/// acc += x · wv for one row of an AVX-512F block.
+template <int NV>
+__attribute__((target("avx512f"), always_inline)) inline void
+avx512_row_step(__m512d (&acc)[NV], const __m512d (&wv)[NV], Real x) {
+  const __m512d xv = _mm512_set1_pd(x);
+  for (int u = 0; u < NV; ++u)
+    acc[u] = _mm512_add_pd(acc[u], _mm512_mul_pd(xv, wv[u]));
+}
+
+/// Vector u of a block row; a masked block's last vector loads zeros in
+/// the lanes off `last`.
+template <int NV, bool kMasked>
+__attribute__((target("avx512f"), always_inline)) inline __m512d
+avx512_load(const Real* src, int u, __mmask8 last) {
+  return kMasked && u + 1 == NV ? _mm512_maskz_loadu_pd(last, src + 8 * u)
+                                : _mm512_loadu_pd(src + 8 * u);
+}
+
+/// Bias (bv, or null), ReLU and store of one row of an AVX-512F block;
+/// a masked block stores only the lanes in `last` of its last vector.
+template <int NV, bool kMasked>
+__attribute__((target("avx512f"), always_inline)) inline void
+avx512_row_finish(const __m512d (&acc)[NV], const __m512d* bv,
+                  __mmask8 last, Real* yrow, FusedAct act) {
+  for (int u = 0; u < NV; ++u) {
+    __m512d v = bv != nullptr ? _mm512_add_pd(acc[u], bv[u]) : acc[u];
+    if (act == FusedAct::ReLU)
+      v = _mm512_maskz_mov_pd(
+          _mm512_cmp_pd_mask(v, _mm512_setzero_pd(), _CMP_GT_OQ), v);
+    if (kMasked && u + 1 == NV)
+      _mm512_mask_storeu_pd(yrow + 8 * u, last, v);
+    else
+      _mm512_storeu_pd(yrow + 8 * u, v);
+  }
+}
+
+/// `cols` columns of R ≤ 4 output rows, AVX-512F: 8·NV of them, or, in a
+/// masked block, more than 8·(NV−1). Each W row's NV vectors are loaded
+/// once and serve all R rows, whose R·NV zmm accumulators (16 at R = 4,
+/// NV = 4) stay in registers across the p loop. A masked block's last
+/// vector masks off the columns past `cols`: masked lanes load zeros,
+/// touch no memory and are never stored. Each row has its own accumulator
+/// array, only the tail block masks, and tanh runs once every row is
+/// stored: GCC keeps the arrays in registers then, but leaves one [R][NV]
+/// array, or one beside a masked load in a wide block, or one live across
+/// a libm call, in memory with a store per p.
+template <int R, int NV, bool kMasked = false>
+__attribute__((target("avx512f"))) void fused_avx512_block(
+    const Real* x, int ldx, const Real* wblk, const Real* bias, Real* yblk,
+    int ldy, int k, int m, int cols, FusedAct act) {
+  static_assert(R >= 1 && R <= kRowTile && NV >= 1 && NV <= 4);
+  const auto last = static_cast<__mmask8>(0xFFu >> (8 * NV - cols));
+  const std::size_t ld = static_cast<std::size_t>(ldx);
+  __m512d acc0[NV], acc1[NV], acc2[NV], acc3[NV];
+  for (int u = 0; u < NV; ++u)
+    acc0[u] = acc1[u] = acc2[u] = acc3[u] = _mm512_setzero_pd();
+  for (int p = 0; p < k; ++p) {
+    const Real* wrow = wblk + static_cast<std::size_t>(p) * m;
+    __m512d wv[NV];
+    for (int u = 0; u < NV; ++u)
+      wv[u] = avx512_load<NV, kMasked>(wrow, u, last);
+    avx512_row_step<NV>(acc0, wv, x[p]);
+    if constexpr (R > 1) avx512_row_step<NV>(acc1, wv, x[ld + p]);
+    if constexpr (R > 2) avx512_row_step<NV>(acc2, wv, x[2 * ld + p]);
+    if constexpr (R > 3) avx512_row_step<NV>(acc3, wv, x[3 * ld + p]);
+  }
+  __m512d bv[NV] = {};
+  if (bias != nullptr)
+    for (int u = 0; u < NV; ++u)
+      bv[u] = avx512_load<NV, kMasked>(bias, u, last);
+  const __m512d* b = bias != nullptr ? bv : nullptr;
+  const std::size_t ly = static_cast<std::size_t>(ldy);
+  avx512_row_finish<NV, kMasked>(acc0, b, last, yblk, act);
+  if constexpr (R > 1)
+    avx512_row_finish<NV, kMasked>(acc1, b, last, yblk + ly, act);
+  if constexpr (R > 2)
+    avx512_row_finish<NV, kMasked>(acc2, b, last, yblk + 2 * ly, act);
+  if constexpr (R > 3)
+    avx512_row_finish<NV, kMasked>(acc3, b, last, yblk + 3 * ly, act);
+  if (act == FusedAct::Tanh)
+    for (int r = 0; r < R; ++r)
+      for (int c = 0; c < cols; ++c)
+        yblk[r * ly + c] = std::tanh(yblk[r * ly + c]);
+}
+
+/// R output rows, AVX-512F: 32-, 16- and 8-column blocks, then one masked
+/// block for the last m mod 8 columns.
+template <int R>
+__attribute__((target("avx512f"))) void fused_tile_avx512(
+    const Real* x, int ldx, const Real* w, const Real* b, Real* y, int ldy,
+    int k, int m, FusedAct act) {
+  int j = 0;
+  for (; j + 32 <= m; j += 32)
+    fused_avx512_block<R, 4>(x, ldx, w + j, b != nullptr ? b + j : nullptr,
+                             y + j, ldy, k, m, 32, act);
+  for (; j + 16 <= m; j += 16)
+    fused_avx512_block<R, 2>(x, ldx, w + j, b != nullptr ? b + j : nullptr,
+                             y + j, ldy, k, m, 16, act);
+  for (; j + 8 <= m; j += 8)
+    fused_avx512_block<R, 1>(x, ldx, w + j, b != nullptr ? b + j : nullptr,
+                             y + j, ldy, k, m, 8, act);
+  if (j < m)
+    fused_avx512_block<R, 1, true>(x, ldx, w + j,
+                                   b != nullptr ? b + j : nullptr, y + j, ldy,
+                                   k, m, m - j, act);
+}
+
+void fused_rows_avx512(const Real* x, int ldx, const Real* w, const Real* b,
+                       Real* y, int ldy, int rows, int k, int m,
+                       FusedAct act) {
+  int r = 0;
+  for (; r + kRowTile <= rows; r += kRowTile)
+    fused_tile_avx512<kRowTile>(x + static_cast<std::size_t>(r) * ldx, ldx,
+                                w, b, y + static_cast<std::size_t>(r) * ldy,
+                                ldy, k, m, act);
+  x += static_cast<std::size_t>(r) * ldx;
+  y += static_cast<std::size_t>(r) * ldy;
+  switch (rows - r) {
+    case 3:
+      fused_tile_avx512<3>(x, ldx, w, b, y, ldy, k, m, act);
+      break;
+    case 2:
+      fused_tile_avx512<2>(x, ldx, w, b, y, ldy, k, m, act);
+      break;
+    case 1:
+      fused_tile_avx512<1>(x, ldx, w, b, y, ldy, k, m, act);
+      break;
+    default:
+      break;
+  }
+}
+
+#endif  // GNS_LINEAR_ACT_SIMD_KERNELS
+
+void run_rows_leaf(RowsLeaf leaf, const Real* x, int ldx, const Real* w,
+                   const Real* b, Real* y, int ldy, int rows, int k, int m,
+                   FusedAct act) {
+  switch (leaf) {
+#ifdef GNS_LINEAR_ACT_SIMD_KERNELS
+    case RowsLeaf::Avx512:
+      fused_rows_avx512(x, ldx, w, b, y, ldy, rows, k, m, act);
+      return;
+    case RowsLeaf::Avx2:
+      fused_rows_avx2(x, ldx, w, b, y, ldy, rows, k, m, act);
+      return;
+#endif
+    default:
+      fused_rows_scalar(x, ldx, w, b, y, ldy, rows, k, m, act);
+      return;
+  }
+}
+
+/// Fused forward: linear_act_rows over tiles of kRowTile rows, in
+/// parallel.
 void fused_linear_fwd(const Real* a, const Real* w, const Real* bias, Real* c,
                       int n, int k, int m, FusedAct act) {
   const std::int64_t work = static_cast<std::int64_t>(n) * k * m;
-  exec::parallel_for(n, work > 1 << 16, [&](std::int64_t row) {
-    const int i = static_cast<int>(row);
-    linear_act_row(a + static_cast<std::size_t>(i) * k, w, bias,
-                   c + static_cast<std::size_t>(i) * m, k, m, act);
+  const std::int64_t tiles = (n + kRowTile - 1) / kRowTile;
+  exec::parallel_for(tiles, work > 1 << 16, [&](std::int64_t tile) {
+    const int r0 = static_cast<int>(tile) * kRowTile;
+    linear_act_rows(a + static_cast<std::size_t>(r0) * k, k, w, bias,
+                    c + static_cast<std::size_t>(r0) * m, m,
+                    std::min(kRowTile, n - r0), k, m, act);
   });
 }
 
@@ -214,15 +381,41 @@ Real act_grad_from_output(FusedAct act, Real out) {
 
 }  // namespace
 
-void linear_act_row(const Real* x, const Real* w, const Real* b, Real* y,
-                    int k, int m, FusedAct act) {
-#ifdef GNS_LINEAR_ACT_AVX2_KERNEL
-  if (simd::cpu_has_avx2()) {
-    fused_row_avx2(x, w, b, y, k, m, act);
-    return;
-  }
+bool rows_leaf_available(RowsLeaf leaf) {
+  switch (leaf) {
+    case RowsLeaf::Scalar:
+      return true;
+#ifdef GNS_LINEAR_ACT_SIMD_KERNELS
+    case RowsLeaf::Avx2:
+      return simd::cpu_has_avx2();
+    case RowsLeaf::Avx512:
+      return simd::cpu_has_avx512f();
 #endif
-  fused_row_scalar(x, w, b, y, k, m, act);
+    default:
+      return false;
+  }
+}
+
+RowsLeaf rows_leaf() {
+  static const RowsLeaf widest =
+      rows_leaf_available(RowsLeaf::Avx512) ? RowsLeaf::Avx512
+      : rows_leaf_available(RowsLeaf::Avx2) ? RowsLeaf::Avx2
+                                            : RowsLeaf::Scalar;
+  return simd::enabled() ? widest : RowsLeaf::Scalar;
+}
+
+void linear_act_rows_with(RowsLeaf leaf, const Real* x, int ldx,
+                          const Real* w, const Real* b, Real* y, int ldy,
+                          int rows, int k, int m, FusedAct act) {
+  GNS_CHECK_MSG(rows_leaf_available(leaf),
+                "linear_act_rows: this CPU cannot run leaf "
+                    << static_cast<int>(leaf));
+  run_rows_leaf(leaf, x, ldx, w, b, y, ldy, rows, k, m, act);
+}
+
+void linear_act_rows(const Real* x, int ldx, const Real* w, const Real* b,
+                     Real* y, int ldy, int rows, int k, int m, FusedAct act) {
+  run_rows_leaf(rows_leaf(), x, ldx, w, b, y, ldy, rows, k, m, act);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

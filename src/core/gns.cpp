@@ -151,7 +151,7 @@ void GnsModel::ProcessorLayer::forward_ops(const GraphIndex& index,
 // and the divide over the same CSR order as segment_softmax, and each
 // weighted row is one rounded multiply before its add, as mul then
 // scatter_add_rows. Every output row has exactly one writer, so the
-// result does not depend on the worker count.
+// result does not depend on the worker count, nor on how rows are tiled.
 void GnsModel::ProcessorLayer::forward_rows(const GraphIndex& index,
                                             ad::Tensor& v,
                                             ad::Tensor& e) const {
@@ -173,23 +173,38 @@ void GnsModel::ProcessorLayer::forward_rows(const GraphIndex& index,
   std::vector<ad::Real> alpha;
   if (attention_mlp) ad::arena::acquire(alpha, num_edges);
 
+  // Both kernels run over tiles of kRowTile rows: gather the tile's MLP
+  // input rows into stack scratch, then one forward_rows call.
+  constexpr int kTile = ad::kRowTile;
+  const auto tile_rows = [](std::int64_t tile, int n) {
+    return static_cast<int>(std::min<std::int64_t>(kTile, n - tile * kTile));
+  };
+
   ad::Tensor e_new = ad::make_op_result(num_edges, latent, {}, {});
   ad::Real* env = e_new.data();
   {
     GNS_TRACE_SCOPE("core.gns.round.edge");
     const std::int64_t macs =
         edge_mlp.row_macs() + (attention_mlp ? attention_mlp->row_macs() : 0);
-    exec::parallel_for(num_edges, num_edges * macs > 1 << 16,
-                       [&](std::int64_t i) {
-      // φᵉ's input row [e_i, v_s, v_r], in concat_cols' column order.
-      alignas(32) ad::Real in[ad::kMaxRowWidth];
-      std::copy_n(ev + i * l, l, in);
-      std::copy_n(vv + senders[i] * l, l, in + l);
-      std::copy_n(vv + receivers[i] * l, l, in + 2 * l);
-      ad::Real* out = env + i * l;
-      edge_mlp.forward_row(in, out);
-      simd::accumulate(out, ev + i * l, l);  // residual
-      if (attention_mlp) attention_mlp->forward_row(in, &alpha[i]);
+    const int width = 3 * latent;
+    exec::parallel_for((num_edges + kTile - 1) / kTile,
+                       num_edges * macs > 1 << 16, [&](std::int64_t tile) {
+      // φᵉ's input rows [e_i, v_s, v_r], in concat_cols' column order.
+      alignas(64) ad::Real in[kTile * ad::kMaxRowWidth];
+      const std::int64_t i0 = tile * kTile;
+      const int rows = tile_rows(tile, num_edges);
+      for (int r = 0; r < rows; ++r) {
+        const std::int64_t i = i0 + r;
+        ad::Real* row = in + r * width;
+        std::copy_n(ev + i * l, l, row);
+        std::copy_n(vv + senders[i] * l, l, row + l);
+        std::copy_n(vv + receivers[i] * l, l, row + 2 * l);
+      }
+      ad::Real* out = env + i0 * l;
+      edge_mlp.forward_rows(in, width, out, latent, rows);
+      simd::accumulate(out, ev + i0 * l, rows * l);  // residual
+      if (attention_mlp)
+        attention_mlp->forward_rows(in, width, &alpha[i0], 1, rows);
     });
   }
 
@@ -199,35 +214,43 @@ void GnsModel::ProcessorLayer::forward_rows(const GraphIndex& index,
     GNS_TRACE_SCOPE("core.gns.round.node");
     const int* off = index.receivers.offsets();
     const int* pos = index.receivers.positions();
-    exec::parallel_for(num_nodes, num_nodes * node_mlp.row_macs() > 1 << 16,
-                       [&](std::int64_t b) {
-      // φᵛ's input row [v_b, Σ incoming e_new].
-      alignas(32) ad::Real in[ad::kMaxRowWidth];
-      std::copy_n(vv + b * l, l, in);
-      ad::Real* agg = in + l;
-      std::fill_n(agg, l, ad::Real(0));
-      if (attention_mlp) {
-        ad::Real seg_max = -std::numeric_limits<ad::Real>::infinity();
-        for (int p = off[b]; p < off[b + 1]; ++p)
-          seg_max = std::max(seg_max, alpha[pos[p]]);
-        ad::Real seg_sum = ad::Real(0);
-        for (int p = off[b]; p < off[b + 1]; ++p) {
-          const int i = pos[p];
-          alpha[i] = std::exp(alpha[i] - seg_max);
-          seg_sum += alpha[i];
+    const int width = 2 * latent;
+    exec::parallel_for((num_nodes + kTile - 1) / kTile,
+                       num_nodes * node_mlp.row_macs() > 1 << 16,
+                       [&](std::int64_t tile) {
+      // φᵛ's input rows [v_b, Σ incoming e_new].
+      alignas(64) ad::Real in[kTile * ad::kMaxRowWidth];
+      const std::int64_t b0 = tile * kTile;
+      const int rows = tile_rows(tile, num_nodes);
+      for (int r = 0; r < rows; ++r) {
+        const std::int64_t b = b0 + r;
+        ad::Real* row = in + r * width;
+        std::copy_n(vv + b * l, l, row);
+        ad::Real* agg = row + l;
+        std::fill_n(agg, l, ad::Real(0));
+        if (attention_mlp) {
+          ad::Real seg_max = -std::numeric_limits<ad::Real>::infinity();
+          for (int p = off[b]; p < off[b + 1]; ++p)
+            seg_max = std::max(seg_max, alpha[pos[p]]);
+          ad::Real seg_sum = ad::Real(0);
+          for (int p = off[b]; p < off[b + 1]; ++p) {
+            const int i = pos[p];
+            alpha[i] = std::exp(alpha[i] - seg_max);
+            seg_sum += alpha[i];
+          }
+          for (int p = off[b]; p < off[b + 1]; ++p) {
+            const int i = pos[p];
+            alpha[i] /= seg_sum;
+            simd::accumulate_scaled(agg, env + i * l, alpha[i], l);
+          }
+        } else {
+          for (int p = off[b]; p < off[b + 1]; ++p)
+            simd::accumulate(agg, env + pos[p] * l, l);
         }
-        for (int p = off[b]; p < off[b + 1]; ++p) {
-          const int i = pos[p];
-          alpha[i] /= seg_sum;
-          simd::accumulate_scaled(agg, env + i * l, alpha[i], l);
-        }
-      } else {
-        for (int p = off[b]; p < off[b + 1]; ++p)
-          simd::accumulate(agg, env + pos[p] * l, l);
       }
-      ad::Real* out = vnv + b * l;
-      node_mlp.forward_row(in, out);
-      simd::accumulate(out, vv + b * l, l);  // residual
+      ad::Real* out = vnv + b0 * l;
+      node_mlp.forward_rows(in, width, out, latent, rows);
+      simd::accumulate(out, vv + b0 * l, rows * l);  // residual
     });
   }
   ad::arena::recycle(alpha);

@@ -328,8 +328,11 @@ void Server::handle_hello(Connection& conn, const FrameView& frame) {
   serve::ServiceCapabilities caps = service_.capabilities();
   WireHelloReply reply;
   reply.draining = draining_.load(std::memory_order_acquire) ? 1 : 0;
-  reply.max_inflight = static_cast<std::uint32_t>(std::max(
-      0, caps.max_inflight.value_or(std::max(1, config_.max_inflight_global))));
+  // Never more than this server admits: a router in front of it would
+  // place the excess only to get Busy back.
+  const int admitted = config_.max_inflight_global;
+  reply.max_inflight = static_cast<std::uint32_t>(
+      std::clamp(caps.max_inflight.value_or(admitted), 0, admitted));
   reply.current_inflight = static_cast<std::uint32_t>(
       std::max(0, global_inflight_.load(std::memory_order_relaxed)));
   reply.workers = static_cast<std::uint32_t>(std::max(0, caps.workers));

@@ -310,7 +310,20 @@ void BackendConn::close() {
 
 bool BackendConn::reusable() {
   std::lock_guard<std::mutex> lock(m_);
-  return (state_ == State::Idle || state_ == State::Busy) && !peer_closed_;
+  if ((state_ != State::Idle && state_ != State::Busy) || peer_closed_)
+    return false;
+  // Nothing watches an idle connection, so a peer that has closed it since
+  // (its idle timeout, a restart) shows only as a readable socket: EOF, an
+  // error, or bytes no request asked for. None of them can carry the next
+  // exchange.
+  if (state_ == State::Idle) {
+    pollfd pfd{fd_, POLLIN, 0};
+    if (::poll(&pfd, 1, 0) != 0) {
+      peer_closed_ = true;
+      return false;
+    }
+  }
+  return true;
 }
 
 // ---- Backend ---------------------------------------------------------------
@@ -327,7 +340,7 @@ std::shared_ptr<BackendConn> Backend::take_idle() {
   while (!idle_.empty()) {
     std::shared_ptr<BackendConn> conn = std::move(idle_.back());
     idle_.pop_back();
-    if (conn->reusable()) return conn;  // a closed one just drops
+    if (conn->reusable()) return conn;  // a closed or stale one drops
   }
   return nullptr;
 }

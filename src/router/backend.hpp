@@ -87,7 +87,8 @@ class BackendConn : public std::enable_shared_from_this<BackendConn> {
   /// A pending exchange's callbacks never run after this (a running one
   /// may finish).
   void close();
-  /// Connected (idle, or handing out its last reply) and not closing.
+  /// Connected (idle, or handing out its last reply) and not closing; an
+  /// idle one also has nothing to read, so its peer has not closed it.
   [[nodiscard]] bool reusable();
   /// Request ids are per-connection (the wire scopes them that way).
   [[nodiscard]] std::uint64_t next_request_id() { return next_request_id_++; }
@@ -149,7 +150,8 @@ class Backend {
     return address_.host + ":" + std::to_string(address_.port);
   }
 
-  /// An idle pooled connection, checked out to the caller, or nullptr.
+  /// An idle pooled connection whose peer has not closed it, checked out
+  /// to the caller, or nullptr.
   [[nodiscard]] std::shared_ptr<BackendConn> take_idle();
   /// Sends a HELLO on `conn`, whose reply is due within hello_timeout_ms
   /// and refreshes the capabilities. `done` runs on an executor task; the

@@ -115,6 +115,15 @@ bool cpu_has_avx2() {
 #endif
 }
 
+bool cpu_has_avx512f() {
+#ifdef GNS_SIMD_AVX2_KERNEL
+  static const bool has = __builtin_cpu_supports("avx512f") != 0;
+  return has;
+#else
+  return false;
+#endif
+}
+
 bool active() { return enabled() && cpu_has_avx2(); }
 
 void copy(double* dst, const double* src, std::size_t n) {

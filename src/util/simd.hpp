@@ -8,14 +8,16 @@
 ///
 ///  * every vector kernel is **bitwise identical** to its scalar
 ///    reference — separate mul/add, never FMA (an FMA would skip the
-///    intermediate rounding), each lane runs the same correctly-rounded
-///    IEEE ops in the same order as the scalar loop;
+///    intermediate rounding; the build passes -ffp-contract=off so the
+///    compiler does not fuse them either), each lane runs the same
+///    correctly-rounded IEEE ops in the same order as the scalar loop;
 ///  * the AVX2 twin is compiled with `__attribute__((target("avx2")))`
 ///    inside a baseline-ISA translation unit and selected at runtime via
 ///    `__builtin_cpu_supports`, so one binary runs everywhere;
 ///  * a process-wide toggle (`GNS_SIMD`, **default on**; set GNS_SIMD=0 to
-///    force the scalar bodies) lets CI and benches pin either leaf kernel.
-///    It picks kernels only: callers run the same loops either way.
+///    force the scalar bodies, the MLP rows' `ad::rows_leaf()` included)
+///    lets CI and benches pin either leaf kernel. It picks kernels only:
+///    callers run the same loops either way.
 ///
 /// These kernels only vectorize across *independent* elements (row copies,
 /// elementwise accumulate, the per-element normalize pass of layer_norm).
@@ -34,13 +36,15 @@ namespace gns::simd {
 /// paths in one process).
 void set_enabled(bool enabled);
 
-/// Runtime CPU check, cached after the first call. False on non-x86
+/// Runtime CPU checks, cached after the first call. False on non-x86
 /// builds.
 [[nodiscard]] bool cpu_has_avx2();
+[[nodiscard]] bool cpu_has_avx512f();
 
 /// enabled() && cpu_has_avx2(): the vector bodies actually run. Leaf
-/// kernels (these and mpm::shape_weights_batch) dispatch on it; no loop
-/// structure depends on either query.
+/// kernels (these and mpm::shape_weights_batch) dispatch on it, and
+/// ad::rows_leaf() on enabled() and the CPU checks; no loop structure
+/// depends on any of these queries.
 [[nodiscard]] bool active();
 
 /// dst[0..n) = src[0..n). Pure copy — trivially bitwise.

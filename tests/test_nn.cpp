@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "ad/gradcheck.hpp"
 #include "ad/nn.hpp"
 #include "ad/optim.hpp"
+#include "util/simd.hpp"
 
 namespace gns::ad {
 namespace {
@@ -244,7 +248,7 @@ TEST(FusedLinear, MlpForwardMatchesUnfusedOracle) {
   // gradients must equal the hand-composed oracle chain Linear::forward ->
   // relu/tanh_op -> layer_norm exactly (ReLU and Tanh nets, with the
   // output LayerNorm). With grad mode off it takes the row path instead
-  // (forward_row per row), whose outputs must equal the chain's too.
+  // (forward_rows per tile), whose outputs must equal the chain's too.
   for (Activation act : {Activation::ReLU, Activation::Tanh}) {
     Rng rng(49);
     Mlp mlp(5, 12, 2, 3, rng, /*output_layer_norm=*/true, act);
@@ -313,6 +317,169 @@ TEST(FusedLinear, MlpGradCheckWithFusedPath) {
       },
       params, /*eps=*/1e-6, /*tolerance=*/1e-5);
   EXPECT_TRUE(result.ok) << "rel=" << result.max_rel_error;
+}
+
+// ---- linear_act_rows leaves -------------------------------------------------
+
+const char* leaf_name(RowsLeaf leaf) {
+  switch (leaf) {
+    case RowsLeaf::Scalar:
+      return "Scalar";
+    case RowsLeaf::Avx2:
+      return "Avx2";
+    case RowsLeaf::Avx512:
+      return "Avx512";
+  }
+  return "?";
+}
+
+bool same_bits(const std::vector<Real>& a, const std::vector<Real>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Real)) == 0;
+}
+
+std::vector<Real> uniform_values(std::size_t n, Rng& rng) {
+  std::vector<Real> v(n);
+  for (auto& x : v) x = rng.uniform(-1, 1);
+  return v;
+}
+
+/// About half the entries ±0 in equal shares, as a ReLU layer's output
+/// with both zero signs; the rest uniform in (-1, 1).
+std::vector<Real> half_zero_values(std::size_t n, Rng& rng) {
+  std::vector<Real> v(n);
+  for (auto& x : v) {
+    const double u = rng.uniform(0, 1);
+    x = u < 0.25 ? Real(0) : u < 0.5 ? -Real(0) : rng.uniform(-1, 1);
+  }
+  return v;
+}
+
+/// `rows` rows of x (row stride ldx) through `leaf`, into rows of stride
+/// m + 3 whose padding holds a sentinel, so a write past column m shows in
+/// the comparison too.
+std::vector<Real> run_leaf(RowsLeaf leaf, const std::vector<Real>& x, int ldx,
+                           const std::vector<Real>& w, const Real* b,
+                           int rows, int k, int m, FusedAct act) {
+  const int ldy = m + 3;
+  std::vector<Real> y(static_cast<std::size_t>(rows) * ldy, Real(7.25));
+  linear_act_rows_with(leaf, x.data(), ldx, w.data(), b, y.data(), ldy, rows,
+                       k, m, act);
+  return y;
+}
+
+class RowsLeafTest : public ::testing::TestWithParam<RowsLeaf> {
+ protected:
+  void SetUp() override {
+    if (!rows_leaf_available(GetParam()))
+      GTEST_SKIP() << "this CPU cannot run the " << leaf_name(GetParam())
+                   << " leaf";
+  }
+};
+
+TEST_P(RowsLeafTest, ShapeSweepMatchesScalarLeafBitwise) {
+  // Full tiles and remainders (rows 1-9), every column-block path
+  // (m = 1 and 2 for the decoder and attention heads, 18 and 21 for
+  // tails), strided rows, and half the inputs ±0.
+  Rng rng(60);
+  for (int k : {3, 21, 32, 96}) {
+    for (int m : {1, 2, 8, 18, 21, 32, 40, 64}) {
+      const std::vector<Real> w =
+          uniform_values(static_cast<std::size_t>(k) * m, rng);
+      const std::vector<Real> bias = uniform_values(m, rng);
+      for (int rows = 1; rows <= 9; ++rows) {
+        const int ldx = k + 1;
+        const std::vector<Real> x =
+            half_zero_values(static_cast<std::size_t>(rows) * ldx, rng);
+        for (FusedAct act :
+             {FusedAct::Identity, FusedAct::ReLU, FusedAct::Tanh}) {
+          for (const Real* b : {static_cast<const Real*>(nullptr),
+                                bias.data()}) {
+            EXPECT_TRUE(same_bits(
+                run_leaf(GetParam(), x, ldx, w, b, rows, k, m, act),
+                run_leaf(RowsLeaf::Scalar, x, ldx, w, b, rows, k, m, act)))
+                << "k=" << k << " m=" << m << " rows=" << rows
+                << " act=" << static_cast<int>(act)
+                << " bias=" << (b != nullptr);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(RowsLeafTest, InfWeightTimesZeroInputMatchesOracleBitwise) {
+  // No leaf skips a zero input, and neither does matmul: an infinite
+  // weight meeting a zero input gives NaN in every leaf and in the
+  // matmul -> add -> act oracle alike.
+  constexpr int kRows = 6, kK = 5, kM = 11;
+  Rng rng(61);
+  std::vector<Real> w = uniform_values(kK * kM, rng);
+  w[1 * kM + 0] = std::numeric_limits<Real>::infinity();
+  w[3 * kM + 9] = -std::numeric_limits<Real>::infinity();
+  std::vector<Real> x = uniform_values(kRows * kK, rng);
+  for (int r = 0; r < kRows; ++r) {
+    if (r % 2 == 0) x[r * kK + 1] = Real(0);
+    if (r % 3 == 0) x[r * kK + 3] = -Real(0);
+  }
+  const std::vector<Real> bias = uniform_values(kM, rng);
+  const Tensor xt = Tensor::from_vector(kRows, kK, x);
+  const Tensor wt = Tensor::from_vector(kK, kM, w);
+  const Tensor bt = Tensor::from_vector(1, kM, bias);
+  const Tensor pre = add(matmul(xt, wt), bt);
+  ASSERT_TRUE(std::isnan(pre.vec()[0]));
+  for (FusedAct act : {FusedAct::Identity, FusedAct::ReLU, FusedAct::Tanh}) {
+    const Tensor oracle = act == FusedAct::ReLU   ? relu(pre)
+                          : act == FusedAct::Tanh ? tanh_op(pre)
+                                                  : pre;
+    std::vector<Real> got(kRows * kM);
+    linear_act_rows_with(GetParam(), x.data(), kK, w.data(), bias.data(),
+                         got.data(), kM, kRows, kK, kM, act);
+    EXPECT_TRUE(same_bits(got, oracle.vec()))
+        << "act=" << static_cast<int>(act);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Leaves, RowsLeafTest,
+    ::testing::Values(RowsLeaf::Scalar, RowsLeaf::Avx2, RowsLeaf::Avx512),
+    [](const ::testing::TestParamInfo<RowsLeaf>& param_info) {
+      return std::string(leaf_name(param_info.param));
+    });
+
+TEST(RowsLeaf, ZeroInputTermsChangeNoBitWithFiniteWeights) {
+  // The leaves add every term. A loop that skips zero inputs gives the
+  // same bits when the weights are finite: the accumulator starts at +0.0
+  // and is never −0, so adding a ±0 product returns it unchanged.
+  constexpr int kRows = 9, kK = 32, kM = 21;
+  Rng rng(62);
+  const std::vector<Real> w = uniform_values(kK * kM, rng);
+  const std::vector<Real> x = half_zero_values(kRows * kK, rng);
+  std::vector<Real> skipped(kRows * kM, Real(0));
+  for (int r = 0; r < kRows; ++r)
+    for (int p = 0; p < kK; ++p) {
+      const Real xv = x[r * kK + p];
+      if (xv == Real(0)) continue;
+      for (int j = 0; j < kM; ++j) skipped[r * kM + j] += xv * w[p * kM + j];
+    }
+  std::vector<Real> got(kRows * kM);
+  linear_act_rows_with(RowsLeaf::Scalar, x.data(), kK, w.data(), nullptr,
+                       got.data(), kM, kRows, kK, kM, FusedAct::Identity);
+  EXPECT_TRUE(same_bits(got, skipped));
+}
+
+TEST(RowsLeaf, SimdToggleSelectsTheScalarLeaf) {
+  const bool was_enabled = simd::enabled();
+  simd::set_enabled(false);
+  EXPECT_EQ(rows_leaf(), RowsLeaf::Scalar);
+  simd::set_enabled(true);
+  const RowsLeaf widest = rows_leaf_available(RowsLeaf::Avx512)
+                              ? RowsLeaf::Avx512
+                          : rows_leaf_available(RowsLeaf::Avx2)
+                              ? RowsLeaf::Avx2
+                              : RowsLeaf::Scalar;
+  EXPECT_EQ(rows_leaf(), widest);
+  simd::set_enabled(was_enabled);
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // loses zero accepted jobs, finished client connections leave nothing
 // behind, the router owns no threads, and a client stalled mid-frame
 // does not hold up the drain. A scripted backend that breaks the protocol
-// (malformed chunks, bytes after its reply) is failed over, never trusted.
+// (malformed chunks, bytes after its reply) is failed over, never trusted,
+// and a pooled connection the backend has closed is redialed, not blamed.
 
 #include <gtest/gtest.h>
 
@@ -267,14 +268,48 @@ TEST(RouterFleet, SpreadsLoadAndAggregatesHello) {
   EXPECT_EQ(ok_count.load(), 2);
 
   // HELLO answered on behalf of the fleet: union of models, summed
-  // capacity, current protocol.
+  // capacity capped at what the router itself admits, current protocol.
   net::WireHelloReply hello;
   ASSERT_TRUE(raw_hello(router.port(), hello));
   EXPECT_EQ(hello.protocol_version, net::kProtocolVersion);
   ASSERT_EQ(hello.models.size(), 1u);
   EXPECT_EQ(hello.models[0], "m");
-  EXPECT_EQ(hello.max_inflight, 128u);  // two backends, 64 slots each
+  // Two backends of 64 slots each sum to 128, but the router's server
+  // admits max_inflight_global = 64 requests in flight.
+  EXPECT_EQ(hello.max_inflight, 64u);
   EXPECT_EQ(hello.draining, 0u);
+
+  router.stop();
+  a.server->stop();
+  b.server->stop();
+}
+
+TEST(RouterFleet, StalePooledConnectionIsRedialedNotEvicted) {
+  // Backend a closes a connection idle for 100 ms, so after a pause the
+  // router's pooled connection to it is stale. The next request must dial
+  // a fresh one, not read EOF and evict a healthy backend.
+  net::ServerConfig a_cfg = backend_cfg("rt13a");
+  a_cfg.idle_timeout_ms = 100.0;
+  BackendHarness a(a_cfg);
+  BackendHarness b(backend_cfg("rt13b"));
+  ASSERT_TRUE(a.start());
+  ASSERT_TRUE(b.start());
+  // Idle backends tie on in-flight load, and a tie places on the first in
+  // config order: both requests go to a.
+  Router router(router_cfg("rt13", {a.server->port(), b.server->port()}));
+  ASSERT_TRUE(router.start());
+  const auto want = direct_rollout(*a.sim, 3);
+
+  net::Client client(client_cfg(router));
+  const net::ClientResult first = client.rollout(small_request(*a.sim, 3));
+  ASSERT_TRUE(first.ok()) << first.transport_error << first.error;
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  const net::ClientResult second = client.rollout(small_request(*a.sim, 3));
+  ASSERT_TRUE(second.ok()) << second.transport_error << second.error;
+  expect_bitwise_equal(second.frames, want);
+  EXPECT_EQ(counter("rt13.evictions"), 0.0);
+  EXPECT_EQ(counter("rt13.failovers"), 0.0);
+  EXPECT_EQ(a.scheduler->stats().snapshot().completed, 2u);
 
   router.stop();
   a.server->stop();
