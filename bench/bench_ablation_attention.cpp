@@ -16,7 +16,7 @@ struct Variant {
   const char* name;
   bool attention;
   double final_loss = 0.0;
-  std::vector<double> rollout_err;
+  std::vector<double> rollout_err{};
   double train_seconds = 0.0;
 };
 

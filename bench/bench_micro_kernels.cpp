@@ -5,7 +5,8 @@
 //
 // `--kernels` instead runs the hand-timed SIMD kernel suite: each
 // GNS_SIMD-dispatched kernel (gather/scatter, layer_norm, concat,
-// fused edge features, MPM step) timed scalar vs SIMD, and the MLP rows
+// fused edge features, MPM steps, the P2G scatter and the Drucker–Prager
+// batch) timed scalar vs SIMD, and the MLP rows
 // timed through every linear_act_rows leaf the CPU runs (scalar, AVX2,
 // AVX-512F), each with a bitwise cross-check against the scalar
 // reference, written to BENCH_kernels.json for the CI artifact.
@@ -21,6 +22,7 @@
 #include "core/datagen.hpp"
 #include "core/trainer.hpp"
 #include "graph/neighbor_search.hpp"
+#include "mpm/p2g.hpp"
 #include "mpm/scenes.hpp"
 #include "sr/genetic.hpp"
 #include "util/simd.hpp"
@@ -337,12 +339,72 @@ int run_kernel_suite() {
                          mpm::make_column_collapse(params, 0.2, 1.5);
                      mpm::MpmSolver solver = scene.make_solver();
                      solver.run(20);
+                     // The full particle state, as raw doubles.
+                     const mpm::Particles& p = solver.particles();
                      std::vector<ad::Real> out;
-                     for (const auto& p : solver.particles().position) {
-                       out.push_back(p.x);
-                       out.push_back(p.y);
-                     }
+                     auto put = [&out](const auto& v) {
+                       const auto* d =
+                           reinterpret_cast<const ad::Real*>(v.data());
+                       out.insert(out.end(), d,
+                                  d + v.size() * sizeof(v[0]) /
+                                          sizeof(ad::Real));
+                     };
+                     put(p.position);
+                     put(p.velocity);
+                     put(p.stress);
+                     put(p.volume);
                      return out;
+                   }});
+
+  // The MPM leaves on the state of a collapsing column at 4x the Fig-3
+  // grid (5,202 particles, 100 steps in): every chunk's P2G scatter into
+  // one lane, and the Drucker–Prager batch over the particles' stresses
+  // with random strain increments of the size a step applies.
+  mpm::GranularSceneParams column_params;
+  column_params.cells_x = 128;
+  column_params.cells_y = 64;
+  column_params.domain_width = 1.0;
+  column_params.domain_height = 0.5;
+  const mpm::Scene column = mpm::make_column_collapse(column_params, 0.2, 2.0);
+  mpm::MpmSolver column_solver = column.make_solver();
+  column_solver.run(100);
+  const mpm::Particles& column_state = column_solver.particles();
+  const int column_np = column_state.size();
+  mpm::P2gLane lane(column_solver.grid().num_nodes());
+  mpm::P2gGrid p2g_grid;
+  p2g_grid.nodes_x = column_solver.grid().nodes_x();
+  p2g_grid.nodes_y = column_solver.grid().nodes_y();
+  p2g_grid.spacing = column_solver.grid().spacing();
+  p2g_grid.gravity = column_solver.config().gravity;
+  cases.push_back({"mpm_p2g", [&] {
+                     ++p2g_grid.epoch;  // zero each block on first touch
+                     for (int c0 = 0; c0 < column_np; c0 += mpm::kShapeBatch)
+                       mpm::p2g_scatter(
+                           column_state, c0,
+                           std::min(mpm::kShapeBatch, column_np - c0),
+                           p2g_grid, lane);
+                     std::vector<ad::Real> out(lane.mass);
+                     out.insert(out.end(), lane.rec.begin(), lane.rec.end());
+                     return out;
+                   }});
+  std::vector<mpm::StressState> stress_states;
+  for (int i = 0; i < column_np; ++i)
+    stress_states.push_back(
+        {column_state.stress[i],
+         {rng.uniform(-1e-4, 1e-4), rng.uniform(-1e-4, 1e-4),
+          rng.uniform(-1e-4, 1e-4), 0.0},
+         1e-4,
+         column_state.mass[i] / column_state.volume[i]});
+  cases.push_back({"mpm_stress", [&] {
+                     std::vector<mpm::SymTensor2> out(column_np);
+                     for (int c0 = 0; c0 < column_np; c0 += mpm::kShapeBatch)
+                       column.material->update_stress_batch(
+                           stress_states.data() + c0,
+                           std::min(mpm::kShapeBatch, column_np - c0),
+                           out.data() + c0);
+                     const auto* d =
+                         reinterpret_cast<const ad::Real*>(out.data());
+                     return std::vector<ad::Real>(d, d + 4 * out.size());
                    }});
 
   std::printf("\n%22s %12s %12s %9s %9s\n", "kernel", "scalar ms", "simd ms",

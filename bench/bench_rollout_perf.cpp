@@ -165,10 +165,11 @@ int main(int argc, char** argv) {
   }
   identical = identical && same_taped;
   std::vector<std::pair<std::string, double>> fields;
+  const char* const steps_key[2] = {"v0_steps_per_sec", "v1_steps_per_sec"};
   for (int v = 0; v < 2; ++v) {
     std::printf("%12s %14.2f %10s\n", v == 1 ? "on" : "off", best[v],
                 same[v] ? "yes" : "NO");
-    fields.emplace_back("v" + std::to_string(v) + "_steps_per_sec", best[v]);
+    fields.emplace_back(steps_key[v], best[v]);
   }
   const double speedup_simd = best[0] > 0.0 ? best[1] / best[0] : 0.0;
   std::printf("%12s %14s %10s\n", "taped", "-", same_taped ? "yes" : "NO");

@@ -59,11 +59,10 @@ void print_fleet(const router::Router& r) {
       if (!models.empty()) models += ",";
       models += m;
     }
-    if (models.empty()) models = "?";
     std::printf("  %s:%d  %-8s inflight %d/%d  models [%s]\n",
                 b.address.host.c_str(), b.address.port,
                 health_name(b.health), b.inflight, b.capabilities.capacity,
-                models.c_str());
+                models.empty() ? "?" : models.c_str());
   }
 }
 

@@ -1,10 +1,5 @@
 #include "mpm/grid.hpp"
 
-#include "exec/parallel_for.hpp"
-
-#include <algorithm>
-#include <cmath>
-
 namespace gns::mpm {
 
 Grid::Grid(int cells_x, int cells_y, double spacing)
@@ -15,59 +10,6 @@ Grid::Grid(int cells_x, int cells_y, double spacing)
   momentum.assign(num_nodes(), Vec2d{});
   force.assign(num_nodes(), Vec2d{});
   velocity.assign(num_nodes(), Vec2d{});
-}
-
-void Grid::clear() {
-  std::fill(mass.begin(), mass.end(), 0.0);
-  std::fill(momentum.begin(), momentum.end(), Vec2d{});
-  std::fill(force.begin(), force.end(), Vec2d{});
-  std::fill(velocity.begin(), velocity.end(), Vec2d{});
-}
-
-void Grid::update_velocities(double dt, double min_mass) {
-  const int n = num_nodes();
-  exec::parallel_for(n, true, [&](std::int64_t i) {
-    if (mass[i] > min_mass) {
-      velocity[i].x = (momentum[i].x + dt * force[i].x) / mass[i];
-      velocity[i].y = (momentum[i].y + dt * force[i].y) / mass[i];
-    } else {
-      velocity[i] = Vec2d{};
-    }
-  });
-}
-
-void Grid::apply_boundary(double dt, double floor_friction) {
-  (void)dt;
-  const int nxn = nodes_x();
-  const int nyn = nodes_y();
-  // Floor (y = 0): no penetration + Coulomb friction against the normal
-  // "push" the node would otherwise have.
-  for (int ix = 0; ix < nxn; ++ix) {
-    const int i = node_index(ix, 0);
-    if (velocity[i].y < 0.0) {
-      const double vn = -velocity[i].y;  // inward normal magnitude
-      velocity[i].y = 0.0;
-      const double vt = velocity[i].x;
-      const double drop = floor_friction * vn;
-      if (std::abs(vt) <= drop) {
-        velocity[i].x = 0.0;
-      } else {
-        velocity[i].x = vt - std::copysign(drop, vt);
-      }
-    }
-  }
-  // Ceiling (free-slip).
-  for (int ix = 0; ix < nxn; ++ix) {
-    const int i = node_index(ix, nyn - 1);
-    if (velocity[i].y > 0.0) velocity[i].y = 0.0;
-  }
-  // Left/right walls (free-slip).
-  for (int iy = 0; iy < nyn; ++iy) {
-    const int il = node_index(0, iy);
-    if (velocity[il].x < 0.0) velocity[il].x = 0.0;
-    const int ir = node_index(nxn - 1, iy);
-    if (velocity[ir].x > 0.0) velocity[ir].x = 0.0;
-  }
 }
 
 }  // namespace gns::mpm

@@ -2,8 +2,9 @@
 
 /// \file grid.hpp
 /// Background Eulerian grid of the MPM. Holds nodal mass/momentum/force and
-/// applies box boundary conditions (frictional floor, free-slip walls).
+/// velocity, and the box boundary rule (frictional floor, free-slip walls).
 
+#include <cmath>
 #include <vector>
 
 #include "mpm/types.hpp"
@@ -16,8 +17,6 @@ namespace gns::mpm {
 class Grid {
  public:
   Grid(int cells_x, int cells_y, double spacing);
-
-  void clear();
 
   [[nodiscard]] int cells_x() const { return nx_; }
   [[nodiscard]] int cells_y() const { return ny_; }
@@ -38,19 +37,31 @@ class Grid {
   std::vector<Vec2d> force;
   std::vector<Vec2d> velocity;
 
-  /// Converts momentum to velocity with the explicit force update
-  /// v = (p + dt f) / m, skipping empty nodes.
-  void update_velocities(double dt, double min_mass = 1e-12);
-
-  /// Box boundary: zero inward-normal velocity at the four walls; on the
-  /// floor, Coulomb-friction the tangential component with coefficient
-  /// `floor_friction` (0 = free slip, large = effectively no slip).
-  void apply_boundary(double dt, double floor_friction);
-
  private:
   int nx_;
   int ny_;
   double h_;
 };
+
+/// Box boundary rule for the velocity `v` of node (ix, iy) of a grid with
+/// nodes_x × nodes_y nodes, applied in the order floor, ceiling, left
+/// wall, right wall: no velocity out of the box at the four walls, and on
+/// the floor Coulomb friction on the tangential component with
+/// coefficient `floor_friction` (0 = free slip, large = effectively no
+/// slip) against the normal push the node would otherwise have. Interior
+/// nodes are left as they are.
+inline void apply_boundary(Vec2d& v, int ix, int iy, int nodes_x,
+                           int nodes_y, double floor_friction) {
+  if (iy == 0 && v.y < 0.0) {
+    const double vn = -v.y;  // inward normal magnitude
+    v.y = 0.0;
+    const double vt = v.x;
+    const double drop = floor_friction * vn;
+    v.x = (std::abs(vt) <= drop) ? 0.0 : vt - std::copysign(drop, vt);
+  }
+  if (iy == nodes_y - 1 && v.y > 0.0) v.y = 0.0;
+  if (ix == 0 && v.x < 0.0) v.x = 0.0;
+  if (ix == nodes_x - 1 && v.x > 0.0) v.x = 0.0;
+}
 
 }  // namespace gns::mpm

@@ -3,9 +3,20 @@
 #include <algorithm>
 #include <cmath>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define GNS_MPM_AVX2_KERNEL 1
+#endif
+
 #include "util/check.hpp"
+#include "util/simd.hpp"
 
 namespace gns::mpm {
+
+void Material::update_stress_batch(const StressState* states, int n,
+                                   SymTensor2* out) const {
+  for (int i = 0; i < n; ++i) out[i] = update_stress(states[i]);
+}
 
 LinearElastic::LinearElastic(double youngs, double poisson, double density)
     : youngs_(youngs), poisson_(poisson), density_(density) {
@@ -72,6 +83,110 @@ SymTensor2 DruckerPrager::update_stress(const StressState& state) const {
   const double scale = cone_radius / sqrt_j2;
   SymTensor2 s = trial.deviator() * scale;
   return {s.xx + p, s.yy + p, s.xy, s.zz + p};
+}
+
+#ifdef GNS_MPM_AVX2_KERNEL
+
+namespace {
+
+/// In-place 4x4 transpose: rows r[i] = (a, b, c, d) of element i become
+/// columns r[k] = component k of elements 0..3.
+__attribute__((target("avx2"))) inline void transpose4(__m256d r[4]) {
+  const __m256d t0 = _mm256_unpacklo_pd(r[0], r[1]);
+  const __m256d t1 = _mm256_unpackhi_pd(r[0], r[1]);
+  const __m256d t2 = _mm256_unpacklo_pd(r[2], r[3]);
+  const __m256d t3 = _mm256_unpackhi_pd(r[2], r[3]);
+  r[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+  r[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+  r[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+  r[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+/// DruckerPrager::update_stress on 4 states per vector. Every lane runs
+/// the scalar body's operations in its order and association: the
+/// elastic trial, p, √max(J2, 0) (max_pd(0, j2) returns j2 when it is
+/// NaN, as std::max(j2, 0.0) does), the cone radius and the scaled
+/// return are computed for all lanes, then _CMP_LE_OQ masks (false on
+/// NaN, like the scalar `<=`) pick the apex, trial or return outcome.
+/// A 0/0 in a lane whose outcome is discarded changes nothing.
+__attribute__((target("avx2"))) void dp_batch_avx2(
+    const StressState* states, int n, SymTensor2* out, double lambda,
+    double mu, double alpha, double k, double p_apex) {
+  static_assert(sizeof(SymTensor2) == 4 * sizeof(double));
+  const __m256d vlambda = _mm256_set1_pd(lambda);
+  const __m256d two_mu = _mm256_set1_pd(2.0 * mu);
+  const __m256d valpha = _mm256_set1_pd(alpha);
+  const __m256d vk = _mm256_set1_pd(k);
+  const __m256d third = _mm256_set1_pd(3.0);
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d apex = _mm256_set1_pd(p_apex);
+  int i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d s[4], d[4];
+    for (int l = 0; l < 4; ++l) {
+      s[l] = _mm256_loadu_pd(&states[i + l].stress.xx);
+      d[l] = _mm256_loadu_pd(&states[i + l].dstrain.xx);
+    }
+    transpose4(s);  // xx, yy, xy, zz
+    transpose4(d);
+    // trial = stress + elastic_increment(dstrain).
+    const __m256d lt = _mm256_mul_pd(
+        vlambda, _mm256_add_pd(_mm256_add_pd(d[0], d[1]), d[3]));
+    const __m256d txx = _mm256_add_pd(
+        s[0], _mm256_add_pd(lt, _mm256_mul_pd(two_mu, d[0])));
+    const __m256d tyy = _mm256_add_pd(
+        s[1], _mm256_add_pd(lt, _mm256_mul_pd(two_mu, d[1])));
+    const __m256d txy = _mm256_add_pd(s[2], _mm256_mul_pd(two_mu, d[2]));
+    const __m256d tzz = _mm256_add_pd(
+        s[3], _mm256_add_pd(lt, _mm256_mul_pd(two_mu, d[3])));
+    const __m256d p = _mm256_div_pd(
+        _mm256_add_pd(_mm256_add_pd(txx, tyy), tzz), third);
+    const __m256d dxx = _mm256_sub_pd(txx, p);
+    const __m256d dyy = _mm256_sub_pd(tyy, p);
+    const __m256d dzz = _mm256_sub_pd(tzz, p);
+    const __m256d j2 = _mm256_add_pd(
+        _mm256_mul_pd(
+            half, _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(dxx, dxx),
+                                              _mm256_mul_pd(dyy, dyy)),
+                                _mm256_mul_pd(dzz, dzz))),
+        _mm256_mul_pd(txy, txy));
+    const __m256d sqrt_j2 = _mm256_sqrt_pd(_mm256_max_pd(zero, j2));
+    const __m256d radius = _mm256_sub_pd(vk, _mm256_mul_pd(valpha, p));
+    const __m256d at_apex = _mm256_cmp_pd(radius, zero, _CMP_LE_OQ);
+    const __m256d inside = _mm256_cmp_pd(sqrt_j2, radius, _CMP_LE_OQ);
+    const __m256d scale = _mm256_div_pd(radius, sqrt_j2);
+    __m256d r[4] = {
+        _mm256_add_pd(_mm256_mul_pd(dxx, scale), p),
+        _mm256_add_pd(_mm256_mul_pd(dyy, scale), p),
+        _mm256_mul_pd(txy, scale),
+        _mm256_add_pd(_mm256_mul_pd(dzz, scale), p)};
+    const __m256d trial[4] = {txx, tyy, txy, tzz};
+    for (int c = 0; c < 4; ++c) {
+      r[c] = _mm256_blendv_pd(r[c], trial[c], inside);
+      r[c] = _mm256_blendv_pd(r[c], c == 2 ? zero : apex, at_apex);
+    }
+    transpose4(r);
+    for (int l = 0; l < 4; ++l) _mm256_storeu_pd(&out[i + l].xx, r[l]);
+  }
+}
+
+}  // namespace
+
+#endif  // GNS_MPM_AVX2_KERNEL
+
+void DruckerPrager::update_stress_batch(const StressState* states, int n,
+                                        SymTensor2* out) const {
+  int done = 0;
+#ifdef GNS_MPM_AVX2_KERNEL
+  if (simd::active()) {
+    const double p_apex = (alpha_ > 0.0) ? k_ / alpha_ : 0.0;
+    dp_batch_avx2(states, n, out, lambda_, mu_, alpha_, k_, p_apex);
+    done = n - n % 4;
+  }
+#endif
+  for (int i = done; i < n; ++i)
+    out[i] = DruckerPrager::update_stress(states[i]);
 }
 
 NewtonianFluid::NewtonianFluid(double rest_density, double sound_speed,

@@ -37,6 +37,14 @@ class Material {
   [[nodiscard]] virtual SymTensor2 update_stress(
       const StressState& state) const = 0;
 
+  /// Updates a batch: out[i] = update_stress(states[i]) for i in [0, n),
+  /// bit for bit. This default loops over update_stress; a model may
+  /// override it with a vector leaf that performs each element's IEEE
+  /// operations in the same order. The MPM step calls it once per
+  /// 128-particle G2P chunk.
+  virtual void update_stress_batch(const StressState* states, int n,
+                                   SymTensor2* out) const;
+
   /// Convenience overload for solids (dt/density-independent paths and
   /// tests).
   [[nodiscard]] SymTensor2 update_stress(const SymTensor2& stress,
@@ -98,6 +106,16 @@ class DruckerPrager : public LinearElastic {
   [[nodiscard]] SymTensor2 update_stress(
       const StressState& state) const override;
 
+  /// Two leaves, chosen by simd::active() as shape_weights_batch's are:
+  /// update_stress per element, or an AVX2 leaf that takes 4 states per
+  /// vector, computes the apex, elastic and return outcomes for every
+  /// lane and picks one per lane with compare masks. Its lanes run
+  /// update_stress's operations in the same order (a NaN J2 or cone
+  /// radius takes the branch the scalar code takes), so both leaves give
+  /// the same bits.
+  void update_stress_batch(const StressState* states, int n,
+                           SymTensor2* out) const override;
+
   [[nodiscard]] double friction_deg() const { return friction_deg_; }
   [[nodiscard]] double alpha() const { return alpha_; }
   [[nodiscard]] double k() const { return k_; }
@@ -129,9 +147,6 @@ class NewtonianFluid : public Material {
   [[nodiscard]] double wave_speed() const override { return sound_speed_; }
 
   [[nodiscard]] double viscosity() const { return viscosity_; }
-  [[nodiscard]] double bulk_modulus() const {
-    return rest_density_ * sound_speed_ * sound_speed_;
-  }
 
  private:
   double rest_density_;

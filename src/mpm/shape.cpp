@@ -90,4 +90,18 @@ void shape_weights_batch(ShapeKind kind, const double* x, int count, double h,
   batch_scalar(kind, x, count, h, out);
 }
 
+void shape_weights_batch(ShapeKind kind, const Vec2d* points, int count,
+                         double h, ShapeWeightsBatch& wx,
+                         ShapeWeightsBatch& wy) {
+  GNS_DCHECK(count >= 0 && count <= kShapeBatch);
+  alignas(32) double x[kShapeBatch];
+  alignas(32) double y[kShapeBatch];
+  for (int i = 0; i < count; ++i) {
+    x[i] = points[i].x;
+    y[i] = points[i].y;
+  }
+  shape_weights_batch(kind, x, count, h, wx);
+  shape_weights_batch(kind, y, count, h, wy);
+}
+
 }  // namespace gns::mpm

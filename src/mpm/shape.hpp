@@ -9,6 +9,7 @@
 #include <array>
 #include <cmath>
 
+#include "mpm/types.hpp"
 #include "util/check.hpp"
 
 namespace gns::mpm {
@@ -83,5 +84,12 @@ struct ShapeWeightsBatch {
 /// the same order per lane.
 void shape_weights_batch(ShapeKind kind, const double* x, int count, double h,
                          ShapeWeightsBatch& out);
+
+/// Both axes' weights of points[0..count) (count <= kShapeBatch): the
+/// coordinates go to SoA scratch, then one shape_weights_batch call per
+/// axis. The MPM transfers call this once per particle chunk.
+void shape_weights_batch(ShapeKind kind, const Vec2d* points, int count,
+                         double h, ShapeWeightsBatch& wx,
+                         ShapeWeightsBatch& wy);
 
 }  // namespace gns::mpm

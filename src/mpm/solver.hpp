@@ -3,19 +3,20 @@
 /// \file solver.hpp
 /// Explicit update-stress-last Material Point Method (2-D, plane strain).
 ///
-/// One step: particle-to-grid transfer (mass, momentum, internal + gravity
-/// forces) -> grid velocity update with box boundary conditions -> grid-to-
-/// particle transfer with a FLIP/PIC blend, velocity-gradient-driven
-/// constitutive update, and position advection. Both transfer directions
-/// run in parallel on the work-stealing executor (exec::parallel_for and
-/// fixed P2G lanes), bitwise invariant to the worker count.
+/// One step runs three parallel regions: particle-to-grid scatter (mass,
+/// momentum, internal + gravity forces) into fixed lanes; one pass over
+/// 64-node blocks that sums the lanes, forms the old and new grid
+/// velocities and applies the box boundary; grid-to-particle transfer
+/// with a FLIP/PIC blend, velocity-gradient-driven constitutive update,
+/// and position advection. They run on the work-stealing executor
+/// (exec::parallel_for and fixed P2G lanes) from kParallelParticles
+/// particles up, and the step is bitwise invariant to the worker count.
 ///
 /// Both transfers run in kShapeBatch-particle chunks over SoA scratch:
-/// shape weights are evaluated by the batched (AVX2-dispatched, bitwise
-/// scalar-identical) shape_weights_batch, and the per-lane P2G buffers
-/// are epoch-stamped per node block so only blocks a lane actually
-/// touched are cleared and reduced — the full-grid clear/reduce used to
-/// cost O(nodes × lanes) per step regardless of particle support.
+/// shape weights come from the batched (AVX2-dispatched, bitwise
+/// scalar-identical) shape_weights_batch, P2G adds each node's four
+/// vector-field contributions as one record (p2g.hpp), and G2P makes one
+/// Material::update_stress_batch call per chunk.
 ///
 /// This is the substrate playing the role of CB-Geo MPM in the paper: it
 /// generates the GNS training trajectories, is the "physics refinement"
@@ -29,6 +30,7 @@
 
 #include "mpm/grid.hpp"
 #include "mpm/material.hpp"
+#include "mpm/p2g.hpp"
 #include "mpm/particles.hpp"
 #include "mpm/shape.hpp"
 
@@ -45,6 +47,12 @@ struct MpmConfig {
   double floor_friction = 0.4;     ///< Coulomb coefficient on the floor
   ShapeKind shape = ShapeKind::QuadraticBSpline;
 };
+
+/// The largest |v| over `velocity`, as the running std::max(vmax, v.norm())
+/// from +0.0 gives it, bit for bit (NaN norms are skipped), with one square
+/// root: it takes the largest |v|² over four partial maxima. A correctly
+/// rounded sqrt is monotone and a maximum does not depend on grouping.
+[[nodiscard]] double max_speed(const std::vector<Vec2d>& velocity);
 
 /// Explicit MPM solver owning the grid and the particle set.
 class MpmSolver {
@@ -78,39 +86,30 @@ class MpmSolver {
                       const std::vector<Vec2d>& velocities);
 
  private:
-  void particle_to_grid(double dt);
-  void grid_to_particle(double dt);
+  void particle_to_grid(bool parallel);
+  void update_grid(double dt, bool parallel);
+  void grid_to_particle(double dt, bool parallel);
 
-  /// Node blocks of the lazy-clear bookkeeping: nodes [blk << kBlockShift,
-  /// (blk + 1) << kBlockShift) form one clear/reduce unit.
-  static constexpr int kBlockShift = 6;  // 64 nodes per block
+  /// Particle count from which the step's three regions run on the
+  /// executor; below it they run serially on the caller. A 190-particle
+  /// Fig-3 frame ran faster serially than at 2 workers; the crossover lay
+  /// between 722 and 1,682 particles on a 4-vCPU Xeon. The decomposition
+  /// is the same either way, so no bit depends on it.
+  static constexpr int kParallelParticles = 1024;
 
   /// P2G scatter lanes. Each lane owns a fixed contiguous chunk range and
-  /// a private scatter buffer, and the reduction sums lanes in ascending
+  /// a private scatter buffer, and the grid pass sums lanes in ascending
   /// order — a constant decomposition, so P2G is bitwise identical at any
   /// executor worker count.
   static constexpr int kP2gLanes = 8;
-
-  /// Per-lane P2G scatter buffers, SoA per field so the reduction can
-  /// run as flat vector adds. `block_epoch[blk] == current epoch` means
-  /// this lane zeroed + touched block blk this step; anything else is
-  /// stale data from an earlier step that the reduction must (and does)
-  /// skip — which is exactly the legacy behaviour of a fully-zeroed
-  /// buffer, without the O(nodes) clear.
-  struct P2gBuffer {
-    std::vector<double> mass, mom_x, mom_y, force_x, force_y;
-    std::vector<std::uint64_t> block_epoch;
-    std::vector<int> dirty;  ///< blocks this lane touched this step
-  };
 
   MpmConfig config_;
   std::shared_ptr<const Material> material_;
   Particles particles_;
   Grid grid_;
   std::vector<Vec2d> grid_old_velocity_;
-  std::vector<P2gBuffer> p2g_buffers_;
-  std::vector<std::uint64_t> touched_epoch_;  ///< [block] union stamp
-  std::vector<int> touched_blocks_;           ///< union dirty list
+  std::vector<P2gLane> p2g_lanes_;
+  int active_lanes_ = 0;  ///< lanes the last P2G wrote
   std::uint64_t p2g_epoch_ = 0;
   double time_ = 0.0;
   std::int64_t steps_ = 0;

@@ -29,6 +29,14 @@ using core::SceneContext;
 
 namespace fs = std::filesystem;
 
+/// A scheduler config with every other field at its default.
+SchedulerConfig sched_config(int workers, int queue_capacity) {
+  SchedulerConfig cfg;
+  cfg.workers = workers;
+  cfg.queue_capacity = queue_capacity;
+  return cfg;
+}
+
 io::Dataset small_dataset() {
   io::Dataset ds;
   io::Trajectory traj;
@@ -114,7 +122,7 @@ TEST_F(CacheServeTest, HitIsBitwiseIdenticalToLiveRollout) {
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
 
-  SchedulerConfig cfg{2, 32};
+  SchedulerConfig cfg = sched_config(2, 32);
   cfg.stats_prefix = "cache_hit_test";
   cfg.cache = make_cache("cache_hit_test.cache");
   JobScheduler scheduler(registry, cfg);
@@ -143,7 +151,7 @@ TEST_F(CacheServeTest, PrefixHitTruncatesBitwise) {
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
 
-  SchedulerConfig cfg{2, 32};
+  SchedulerConfig cfg = sched_config(2, 32);
   cfg.stats_prefix = "cache_prefix_test";
   cfg.cache = make_cache("cache_prefix_test.cache");
   JobScheduler scheduler(registry, cfg);
@@ -174,7 +182,7 @@ TEST_F(CacheServeTest, HitsServeWhileWorkersArePaused) {
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
 
-  SchedulerConfig cfg{1, 8};
+  SchedulerConfig cfg = sched_config(1, 8);
   cfg.stats_prefix = "cache_paused_test";
   cfg.cache = make_cache("cache_paused_test.cache");
   JobScheduler scheduler(registry, cfg);
@@ -199,7 +207,7 @@ TEST_F(CacheServeTest, SingleFlightCoalescesConcurrentIdenticalRequests) {
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
 
-  SchedulerConfig cfg{2, 32};
+  SchedulerConfig cfg = sched_config(2, 32);
   cfg.stats_prefix = "cache_flight_test";
   cfg.cache = make_cache("cache_flight_test.cache");
   JobScheduler scheduler(registry, cfg);
@@ -237,7 +245,7 @@ TEST_F(CacheServeTest, HotReloadNeverServesStaleFrames) {
   ASSERT_TRUE(registry->load("m", model_path));
   ModelRegistry::Handle sim = registry->get("m");
 
-  SchedulerConfig cfg{2, 32};
+  SchedulerConfig cfg = sched_config(2, 32);
   cfg.stats_prefix = "cache_reload_test";
   cfg.cache = make_cache("cache_reload_test.cache");
   JobScheduler scheduler(registry, cfg);
@@ -275,7 +283,7 @@ TEST_F(CacheServeTest, CacheSurvivesServerRestart) {
 
   std::vector<std::vector<double>> first_frames;
   {
-    SchedulerConfig cfg{2, 32};
+    SchedulerConfig cfg = sched_config(2, 32);
     cfg.stats_prefix = "cache_restart_test_a";
     cfg.cache = make_cache("cache_restart_test_a.cache");
     JobScheduler scheduler(registry, cfg);
@@ -284,7 +292,7 @@ TEST_F(CacheServeTest, CacheSurvivesServerRestart) {
     first_frames = r.frames;
   }  // scheduler and cache die; only the on-disk store remains
 
-  SchedulerConfig cfg{2, 32};
+  SchedulerConfig cfg = sched_config(2, 32);
   cfg.stats_prefix = "cache_restart_test_b";
   cfg.cache = make_cache("cache_restart_test_b.cache");
   JobScheduler scheduler(registry, cfg);
@@ -299,7 +307,7 @@ TEST_F(CacheServeTest, CacheMissOnDifferentRequestContent) {
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
 
-  SchedulerConfig cfg{2, 32};
+  SchedulerConfig cfg = sched_config(2, 32);
   cfg.stats_prefix = "cache_miss_test";
   cfg.cache = make_cache("cache_miss_test.cache");
   JobScheduler scheduler(registry, cfg);
@@ -327,7 +335,7 @@ TEST_F(CacheServeTest, OverTheWireHitsAreBitwiseAndSkipWorkers) {
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
 
-  SchedulerConfig sched_cfg{2, 32};
+  SchedulerConfig sched_cfg = sched_config(2, 32);
   sched_cfg.stats_prefix = "cache_net_test";
   sched_cfg.cache = make_cache("cache_net_test.cache");
   JobScheduler scheduler(registry, sched_cfg);

@@ -20,8 +20,11 @@
 //    kernel sums each receiver's edges in that same CSR order; it is also
 //    checked against the taped op chain, bitwise.
 //  - MPM: p2g scatters into a fixed number of lanes (kP2gLanes), each
-//    owning a fixed chunk range, and reduces them in ascending lane
-//    order. The decomposition never depends on the worker count.
+//    owning a fixed chunk range; one pass over 64-node blocks sums each
+//    node's lanes in ascending lane order and then updates that node's
+//    velocity and boundary; g2p and its batched stress update are
+//    per-particle. The decomposition never depends on the worker count,
+//    and runs the same serially below the step's particle threshold.
 //  - CFD: every sweep writes disjoint rows; red-black SOR updates one
 //    colour from the other.
 //  - SR: predictions fill one slot per sample; the error sums are serial
@@ -32,6 +35,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -308,52 +312,71 @@ TEST(ThreadInvariance, GatherBackwardCsrBitwise) {
 
 // ---------- MPM ----------
 
-mpm::MpmSolver column_solver() {
+/// A column collapse at `scale` times the 20 x 10-cell grid: 54 particles
+/// at scale 1, which the step runs serially, and 1,350 at scale 5, above
+/// its particle threshold, which it runs on the executor.
+mpm::MpmSolver column_solver(int scale) {
   mpm::GranularSceneParams params;
-  params.cells_x = 20;
-  params.cells_y = 10;
+  params.cells_x = 20 * scale;
+  params.cells_y = 10 * scale;
   params.domain_width = 1.0;
   params.domain_height = 0.5;
   params.material.friction_deg = 30.0;
   return mpm::make_column_collapse(params, 0.15, 1.5).make_solver();
 }
 
-std::vector<mpm::Vec2d> mpm_positions(int steps) {
-  mpm::MpmSolver solver = column_solver();
-  solver.run(steps);
-  return solver.particles().position;
+/// Particle state after `steps` steps, one entry per column scale.
+std::vector<mpm::Particles> mpm_states(int steps) {
+  std::vector<mpm::Particles> out;
+  for (const int scale : {1, 5}) {
+    mpm::MpmSolver solver = column_solver(scale);
+    solver.run(steps);
+    out.push_back(solver.particles());
+  }
+  return out;
 }
 
-void expect_same_positions(const std::vector<mpm::Vec2d>& a,
-                           const std::vector<mpm::Vec2d>& b) {
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+void expect_same_states(const std::vector<mpm::Particles>& a,
+                        const std::vector<mpm::Particles>& b) {
   ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].x, b[i].x) << "particle " << i;
-    EXPECT_EQ(a[i].y, b[i].y) << "particle " << i;
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    EXPECT_TRUE(same_bytes(a[s].position, b[s].position)) << "scene " << s;
+    EXPECT_TRUE(same_bytes(a[s].velocity, b[s].velocity)) << "scene " << s;
+    EXPECT_TRUE(same_bytes(a[s].stress, b[s].stress)) << "scene " << s;
+    EXPECT_TRUE(same_bytes(a[s].volume, b[s].volume)) << "scene " << s;
   }
 }
 
 TEST(ThreadInvariance, MpmExecutorRerunIsBitwise) {
-  expect_same_positions(mpm_positions(50), mpm_positions(50));
+  expect_same_states(mpm_states(50), mpm_states(50));
 }
 
 TEST(ThreadInvariance, MpmSerialVsExecutorBitwise) {
-  std::vector<mpm::Vec2d> serial;
+  ASSERT_GE(column_solver(5).particles().size(), 1024)
+      << "the large column must run on the executor";
+  std::vector<mpm::Particles> serial;
   {
     exec::detail::ScopedParallelDepth serial_only;
-    serial = mpm_positions(50);
+    serial = mpm_states(50);
   }
-  expect_same_positions(serial, mpm_positions(50));
+  expect_same_states(serial, mpm_states(50));
 }
 
 TEST(ThreadInvariance, MpmSimdOnOffBitwise) {
-  // GNS_SIMD only swaps the batched-weights kernel and the reduction's
-  // accumulate implementation for bitwise-identical twins; the MPM step
-  // must therefore produce identical bits with the toggle on and off.
+  // GNS_SIMD only swaps leaf kernels (batched weights, the P2G record
+  // scatter, the grid pass's lane sums, the Drucker–Prager batch) for
+  // bitwise-identical twins; the MPM step must therefore produce
+  // identical bits with the toggle on and off.
   simd::set_enabled(false);
-  const auto off = mpm_positions(50);
+  const auto off = mpm_states(50);
   simd::set_enabled(true);
-  expect_same_positions(off, mpm_positions(50));
+  expect_same_states(off, mpm_states(50));
 }
 
 // ---------- CFD ----------

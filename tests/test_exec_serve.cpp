@@ -21,6 +21,14 @@ using core::FeatureConfig;
 using core::GnsConfig;
 using core::LearnedSimulator;
 
+/// A scheduler config with every other field at its default.
+SchedulerConfig sched_config(int workers, int queue_capacity) {
+  SchedulerConfig cfg;
+  cfg.workers = workers;
+  cfg.queue_capacity = queue_capacity;
+  return cfg;
+}
+
 io::Dataset small_dataset() {
   io::Dataset ds;
   io::Trajectory traj;
@@ -82,7 +90,7 @@ class ExecServeTest : public ::testing::Test {
 };
 
 TEST_F(ExecServeTest, ExpiredAtSubmitResolvesWithoutTouchingTheExecutor) {
-  JobScheduler scheduler(registry_, SchedulerConfig{1, 8});
+  JobScheduler scheduler(registry_, sched_config(1, 8));
   RolloutRequest req = small_request(*sim_, 2);
   req.deadline_ms = -1.0;  // upstream budget already spent
   JobTicket ticket = scheduler.submit(std::move(req));
@@ -98,7 +106,7 @@ TEST_F(ExecServeTest, ExpiredAtSubmitResolvesWithoutTouchingTheExecutor) {
 }
 
 TEST_F(ExecServeTest, QueuedDeadlineFiresAsTimerWhilePaused) {
-  JobScheduler scheduler(registry_, SchedulerConfig{1, 8});
+  JobScheduler scheduler(registry_, sched_config(1, 8));
 
   // With the scheduler paused nothing ever dequeues the job; only the
   // armed deadline timer can resolve it.
@@ -117,7 +125,7 @@ TEST_F(ExecServeTest, QueuedDeadlineFiresAsTimerWhilePaused) {
 }
 
 TEST_F(ExecServeTest, ExpiredMidChainReturnsPrefixWithTypedError) {
-  JobScheduler scheduler(registry_, SchedulerConfig{1, 8});
+  JobScheduler scheduler(registry_, sched_config(1, 8));
   RolloutRequest req = small_request(*sim_, 1000000);
   req.deadline_ms = 40.0;
   RolloutResult result = scheduler.submit(std::move(req)).result.get();
@@ -128,7 +136,7 @@ TEST_F(ExecServeTest, ExpiredMidChainReturnsPrefixWithTypedError) {
 }
 
 TEST_F(ExecServeTest, CancelMidChainStopsBetweenSteps) {
-  JobScheduler scheduler(registry_, SchedulerConfig{1, 8});
+  JobScheduler scheduler(registry_, sched_config(1, 8));
   JobTicket ticket = scheduler.submit(small_request(*sim_, 1000000));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_TRUE(scheduler.cancel(ticket.id));

@@ -1,12 +1,17 @@
 // MPM substrate: shape functions (partition of unity), constitutive models
-// (elastic response, Drucker–Prager yield/return/apex), solver invariants
-// (mass conservation, determinism, settling), and the physics property the
-// whole paper rests on: runout decreases with friction angle.
+// (elastic response, Drucker–Prager yield/return/apex), the vector leaves
+// against their scalar twins (batched stress update, P2G scatter), solver
+// invariants (mass conservation, determinism, settling), and the physics
+// property the whole paper rests on: runout decreases with friction angle.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
+#include "mpm/p2g.hpp"
 #include "mpm/scenes.hpp"
 #include "mpm/shape.hpp"
 #include "mpm/solver.hpp"
@@ -150,6 +155,187 @@ TEST(DruckerPrager, RejectsInvalidAngles) {
   EXPECT_THROW(DruckerPrager(1e6, 0.25, 1800.0, 90.0), CheckError);
 }
 
+// ---------- Batched stress update ----------
+
+/// Same bytes, so -0.0 differs from +0.0 and a NaN must match its payload.
+template <typename T>
+bool same_bits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// Runs update_stress_batch over every window of `states` of length 0–9,
+/// with GNS_SIMD off and on, and checks each output against update_stress
+/// by memcmp. Outputs past the window must keep their sentinel bytes.
+void expect_batch_matches_scalar(const Material& mat,
+                                 const std::vector<StressState>& states) {
+  const SymTensor2 sentinel{-7.25, 3.5, 1e300, -0.0};
+  for (const bool simd_on : {false, true}) {
+    gns::simd::set_enabled(simd_on);
+    for (int n = 0; n <= 9; ++n) {
+      for (std::size_t first = 0; first + n <= states.size(); ++first) {
+        std::vector<SymTensor2> out(n + 4, sentinel);
+        mat.update_stress_batch(states.data() + first, n, out.data());
+        for (int i = 0; i < n; ++i) {
+          const SymTensor2 ref = mat.update_stress(states[first + i]);
+          EXPECT_TRUE(same_bits(out[i], ref))
+              << "simd=" << simd_on << " n=" << n << " state " << first + i
+              << ": " << out[i].xx << " " << out[i].yy << " " << out[i].xy
+              << " " << out[i].zz << " vs " << ref.xx << " " << ref.yy << " "
+              << ref.xy << " " << ref.zz;
+        }
+        for (int i = n; i < n + 4; ++i)
+          EXPECT_TRUE(same_bits(out[i], sentinel)) << "wrote past n=" << n;
+      }
+    }
+  }
+  gns::simd::set_enabled(true);
+}
+
+TEST(DruckerPrager, BatchLeafMatchesUpdateStressBitwise) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const SymTensor2 none{};
+  // φ = 30°, c = 50: k > 0, so the cone has a radius at p = 0.
+  DruckerPrager mat(1e6, 0.25, 1800.0, 30.0, /*cohesion=*/50.0);
+  const double k = mat.k();
+  std::vector<StressState> states = {
+      // Inside the cone: compression with a little shear.
+      {{-1000.0, -1000.0, 0.0, -1000.0}, {0.0, 0.0, 1e-7, 0.0}, 1e-4, 1800.0},
+      // Shear return.
+      {{-1000.0, -1000.0, 0.0, -1000.0}, {0.0, 0.0, 0.01, 0.0}, 1e-4, 1800.0},
+      {{-300.0, -900.0, 250.0, -500.0}, {2e-4, -1e-4, 3e-3, 0.0}, 1e-4, 0.0},
+      // Apex: tension with k − α·p < 0.
+      {none, {0.01, 0.01, 0.0, 0.0}, 1e-4, 1800.0},
+      // √J2 equal to the radius: p = 0 and pure shear τ = k, so
+      // sqrt(fl(k²)) = k = k − α·0.
+      {{0.0, 0.0, k, 0.0}, none, 1e-4, 1800.0},
+      // J2 = 0 with a positive radius: hydrostatic compression.
+      {{-50.0, -50.0, 0.0, -50.0}, none, 1e-4, 1800.0},
+      // ±0 components.
+      {{-0.0, 0.0, -0.0, -0.0}, {-0.0, -0.0, 0.0, -0.0}, 1e-4, 1800.0},
+      {{-0.0, -20.0, -0.0, -0.0}, {0.0, -0.0, -0.0, 0.0}, 0.0, -0.0},
+      // A NaN component in the stress, then in the strain increment.
+      {{-1000.0, nan, 0.0, -1000.0}, {0.0, 0.0, 1e-3, 0.0}, 1e-4, 1800.0},
+      {{-1000.0, -1000.0, 10.0, -1000.0}, {0.0, 0.0, nan, 0.0}, 1e-4, 1800.0},
+      {{-1000.0, -1000.0, 0.0, -1000.0}, {nan, 0.0, 0.0, 0.0}, 1e-4, 1800.0},
+      // Shear return under large compression, then inside again.
+      {{-5e4, -4e4, 2e4, -4.5e4}, {1e-3, -2e-3, 5e-3, 0.0}, 1e-4, 1800.0},
+      {{-2e3, -2e3, 1.0, -2e3}, {1e-6, 0.0, 0.0, 0.0}, 1e-4, 1800.0},
+  };
+  expect_batch_matches_scalar(mat, states);
+
+  // φ = 30°, c = 0: the radius −α·p is exactly 0 at p = 0 (apex), and the
+  // apex holds the zero stress.
+  DruckerPrager dry(1e6, 0.25, 1800.0, 30.0);
+  states.push_back({{1.0, -1.0, 0.5, 0.0}, none, 1e-4, 1800.0});
+  states.push_back({{2.0, -1.0, 0.0, -1.0}, none, 1e-4, 1800.0});
+  expect_batch_matches_scalar(dry, states);
+
+  // φ = 0: α = 0, so the radius is k and the apex branch needs k ≤ 0.
+  DruckerPrager tresca(1e6, 0.25, 1800.0, 0.0, /*cohesion=*/2.0);
+  states.push_back({{0.0, 0.0, 2.0, 0.0}, none, 1e-4, 1800.0});  // √J2 = k
+  states.push_back({{0.0, 0.0, 2.5, 0.0}, none, 1e-4, 1800.0});  // return
+  expect_batch_matches_scalar(tresca, states);
+  DruckerPrager tresca_dry(1e6, 0.25, 1800.0, 0.0);  // k = 0: apex at 0
+  expect_batch_matches_scalar(tresca_dry, states);
+
+  // Random states around the cone, to mix the branches across lanes.
+  gns::Rng rng(5);
+  for (int i = 0; i < 40; ++i) {
+    const double p = rng.uniform(-2000.0, 200.0);
+    states.push_back({{p + rng.uniform(-500.0, 500.0),
+                       p + rng.uniform(-500.0, 500.0),
+                       rng.uniform(-800.0, 800.0), p},
+                      {rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3),
+                       rng.uniform(-1e-3, 1e-3), 0.0},
+                      1e-4,
+                      1800.0});
+  }
+  expect_batch_matches_scalar(mat, states);
+  expect_batch_matches_scalar(dry, states);
+}
+
+TEST(Material, DefaultBatchIsUpdateStressPerElement) {
+  std::vector<StressState> states;
+  gns::Rng rng(9);
+  for (int i = 0; i < 12; ++i)
+    states.push_back({{rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3),
+                       rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)},
+                      {rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3),
+                       rng.uniform(-1e-3, 1e-3), 0.0},
+                      i % 3 == 0 ? 0.0 : 1e-4,
+                      rng.uniform(950.0, 1050.0)});
+  states.push_back({{-0.0, 0.0, -0.0, 0.0}, {-0.0, 0.0, 0.0, -0.0}, 1e-4,
+                    1000.0});
+  expect_batch_matches_scalar(LinearElastic(1e6, 0.3, 1800.0), states);
+  expect_batch_matches_scalar(NewtonianFluid(1000.0, 20.0, 1e-3), states);
+}
+
+// ---------- P2G scatter ----------
+
+TEST(P2g, AvxLeafMatchesScalarTwinBitwise) {
+  // A 20 x 10-cell grid (21 x 11 nodes, 4 blocks of 64 nodes). Particles
+  // sit at all four walls, in the corners, where a stencil row crosses a
+  // block boundary (node 63 = (0, 3) | 64 = (1, 3), node 127 = (1, 6) |
+  // 128 = (2, 6)) and at random, with velocities, stresses and volumes of
+  // both signs.
+  const int cx = 20, cy = 10;
+  const double h = 0.05, eps = 1e-6;
+  const double w = cx * h, ht = cy * h;
+  std::vector<Vec2d> at = {
+      {eps, 0.2},        {w - eps, 0.2},    {0.5, eps},
+      {0.5, ht - eps},   {eps, eps},        {w - eps, eps},
+      {eps, ht - eps},   {w - eps, ht - eps}, {0.2 * h, 3.0 * h},
+      {1.0 * h, 3.2 * h}, {1.4 * h, 6.0 * h}, {2.1 * h, 6.4 * h},
+      {0.51 * h, 2.9 * h}, {w - 0.3 * h, ht - 0.6 * h}};
+  gns::Rng rng(3);
+  while (at.size() < 200)
+    at.push_back({rng.uniform(eps, w - eps), rng.uniform(eps, ht - eps)});
+  Particles particles;
+  for (const Vec2d& x : at) {
+    particles.add(x, {rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)},
+                  rng.uniform(0.5, 2.0), rng.uniform(1e-4, 1e-3),
+                  {rng.uniform(-1e3, 1e2), rng.uniform(-1e3, 1e2),
+                   rng.uniform(-5e2, 5e2), rng.uniform(-1e3, 1e2)});
+  }
+  particles.velocity[3] = {-0.0, 0.0};
+  particles.stress[5] = {-0.0, -0.0, 0.0, -0.0};
+
+  for (const ShapeKind shape :
+       {ShapeKind::QuadraticBSpline, ShapeKind::Linear}) {
+    P2gGrid grid;
+    grid.nodes_x = cx + 1;
+    grid.nodes_y = cy + 1;
+    grid.spacing = h;
+    grid.shape = shape;
+    grid.gravity = {0.0, -9.81};
+    const int n_nodes = grid.nodes_x * grid.nodes_y;
+    auto scatter = [&](bool simd_on) {
+      gns::simd::set_enabled(simd_on);
+      P2gLane lane(n_nodes);
+      // Two steps: the second must zero and restamp what the first left.
+      for (std::uint64_t epoch = 1; epoch <= 2; ++epoch) {
+        grid.epoch = epoch;
+        // A full chunk, then a partial one.
+        p2g_scatter(particles, 0, kShapeBatch, grid, lane);
+        p2g_scatter(particles, kShapeBatch, particles.size() - kShapeBatch,
+                    grid, lane);
+      }
+      return lane;
+    };
+    const P2gLane scalar = scatter(false);
+    const P2gLane vec = scatter(true);
+    gns::simd::set_enabled(true);
+    ASSERT_EQ(scalar.block_epoch, vec.block_epoch);
+    for (const std::uint64_t e : scalar.block_epoch) EXPECT_EQ(e, 2u);
+    EXPECT_EQ(std::memcmp(scalar.mass.data(), vec.mass.data(),
+                          scalar.mass.size() * sizeof(double)),
+              0);
+    for (std::size_t i = 0; i < scalar.rec.size(); ++i)
+      EXPECT_TRUE(same_bits(scalar.rec[i], vec.rec[i]))
+          << "node " << i / 4 << " field " << i % 4;
+  }
+}
+
 // ---------- Particles ----------
 
 TEST(Particles, BlockSamplingCountsAndMass) {
@@ -214,24 +400,101 @@ TEST(MpmSolver, DeterministicAcrossRuns) {
   }
 }
 
+template <typename T>
+void expect_same_bytes(const std::vector<T>& a, const std::vector<T>& b,
+                       const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0)
+      << what << " differ";
+}
+
 TEST(MpmSolver, SimdToggleIsBitwiseInvisible) {
-  // GNS_SIMD swaps the batched shape-weight kernel and the reduction's
-  // accumulate for bitwise-identical twins; multiple steps also regress
-  // the lazy block clearing — stale per-thread buffer data from step k
-  // must never leak into step k+1.
+  // GNS_SIMD swaps the batched shape weights, the P2G record scatter, the
+  // grid pass's lane sums and the Drucker–Prager batch for bitwise
+  // identical twins. A collapsing column on the floor and left wall, plus
+  // a block thrown into the top-right corner: stencils are clipped at all
+  // four walls and every wall's boundary rule runs. 300 steps also
+  // regress the lazy block clearing (stale lane data from step k must
+  // never leak into step k+1).
+  bool clipped_right = false, clipped_top = false;
   auto run = [&](bool simd_on) {
     gns::simd::set_enabled(simd_on);
-    MpmSolver solver = small_column_solver(30.0);
-    solver.run(5);
-    return solver.particles().position;
+    GranularSceneParams params;
+    params.cells_x = 20;
+    params.cells_y = 10;
+    params.domain_width = 1.0;
+    params.domain_height = 0.5;
+    Scene scene = make_column_collapse(params, 0.15, 1.5);
+    append(scene.particles,
+           make_block({0.8, 0.3}, {0.9, 0.4}, 0.0125, 1800.0, {12.0, 9.0}));
+    MpmSolver solver = scene.make_solver();
+    const double h = solver.grid().spacing();
+    for (int i = 0; i < 300; ++i) {
+      solver.step();
+      // A quadratic B-spline stencil loses its outer node past cell
+      // index n − 0.5.
+      for (const Vec2d& x : solver.particles().position) {
+        clipped_right = clipped_right || x.x / h >= params.cells_x - 0.5;
+        clipped_top = clipped_top || x.y / h >= params.cells_y - 0.5;
+      }
+    }
+    return solver;
   };
-  const auto off = run(false);
-  const auto on = run(true);
+  const MpmSolver off = run(false);
+  const MpmSolver on = run(true);
   gns::simd::set_enabled(true);
-  ASSERT_EQ(off.size(), on.size());
-  for (std::size_t i = 0; i < off.size(); ++i) {
-    EXPECT_EQ(off[i].x, on[i].x);
-    EXPECT_EQ(off[i].y, on[i].y);
+  EXPECT_TRUE(clipped_right && clipped_top)
+      << "no stencil reached the right wall or the ceiling";
+  expect_same_bytes(off.particles().position, on.particles().position,
+                    "positions");
+  expect_same_bytes(off.particles().velocity, on.particles().velocity,
+                    "velocities");
+  expect_same_bytes(off.particles().stress, on.particles().stress,
+                    "stresses");
+  expect_same_bytes(off.particles().volume, on.particles().volume,
+                    "volumes");
+  expect_same_bytes(off.grid().mass, on.grid().mass, "grid mass");
+}
+
+TEST(MpmSolver, MaxSpeedIsThePerParticleMaximumBitwise) {
+  // dt()'s scan: the largest |v|² then one sqrt must equal the running
+  // std::max(vmax, v.norm()) from +0.0, bit for bit.
+  auto reference = [](const std::vector<Vec2d>& v) {
+    double vmax = 0.0;
+    for (const Vec2d& x : v) vmax = std::max(vmax, x.norm());
+    return vmax;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double big = std::numeric_limits<double>::max();
+  const std::vector<std::vector<Vec2d>> sets = {
+      {},
+      {{0.0, 0.0}},
+      {{-0.0, -0.0}, {0.0, -0.0}, {-0.0, 0.0}},
+      {{3.0, 4.0}, {4.0, 3.0}, {-5.0, 0.0}, {0.0, -5.0}, {1.0, 1.0}},  // ties
+      {{tiny, 0.0}, {0.0, 3 * tiny}, {tiny, tiny}, {2e-160, 1e-160}},
+      {{1.0, 2.0}, {big, 1.0}, {0.5, 0.5}},                  // |v|² = Inf
+      {{1.0, 2.0}, {nan, 1.0}, {2.0, 2.0}, {0.1, 0.2}, {3.0, -1.0}},
+      {{nan, nan}, {-0.0, 0.0}},
+      {{nan, 0.0}},
+      {{1.0, 0.0}, {0.0, 1.0}, {0.6, 0.8}, {0.8, -0.6}, {-1.0, 0.0},
+       {0.0, -1.0}, {nan, 1.0}, {1e-300, 1e-300}, {0.1, 0.1}},
+  };
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    const double got = max_speed(sets[i]);
+    const double want = reference(sets[i]);
+    EXPECT_TRUE(same_bits(got, want))
+        << "set " << i << ": " << got << " vs " << want;
+  }
+  // Random sets of every length 0–13 with ties and NaNs mixed in.
+  gns::Rng rng(17);
+  for (int n = 0; n <= 13; ++n) {
+    std::vector<Vec2d> v;
+    for (int i = 0; i < n; ++i)
+      v.push_back({rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)});
+    if (n > 2) v[n / 2] = v[0];
+    if (n > 3) v[n - 1].y = nan;
+    EXPECT_TRUE(same_bits(max_speed(v), reference(v))) << "n=" << n;
   }
 }
 
@@ -348,34 +611,56 @@ TEST(MpmSolver, FreeFallMatchesGravity) {
 
 TEST(Grid, BoundaryFloorStopsDownwardFlow) {
   Grid grid(4, 4, 0.25);
-  const int node = grid.node_index(2, 0);
-  grid.velocity[node] = {1.0, -2.0};
-  grid.apply_boundary(1e-3, /*floor_friction=*/0.25);
-  EXPECT_DOUBLE_EQ(grid.velocity[node].y, 0.0);
+  Vec2d v{1.0, -2.0};
+  apply_boundary(v, 2, 0, grid.nodes_x(), grid.nodes_y(),
+                 /*floor_friction=*/0.25);
+  EXPECT_DOUBLE_EQ(v.y, 0.0);
   // Coulomb: |Δvt| = μ·|vn| = 0.5.
-  EXPECT_DOUBLE_EQ(grid.velocity[node].x, 0.5);
+  EXPECT_DOUBLE_EQ(v.x, 0.5);
 }
 
 TEST(Grid, FloorFrictionStopsSlowTangential) {
   Grid grid(4, 4, 0.25);
-  const int node = grid.node_index(1, 0);
-  grid.velocity[node] = {0.1, -2.0};
-  grid.apply_boundary(1e-3, 0.25);
-  EXPECT_DOUBLE_EQ(grid.velocity[node].x, 0.0);
+  Vec2d v{0.1, -2.0};
+  apply_boundary(v, 1, 0, grid.nodes_x(), grid.nodes_y(), 0.25);
+  EXPECT_DOUBLE_EQ(v.x, 0.0);
 }
 
 TEST(Grid, WallsBlockOutwardOnly) {
   Grid grid(4, 4, 0.25);
-  const int left = grid.node_index(0, 2);
-  grid.velocity[left] = {-1.0, 0.5};
-  grid.apply_boundary(1e-3, 0.0);
-  EXPECT_DOUBLE_EQ(grid.velocity[left].x, 0.0);
-  EXPECT_DOUBLE_EQ(grid.velocity[left].y, 0.5);
+  Vec2d left{-1.0, 0.5};
+  apply_boundary(left, 0, 2, grid.nodes_x(), grid.nodes_y(), 0.0);
+  EXPECT_DOUBLE_EQ(left.x, 0.0);
+  EXPECT_DOUBLE_EQ(left.y, 0.5);
 
-  const int right = grid.node_index(4, 2);
-  grid.velocity[right] = {-1.0, 0.0};
-  grid.apply_boundary(1e-3, 0.0);
-  EXPECT_DOUBLE_EQ(grid.velocity[right].x, -1.0);  // inward is allowed
+  Vec2d right{-1.0, 0.0};
+  apply_boundary(right, 4, 2, grid.nodes_x(), grid.nodes_y(), 0.0);
+  EXPECT_DOUBLE_EQ(right.x, -1.0);  // inward is allowed
+  right = {2.0, 1.0};
+  apply_boundary(right, 4, 4, grid.nodes_x(), grid.nodes_y(), 0.0);
+  EXPECT_DOUBLE_EQ(right.x, 0.0);  // top-right corner: both walls
+  EXPECT_DOUBLE_EQ(right.y, 0.0);
+
+  Vec2d inner{-3.0, -3.0};
+  apply_boundary(inner, 2, 2, grid.nodes_x(), grid.nodes_y(), 1.0);
+  EXPECT_DOUBLE_EQ(inner.x, -3.0);
+  EXPECT_DOUBLE_EQ(inner.y, -3.0);
+}
+
+TEST(Grid, FloorCornerAppliesFrictionThenWall) {
+  // At (0, 0) the floor rule runs first: friction leaves v.x = −1.5, then
+  // the left wall stops the outward x.
+  Grid grid(4, 4, 0.25);
+  Vec2d v{-2.0, -1.0};
+  apply_boundary(v, 0, 0, grid.nodes_x(), grid.nodes_y(), 0.5);
+  EXPECT_DOUBLE_EQ(v.x, 0.0);
+  EXPECT_DOUBLE_EQ(v.y, 0.0);
+  Vec2d r{2.0, -1.0};
+  apply_boundary(r, 4, 0, grid.nodes_x(), grid.nodes_y(), 0.5);
+  EXPECT_DOUBLE_EQ(r.x, 0.0);
+  Vec2d slide{-2.0, -1.0};
+  apply_boundary(slide, 2, 0, grid.nodes_x(), grid.nodes_y(), 0.5);
+  EXPECT_DOUBLE_EQ(slide.x, -1.5);
 }
 
 // ---------- Newtonian fluid ----------

@@ -24,6 +24,14 @@ using core::LearnedSimulator;
 using core::SceneContext;
 using core::Window;
 
+/// A scheduler config with every other field at its default.
+SchedulerConfig sched_config(int workers, int queue_capacity) {
+  SchedulerConfig cfg;
+  cfg.workers = workers;
+  cfg.queue_capacity = queue_capacity;
+  return cfg;
+}
+
 io::Dataset small_dataset() {
   io::Dataset ds;
   io::Trajectory traj;
@@ -157,7 +165,7 @@ TEST_F(ServeTest, ConcurrentRolloutsBitIdenticalToSerial) {
   const auto serial_short = sim->rollout(window_of(*sim), 5, context_of());
   const auto serial_long = sim->rollout(window_of(*sim), 9, context_of());
 
-  JobScheduler scheduler(registry, SchedulerConfig{4, 64});
+  JobScheduler scheduler(registry, sched_config(4, 64));
   std::vector<JobTicket> tickets;
   for (int i = 0; i < 16; ++i)
     tickets.push_back(
@@ -187,7 +195,7 @@ TEST_F(ServeTest, ModelNotFoundIsTypedError) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
-  JobScheduler scheduler(registry, SchedulerConfig{2, 8});
+  JobScheduler scheduler(registry, sched_config(2, 8));
 
   RolloutRequest req = small_request(*sim, 2);
   req.model = "missing";
@@ -200,7 +208,7 @@ TEST_F(ServeTest, QueueFullRejectsWithoutBlocking) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
-  JobScheduler scheduler(registry, SchedulerConfig{1, 2});
+  JobScheduler scheduler(registry, sched_config(1, 2));
 
   scheduler.pause();  // workers idle: the queue fills deterministically
   JobTicket a = scheduler.submit(small_request(*sim, 2));
@@ -225,7 +233,7 @@ TEST_F(ServeTest, CompletionNoticeRunsOnceAfterTheFutureIsSet) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
-  JobScheduler scheduler(registry, SchedulerConfig{1, 1});
+  JobScheduler scheduler(registry, sched_config(1, 1));
 
   scheduler.pause();
   std::future<RolloutResult> queued;
@@ -263,7 +271,7 @@ TEST_F(ServeTest, DeadlineExceededWhileQueued) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
-  JobScheduler scheduler(registry, SchedulerConfig{1, 8});
+  JobScheduler scheduler(registry, sched_config(1, 8));
 
   scheduler.pause();
   RolloutRequest req = small_request(*sim, 2);
@@ -282,7 +290,7 @@ TEST_F(ServeTest, ExpiredDeadlineRejectedAtSubmitWithoutQueueing) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
-  JobScheduler scheduler(registry, SchedulerConfig{1, 8});
+  JobScheduler scheduler(registry, sched_config(1, 8));
 
   // Paused workers make the queue observable: if the expired job were
   // enqueued (the old behavior treated negative deadline_ms as unbounded),
@@ -307,7 +315,7 @@ TEST_F(ServeTest, DeadlineExceededMidRolloutReturnsPrefix) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
-  JobScheduler scheduler(registry, SchedulerConfig{1, 8});
+  JobScheduler scheduler(registry, sched_config(1, 8));
 
   RolloutRequest req = small_request(*sim, 1000000);
   req.deadline_ms = 40.0;
@@ -321,7 +329,7 @@ TEST_F(ServeTest, CancelQueuedJobNeverRuns) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
-  JobScheduler scheduler(registry, SchedulerConfig{1, 8});
+  JobScheduler scheduler(registry, sched_config(1, 8));
 
   EXPECT_FALSE(scheduler.cancel(12345));  // unknown id
 
@@ -342,7 +350,7 @@ TEST_F(ServeTest, ShutdownWithoutDrainAbandonsQueued) {
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
   auto scheduler =
-      std::make_unique<JobScheduler>(registry, SchedulerConfig{1, 8});
+      std::make_unique<JobScheduler>(registry, sched_config(1, 8));
 
   scheduler->pause();
   JobTicket a = scheduler->submit(small_request(*sim, 2));
@@ -364,7 +372,7 @@ TEST_F(ServeTest, DestructorDrainsQueuedJobs) {
   ModelRegistry::Handle sim = registry->get("m");
   std::vector<JobTicket> tickets;
   {
-    JobScheduler scheduler(registry, SchedulerConfig{2, 16});
+    JobScheduler scheduler(registry, sched_config(2, 16));
     for (int i = 0; i < 6; ++i)
       tickets.push_back(scheduler.submit(small_request(*sim, 3)));
   }  // ~JobScheduler drains
@@ -375,7 +383,7 @@ TEST_F(ServeTest, MalformedRequestIsExecutionErrorAndSchedulerSurvives) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->put("m", make_small_sim());
   ModelRegistry::Handle sim = registry->get("m");
-  JobScheduler scheduler(registry, SchedulerConfig{2, 8});
+  JobScheduler scheduler(registry, sched_config(2, 8));
 
   RolloutRequest bad = small_request(*sim, 2);
   bad.window.pop_back();  // wrong window length

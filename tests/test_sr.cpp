@@ -86,7 +86,9 @@ TEST(Expr, RandomExprRespectsDepthAndVars) {
     std::vector<Expr*> nodes;
     e->collect(nodes);
     for (Expr* n : nodes) {
-      if (n->op == Op::Var) EXPECT_LT(n->var, 3);
+      if (n->op == Op::Var) {
+        EXPECT_LT(n->var, 3);
+      }
     }
   }
 }

@@ -43,13 +43,13 @@ TEST(Tensor, RejectsNonPositiveShapes) {
 }
 
 TEST(Tensor, ItemRequiresScalar) {
-  EXPECT_THROW(Tensor::zeros(2, 1).item(), CheckError);
+  EXPECT_THROW((void)Tensor::zeros(2, 1).item(), CheckError);
 }
 
 TEST(Tensor, UndefinedTensorThrowsOnUse) {
   Tensor t;
   EXPECT_FALSE(t.defined());
-  EXPECT_THROW(t.rows(), CheckError);
+  EXPECT_THROW((void)t.rows(), CheckError);
 }
 
 TEST(Tensor, CopyAliasesStorage) {
