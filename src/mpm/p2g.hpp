@@ -12,7 +12,6 @@
 /// no step clears a whole buffer.
 
 #include <cstdint>
-#include <new>
 #include <vector>
 
 #include "mpm/particles.hpp"
@@ -24,32 +23,13 @@ namespace gns::mpm {
 /// stamped block.
 inline constexpr int kP2gBlockShift = 6;  // 64 nodes per block
 
-/// Allocator aligning a lane's records to a cache line, so no 32-byte
-/// record straddles two lines.
-template <typename T>
-struct CacheLineAllocator {
-  using value_type = T;
-  CacheLineAllocator() = default;
-  template <typename U>
-  explicit CacheLineAllocator(const CacheLineAllocator<U>& /*other*/) {}
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{64}));
-  }
-  void deallocate(T* p, std::size_t /*n*/) {
-    ::operator delete(p, std::align_val_t{64});
-  }
-  friend bool operator==(const CacheLineAllocator&, const CacheLineAllocator&) {
-    return true;
-  }
-};
-
 /// One P2G lane's scatter buffer over a grid of `num_nodes` nodes.
 struct P2gLane {
   explicit P2gLane(int num_nodes);
 
-  std::vector<double> mass;                          ///< [node]
-  std::vector<double, CacheLineAllocator<double>> rec;  ///< [node][4]
-  std::vector<std::uint64_t> block_epoch;            ///< [block]
+  std::vector<double> mass;                ///< [node]
+  std::vector<double> rec;                 ///< [node][4]
+  std::vector<std::uint64_t> block_epoch;  ///< [block]
 };
 
 /// What a scatter needs of the grid and the step.

@@ -35,6 +35,7 @@ MpmSolver::MpmSolver(MpmConfig config, std::shared_ptr<const Material> material,
   // One scatter buffer per fixed P2G lane, sized once: the grid never
   // changes size.
   p2g_lanes_.assign(kP2gLanes, P2gLane(grid_.num_nodes()));
+  grid_block_touched_.assign(p2g_lanes_[0].block_epoch.size(), 0);
 }
 
 double MpmSolver::dt() const {
@@ -134,11 +135,18 @@ void MpmSolver::update_grid(double dt, bool parallel) {
   // the +0.0-seeded sums of the lanes whose stamp is current, added in
   // ascending lane order (a lane that never touched a block contributed
   // exact zeros, and adding +0.0 to a +0.0-seeded sum changes no bit);
-  // then each node's old velocity, new velocity and boundary rule.
+  // then each node's old velocity, new velocity and boundary rule. A
+  // block no lane touched in this step or the last still holds the zeros
+  // this pass would write, so it is skipped.
   exec::parallel_for(nblocks, parallel, [&](std::int64_t b) {
     const int blk = static_cast<int>(b);
     const int lo = blk * kBlock;
     const int len = std::min(kBlock, n_nodes - lo);
+    bool touched = false;
+    for (int t = 0; t < active_lanes_; ++t)
+      touched = touched || p2g_lanes_[t].block_epoch[blk] == epoch;
+    if (!touched && !grid_block_touched_[blk]) return;
+    grid_block_touched_[blk] = touched;
     double* mass = grid_.mass.data() + lo;
     alignas(64) double rec[4 * kBlock];
     std::fill_n(mass, len, 0.0);
@@ -147,7 +155,7 @@ void MpmSolver::update_grid(double dt, bool parallel) {
       const P2gLane& lane = p2g_lanes_[t];
       if (lane.block_epoch[blk] != epoch) continue;
       simd::accumulate(mass, lane.mass.data() + lo, len);
-      simd::accumulate(rec, lane.rec.data() + 4 * std::size_t(lo), 4 * len);
+      simd::accumulate(rec, lane.rec.data() + 4 * lo, 4 * len);
     }
     int ix = lo % nxn;
     int iy = lo / nxn;

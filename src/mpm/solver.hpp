@@ -110,6 +110,9 @@ class MpmSolver {
   std::vector<Vec2d> grid_old_velocity_;
   std::vector<P2gLane> p2g_lanes_;
   int active_lanes_ = 0;  ///< lanes the last P2G wrote
+  /// [block] some lane touched it in the last step, so the grid holds
+  /// nonzero values there; every other block of the grid is all zeros.
+  std::vector<char> grid_block_touched_;
   std::uint64_t p2g_epoch_ = 0;
   double time_ = 0.0;
   std::int64_t steps_ = 0;

@@ -238,6 +238,18 @@ TEST(DruckerPrager, BatchLeafMatchesUpdateStressBitwise) {
   DruckerPrager tresca_dry(1e6, 0.25, 1800.0, 0.0);  // k = 0: apex at 0
   expect_batch_matches_scalar(tresca_dry, states);
 
+  // √J2 equal to the radius at p ≠ 0, where the return at scale 1 would
+  // round yy to other bits than the trial's: with φ = 0 the radius is
+  // k = 3c/3, which equals c = √J2 for this state.
+  const SymTensor2 on_cone{-0.05, -0.51, 1.52, 2.89};
+  const double sqrt_j2 = std::sqrt(std::max(on_cone.j2(), 0.0));
+  DruckerPrager tresca_on(1e6, 0.25, 1800.0, 0.0, /*cohesion=*/sqrt_j2);
+  ASSERT_EQ(tresca_on.k(), sqrt_j2);
+  const StressState on_state{on_cone, none, 1e-4, 1800.0};
+  ASSERT_TRUE(same_bits(tresca_on.update_stress(on_state), on_cone));
+  states.insert(states.begin() + 2, on_state);
+  expect_batch_matches_scalar(tresca_on, states);
+
   // Random states around the cone, to mix the branches across lanes.
   gns::Rng rng(5);
   for (int i = 0; i < 40; ++i) {
@@ -333,6 +345,44 @@ TEST(P2g, AvxLeafMatchesScalarTwinBitwise) {
     for (std::size_t i = 0; i < scalar.rec.size(); ++i)
       EXPECT_TRUE(same_bits(scalar.rec[i], vec.rec[i]))
           << "node " << i / 4 << " field " << i % 4;
+
+    // Both equal a per-particle scatter from zero: the second step zeroed
+    // every block it touched, including both blocks of a straddling row.
+    std::vector<double> mass(n_nodes, 0.0), rec(4 * n_nodes, 0.0);
+    for (int p = 0; p < particles.size(); ++p) {
+      const Vec2d x = particles.position[p];
+      const ShapeWeights1D wx = shape_weights(shape, x.x, h);
+      const ShapeWeights1D wy = shape_weights(shape, x.y, h);
+      const Vec2d v = particles.velocity[p];
+      const double m = particles.mass[p];
+      const double vol = particles.volume[p];
+      const SymTensor2& st = particles.stress[p];
+      for (int a = 0; a < wy.count; ++a) {
+        const int iy = wy.base + a;
+        if (iy < 0 || iy >= grid.nodes_y) continue;
+        for (int b = 0; b < wx.count; ++b) {
+          const int ix = wx.base + b;
+          if (ix < 0 || ix >= grid.nodes_x) continue;
+          const int node = iy * grid.nodes_x + ix;
+          const double wt = wx.w[b] * wy.w[a];
+          const double dwx = wx.dw[b] * wy.w[a];
+          const double dwy = wx.w[b] * wy.dw[a];
+          mass[node] += wt * m;
+          rec[4 * node] += wt * m * v.x;
+          rec[4 * node + 1] += wt * m * v.y;
+          rec[4 * node + 2] +=
+              -vol * (st.xx * dwx + st.xy * dwy) + wt * m * grid.gravity.x;
+          rec[4 * node + 3] +=
+              -vol * (st.xy * dwx + st.yy * dwy) + wt * m * grid.gravity.y;
+        }
+      }
+    }
+    EXPECT_EQ(std::memcmp(mass.data(), vec.mass.data(),
+                          mass.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(rec.data(), vec.rec.data(),
+                          rec.size() * sizeof(double)),
+              0);
   }
 }
 
