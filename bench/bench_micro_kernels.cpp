@@ -211,6 +211,15 @@ double time_ms(F&& f, int reps) {
   return best;
 }
 
+/// Appends the bytes of `v`, a vector of structs of doubles, to `out`.
+template <typename T>
+void append_bytes(std::vector<ad::Real>& out, const std::vector<T>& v) {
+  static_assert(sizeof(T) % sizeof(ad::Real) == 0);
+  const std::size_t at = out.size();
+  out.resize(at + v.size() * sizeof(T) / sizeof(ad::Real));
+  std::memcpy(out.data() + at, v.data(), v.size() * sizeof(T));
+}
+
 /// Same bytes, so -0.0 differs from +0.0 and a NaN equals itself.
 bool same_bits(const std::vector<ad::Real>& a,
                const std::vector<ad::Real>& b) {
@@ -342,17 +351,10 @@ int run_kernel_suite() {
                      // The full particle state, as raw doubles.
                      const mpm::Particles& p = solver.particles();
                      std::vector<ad::Real> out;
-                     auto put = [&out](const auto& v) {
-                       const auto* d =
-                           reinterpret_cast<const ad::Real*>(v.data());
-                       out.insert(out.end(), d,
-                                  d + v.size() * sizeof(v[0]) /
-                                          sizeof(ad::Real));
-                     };
-                     put(p.position);
-                     put(p.velocity);
-                     put(p.stress);
-                     put(p.volume);
+                     append_bytes(out, p.position);
+                     append_bytes(out, p.velocity);
+                     append_bytes(out, p.stress);
+                     append_bytes(out, p.volume);
                      return out;
                    }});
 
@@ -402,9 +404,9 @@ int run_kernel_suite() {
                            stress_states.data() + c0,
                            std::min(mpm::kShapeBatch, column_np - c0),
                            out.data() + c0);
-                     const auto* d =
-                         reinterpret_cast<const ad::Real*>(out.data());
-                     return std::vector<ad::Real>(d, d + 4 * out.size());
+                     std::vector<ad::Real> bits;
+                     append_bytes(bits, out);
+                     return bits;
                    }});
 
   std::printf("\n%22s %12s %12s %9s %9s\n", "kernel", "scalar ms", "simd ms",

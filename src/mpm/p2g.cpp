@@ -23,7 +23,7 @@ P2gLane::P2gLane(int num_nodes) {
 
 namespace {
 
-/// The chunk's weights and the grid bounds both leaves share.
+/// The chunk's weights and stencil width, shared by both leaves.
 struct Chunk {
   ShapeWeightsBatch wx, wy;
   int scount = 0;
@@ -40,21 +40,25 @@ inline void touch_block(P2gLane& lane, int blk, std::uint64_t epoch) {
   lane.block_epoch[blk] = epoch;
 }
 
-/// Stamps the blocks of stencil row iy of particle j, whose nodes
-/// [*b_lo, *b_hi) of the stencil lie inside the grid. A row spans at most
-/// 3 consecutive nodes, so it can straddle two blocks: stamp the blocks of
-/// its first and last node.
-inline int row_base(const Chunk& ch, const P2gGrid& g, int j, int iy,
-                    int* b_lo, int* b_hi, P2gLane& lane) {
+/// Stencil row iy of particle j: its nodes are base + b for b in
+/// [lo, hi), the part of the stencil inside the grid.
+struct Row {
+  int base, lo, hi;
+};
+
+/// Returns row iy of particle j after stamping its blocks. A row spans
+/// at most 3 consecutive nodes, so it can straddle two blocks: stamp the
+/// blocks of its first and last node.
+inline Row stamp_row(const Chunk& ch, const P2gGrid& g, int j, int iy,
+                     P2gLane& lane) {
   const int ix0 = ch.wx.base[j];
-  *b_lo = std::max(0, -ix0);
-  *b_hi = std::min(ch.scount, g.nodes_x - ix0);
-  const int base = iy * g.nodes_x + ix0;
-  if (*b_lo < *b_hi) {
-    touch_block(lane, (base + *b_lo) >> kP2gBlockShift, g.epoch);
-    touch_block(lane, (base + *b_hi - 1) >> kP2gBlockShift, g.epoch);
+  const Row row{iy * g.nodes_x + ix0, std::max(0, -ix0),
+                std::min(ch.scount, g.nodes_x - ix0)};
+  if (row.lo < row.hi) {
+    touch_block(lane, (row.base + row.lo) >> kP2gBlockShift, g.epoch);
+    touch_block(lane, (row.base + row.hi - 1) >> kP2gBlockShift, g.epoch);
   }
-  return base;
+  return row;
 }
 
 void scatter_scalar(const Particles& particles, int begin, int count,
@@ -72,10 +76,9 @@ void scatter_scalar(const Particles& particles, int begin, int count,
       if (iy < 0 || iy >= g.nodes_y) continue;
       const double wya = ch.wy.w[a][j];
       const double dwya = ch.wy.dw[a][j];
-      int b_lo, b_hi;
-      const int base = row_base(ch, g, j, iy, &b_lo, &b_hi, lane);
-      for (int b = b_lo; b < b_hi; ++b) {
-        const int node = base + b;
+      const Row row = stamp_row(ch, g, j, iy, lane);
+      for (int b = row.lo; b < row.hi; ++b) {
+        const int node = row.base + b;
         const double w = ch.wx.w[b][j] * wya;
         const double dwx = ch.wx.dw[b][j] * wya;
         const double dwy = ch.wx.w[b][j] * dwya;
@@ -116,10 +119,9 @@ __attribute__((target("avx2"))) void scatter_avx2(
       if (iy < 0 || iy >= g.nodes_y) continue;
       const double wya = ch.wy.w[a][j];
       const double dwya = ch.wy.dw[a][j];
-      int b_lo, b_hi;
-      const int base = row_base(ch, g, j, iy, &b_lo, &b_hi, lane);
-      for (int b = b_lo; b < b_hi; ++b) {
-        const int node = base + b;
+      const Row row = stamp_row(ch, g, j, iy, lane);
+      for (int b = row.lo; b < row.hi; ++b) {
+        const int node = row.base + b;
         const double w = ch.wx.w[b][j] * wya;
         const double wm = w * m;
         const __m256d dwx = _mm256_set1_pd(ch.wx.dw[b][j] * wya);

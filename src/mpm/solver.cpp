@@ -105,8 +105,7 @@ void MpmSolver::particle_to_grid(bool parallel) {
   // function of nchunks only) and its own buffer. The grid pass sums them
   // in ascending lane order, so it performs the same FP sequence at any
   // worker count — P2G is bitwise worker-count invariant.
-  active_lanes_ = std::min(kP2gLanes, nchunks);
-  const int lanes = active_lanes_;
+  const int lanes = std::min(kP2gLanes, nchunks);
   exec::parallel_jobs(lanes, parallel, [&](int lane) {
     const int cbegin = nchunks * lane / lanes;
     const int cend = nchunks * (lane + 1) / lanes;
@@ -137,13 +136,14 @@ void MpmSolver::update_grid(double dt, bool parallel) {
   // exact zeros, and adding +0.0 to a +0.0-seeded sum changes no bit);
   // then each node's old velocity, new velocity and boundary rule. A
   // block no lane touched in this step or the last still holds the zeros
-  // this pass would write, so it is skipped.
+  // this pass would write, so it is skipped. Lanes P2G did not run never
+  // carry the current stamp.
   exec::parallel_for(nblocks, parallel, [&](std::int64_t b) {
     const int blk = static_cast<int>(b);
     const int lo = blk * kBlock;
     const int len = std::min(kBlock, n_nodes - lo);
     bool touched = false;
-    for (int t = 0; t < active_lanes_; ++t)
+    for (int t = 0; t < kP2gLanes; ++t)
       touched = touched || p2g_lanes_[t].block_epoch[blk] == epoch;
     if (!touched && !grid_block_touched_[blk]) return;
     grid_block_touched_[blk] = touched;
@@ -151,7 +151,7 @@ void MpmSolver::update_grid(double dt, bool parallel) {
     alignas(64) double rec[4 * kBlock];
     std::fill_n(mass, len, 0.0);
     std::fill_n(rec, 4 * len, 0.0);
-    for (int t = 0; t < active_lanes_; ++t) {
+    for (int t = 0; t < kP2gLanes; ++t) {
       const P2gLane& lane = p2g_lanes_[t];
       if (lane.block_epoch[blk] != epoch) continue;
       simd::accumulate(mass, lane.mass.data() + lo, len);

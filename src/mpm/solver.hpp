@@ -111,7 +111,6 @@ class MpmSolver {
   Grid grid_;
   std::vector<Vec2d> grid_old_velocity_;
   std::vector<P2gLane> p2g_lanes_;
-  int active_lanes_ = 0;  ///< lanes the last P2G wrote
   /// [block] some lane touched it in the last step, so the grid holds
   /// nonzero values there; every other block of the grid is all zeros.
   std::vector<char> grid_block_touched_;
